@@ -8,15 +8,16 @@
     the generated contracts of every NF with per-path feasibility.
 
 ``python -m repro.cli bench``
-    Closes the evaluation loop (§5 of the paper): replays uniform, Zipf
-    and adversarial workloads through every NF in :data:`NF_MATRIX`
-    (bridge, router, NAT, LB), derives cycle predictions under the
-    conservative, realistic and cache-simulated hardware models, asserts
-    **measured ≤ predicted on every packet** (counts and cycles) *and*
-    that every class's measured p50/p95/p99 cycle tails stay under their
-    predicted envelopes, checks that the adversarial streams actually
-    drive every instance-qualified PCV to its declared bound, and writes
-    the whole record to a ``BENCH_*.json`` CI archives as an artifact.
+    Closes the evaluation loop (§5 of the paper): replays uniform, Zipf,
+    adversarial, scan-sweep and header-flood workloads through every NF
+    in :data:`NF_MATRIX` (bridge, router, NAT, LB, firewall, monitor),
+    derives cycle predictions under the conservative, realistic and
+    cache-simulated hardware models, asserts **measured ≤ predicted on
+    every packet** (counts and cycles), checks that the adversarial
+    streams actually drive every instance-qualified PCV to its declared
+    bound, and writes the whole record — including each class's measured
+    p50/p95/p99 cycle tails, as report-only data — to a ``BENCH_*.json``
+    CI archives as an artifact.
     ``--models`` restricts the cycle pricing to named hardware models.
 
     The bench is throughput-grade: each (NF, workload) cell is an
@@ -44,8 +45,6 @@
     term, exact Fractions) against the golden snapshots checked in under
     ``tests/golden/``.  Exits non-zero on any drift, naming the drifted
     classes and the derived-cycle consequence under every hardware model.
-    NF goldens carry the calibrated p50/p95/p99 tail columns (schema
-    ``repro-contract/2``), so a tail regression is drift like any other.
     ``--update`` regenerates the goldens — the acknowledgement step for
     an intentional bound change.
 
@@ -54,12 +53,8 @@
     class sets (:data:`repro.audit.SECRET_CLASS_SETS`), proves
     cycle-indistinguishability under every hardware model (polynomial
     identity) or reports the leaking class pair with its symbolic cycle
-    delta and a concrete witness.  Proven-constant-time pairs whose
-    *measured tail distributions* nonetheless diverge under the cache
-    simulator get an informational note (cache-state variance is not a
-    contract leak, but a remote observer may still see it).  Exits
-    non-zero when a computed verdict contradicts its declared expectation
-    (``--strict``: on any leak).
+    delta and a concrete witness.  Exits non-zero when a computed verdict
+    contradicts its declared expectation (``--strict``: on any leak).
 
 The smoke structures (:func:`smoke_structures`), the NF matrix
 (:data:`NF_MATRIX`) and the graph matrix (:data:`GRAPH_MATRIX`) are
@@ -67,9 +62,9 @@ module-level registries: adding a structure, an NF or a graph means
 appending one entry, and ``tools/check_docs.py`` walks the same
 registries to keep the documentation in sync with what actually runs.
 
-Both commands print section by section as output is produced, so even a
-crash mid-run leaves the already-validated tables in the job log, and exit
-non-zero on any failure so CI fails loudly instead of shipping
+All five subcommands print section by section as output is produced, so
+even a crash mid-run leaves the already-validated tables in the job log,
+and exit non-zero on any failure so CI fails loudly instead of shipping
 silently-changed bounds.
 """
 
@@ -83,14 +78,12 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import repro.structures as structures_pkg
 from repro.audit import SECRET_CLASS_SETS, audit_contract
 from repro.core import Distiller, diff_contracts, dump_contract, load_contract
-from repro.core.contract import TAIL_METRICS, PerformanceContract
-from repro.core.perfexpr import PerfExpr
+from repro.core.contract import PerformanceContract
 from repro.hw import (
     ConservativeModel,
     CycleModel,
@@ -133,7 +126,6 @@ from repro.structures import (
 )
 from repro.sym.solver import Solver
 from repro.traffic import Replayer
-from repro.traffic.replayer import TAIL_PERCENTILES
 
 #: Input classes each NF contract must keep covering.
 EXPECTED_BRIDGE_CLASSES = frozenset({"short", "miss", "hairpin", "hit"})
@@ -180,9 +172,6 @@ BENCH_TIMEOUT = 50
 BENCH_PACKETS = 10_000
 BENCH_SEED = 2019
 BENCH_OUTPUT = "BENCH_eval.json"
-#: Packets replayed per NF by the deterministic tail-calibration pass
-#: that derives the golden contracts' p50/p95/p99 cycle columns.
-TAIL_CALIBRATION_PACKETS = 400
 #: Default stream length for the standalone ``graph`` subcommand (the
 #: bench replays graphs at the full ``--packets`` budget).
 GRAPH_PACKETS = 1_000
@@ -418,8 +407,7 @@ def run_nf_contracts(specs: Optional[Sequence[NFSpec]] = None) -> int:
     totals = Solver.TOTALS
     print(
         "\nsolver cache across contract generation: "
-        f"{totals.cache_hits - before.cache_hits} hits "
-        f"({totals.prefix_pruned - before.prefix_pruned} prefix-pruned), "
+        f"{totals.cache_hits - before.cache_hits} hits, "
         f"{totals.cache_misses - before.cache_misses} misses, "
         f"{totals.dedup_dropped - before.dedup_dropped} duplicates dropped, "
         f"{totals.simplify_reused - before.simplify_reused} simplifications reused"
@@ -824,65 +812,14 @@ def run_graph(
 # --------------------------------------------------------------------------- #
 # contract-diff: golden-contract regression gate
 # --------------------------------------------------------------------------- #
-def _simulated_calibration(spec: NFSpec, contract: PerformanceContract):
-    """Replay one NF's calibration stream under the cache simulator.
-
-    The stream is a pure function of the bench seed and the NF's name —
-    the first bench workload, regenerated at a dedicated ``<tails>``
-    seed and :data:`TAIL_CALIBRATION_PACKETS` packets — so every caller
-    (golden regeneration, golden diffing, the ct-audit note) observes
-    the identical per-class cycle distributions.
-
-    Returns:
-        ``(model, result)``: the fresh :class:`~repro.hw.SimulatedModel`
-        the replay priced cycles under, and its
-        :class:`~repro.traffic.ReplayResult`.
-    """
-    workload = spec.bench_workloads(
-        _cell_seed(BENCH_SEED, spec.name, "<tails>"), TAIL_CALIBRATION_PACKETS
-    )[0]
-    model = SimulatedModel()
-    result = Replayer(workload.harness, contract, models=[model]).replay(
-        workload.stimuli, workload=workload.name
-    )
-    return model, result
-
-
-def _attach_tail_columns(spec: NFSpec, contract: PerformanceContract) -> None:
-    """Attach the p50/p95/p99 cycle columns to an NF's gate contract.
-
-    Each exercised class's column is the nearest-rank percentile of the
-    calibration replay's *predicted* per-packet cycle population under
-    the cache simulator — the same envelope the bench holds measured
-    tails under — recorded as an exact constant expression.  Classes the
-    calibration stream never reaches keep no tail columns (an empty
-    population has no percentiles).
-    """
-    model, result = _simulated_calibration(spec, contract)
-    scale = result.cycle_scale
-    for index, entry in enumerate(contract.entries):
-        summary = result.summaries.get(entry.input_class.name)
-        if summary is None:
-            continue
-        envelope = summary.cycle_tail_envelopes.get(model.name)
-        if not envelope:
-            continue
-        exprs = dict(entry.exprs)
-        for metric, percentile in zip(TAIL_METRICS, TAIL_PERCENTILES):
-            exprs[metric] = PerfExpr.constant(Fraction(envelope[percentile], scale))
-        contract.entries[index] = replace(entry, exprs=exprs)
-
-
 def _gate_targets(
     names: Optional[Sequence[str]] = None,
 ) -> List[Tuple[str, PerformanceContract, Tuple[Structure, ...]]]:
     """Regenerate every gated contract at bench geometry.
 
-    One target per NF in :data:`NF_MATRIX` (its bench contract, with the
-    calibrated tail columns attached) plus one per service graph in
-    :data:`GRAPH_MATRIX` (its *composed* contract, one entry per
-    reachable route; route populations mix per-hop classes, so composed
-    contracts stay tail-free).  Each target ships the structure
+    One target per NF in :data:`NF_MATRIX` (its bench contract) plus one
+    per service graph in :data:`GRAPH_MATRIX` (its *composed* contract,
+    one entry per reachable route).  Each target ships the structure
     instances behind its PCVs so cycle deltas price memory per owner.
     """
     selected = set(names) if names else None
@@ -891,9 +828,7 @@ def _gate_targets(
         if selected is not None and spec.name not in selected:
             continue
         workload = spec.bench_workloads(_cell_seed(BENCH_SEED, spec.name, "<gate>"), 1)[0]
-        contract = spec.bench_contract()
-        _attach_tail_columns(spec, contract)
-        targets.append((spec.name, contract, tuple(workload.harness.structures)))
+        targets.append((spec.name, spec.bench_contract(), tuple(workload.harness.structures)))
     for spec in GRAPH_MATRIX:
         if selected is not None and spec.name not in selected:
             continue
@@ -963,29 +898,11 @@ def run_contract_diff(
 # --------------------------------------------------------------------------- #
 # ct-audit: constant-time audit of secret-dependent input classes
 # --------------------------------------------------------------------------- #
-def _simulated_tails(
-    spec: NFSpec, contract: PerformanceContract
-) -> Dict[str, Dict[int, float]]:
-    """Measured per-class cycle tails of the NF's calibration replay."""
-    model, result = _simulated_calibration(spec, contract)
-    scale = result.cycle_scale
-    return {
-        name: {p: tails[p] / scale for p in TAIL_PERCENTILES}
-        for name, summary in result.summaries.items()
-        if (tails := summary.cycle_tails.get(model.name))
-    }
-
-
 def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False) -> int:
     """Audit every NF's secret class sets under every hardware model.
 
     A pair proven constant-time is a *polynomial* identity: the bound is
-    the same for both classes under every model.  The measured
-    distributions can still differ — cache state depends on the whole
-    stream, so two identically-bounded classes may sit at different
-    simulated tails — which is worth surfacing (a remote observer times
-    actual executions, not bounds) but is not a contract leak; those
-    pairs get an informational ``note:`` line, never a failure.
+    the same for both classes under every model.
 
     Exit codes: 0 every computed verdict matches its declared expectation
     (known leaks stay documented, claimed constant-time pairs stay
@@ -1031,23 +948,6 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
             elif strict and finding.leaks:
                 failures += 1
                 print(f"FAIL (--strict): {spec.name}/{finding.secret_set.name} leaks")
-        proven = [finding for finding in findings if not finding.leaks]
-        if proven:
-            tails = _simulated_tails(spec, contract)
-            for finding in proven:
-                classes = finding.secret_set.classes
-                for index, class_a in enumerate(classes):
-                    for class_b in classes[index + 1 :]:
-                        tails_a = tails.get(class_a)
-                        tails_b = tails.get(class_b)
-                        if not tails_a or not tails_b or tails_a == tails_b:
-                            continue
-                        print(
-                            f"  note: {class_a} vs {class_b} measured tails diverge "
-                            f"under simulation (p99 {tails_a[99]:.1f} vs "
-                            f"{tails_b[99]:.1f} cycles) — cache-state variance "
-                            "across the stream, not a contract leak"
-                        )
     print()
     print(
         "CT AUDIT FAILED"

@@ -19,7 +19,6 @@ from repro.core.contract import (
     ContractEntry,
     Metric,
     PerformanceContract,
-    TAIL_METRICS,
     upper_envelope,
 )
 from repro.core.input_class import InputClass
@@ -54,7 +53,6 @@ __all__ = [
     "PCVRegistry",
     "PerfExpr",
     "PerformanceContract",
-    "TAIL_METRICS",
     "compose_contracts",
     "compose_graph_contracts",
     "contract_from_json",

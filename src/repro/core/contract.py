@@ -24,7 +24,6 @@ __all__ = [
     "ContractEntry",
     "Metric",
     "PerformanceContract",
-    "TAIL_METRICS",
     "upper_envelope",
 ]
 
@@ -38,28 +37,14 @@ class Metric(enum.Enum):
     directly: a :mod:`repro.hw` cycle model derives it from the other two
     (via :meth:`~repro.hw.CycleModel.derive`), mirroring how the paper maps
     counted costs to hardware-level predictions for its x86 testbed (§5).
-
-    ``CYCLES_P50`` / ``CYCLES_P95`` / ``CYCLES_P99`` are the tail-latency
-    columns: constant (per-class) cycle envelopes at the named percentile
-    of the simulated per-packet distribution over a calibration workload
-    (see ``docs/CONTRACTS.md``, "Tail-latency contracts").  They bound the
-    *distribution* an operator signs an SLO against, where ``CYCLES``
-    bounds only the single worst case.
     """
 
     INSTRUCTIONS = "instructions"
     MEMORY_ACCESSES = "memory_accesses"
     CYCLES = "cycles"
-    CYCLES_P50 = "cycles_p50"
-    CYCLES_P95 = "cycles_p95"
-    CYCLES_P99 = "cycles_p99"
 
     def __str__(self) -> str:
         return self.value
-
-
-#: The tail-latency metric columns, in ascending percentile order.
-TAIL_METRICS = (Metric.CYCLES_P50, Metric.CYCLES_P95, Metric.CYCLES_P99)
 
 
 def upper_envelope(exprs: Iterable[PerfExpr]) -> PerfExpr:

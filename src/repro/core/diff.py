@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.contract import TAIL_METRICS, ContractEntry, Metric, PerformanceContract
+from repro.core.contract import ContractEntry, Metric, PerformanceContract
 from repro.core.distiller import resolve_pcv
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCV, PCVRegistry
@@ -58,14 +58,9 @@ __all__ = [
     "load_contract",
 ]
 
-#: Schema identifier stamped into every serialized contract.  v2 added the
-#: tail-latency metric columns (``cycles_p50``/``cycles_p95``/``cycles_p99``);
-#: v1 payloads still load (they simply carry no tail columns), so existing
-#: goldens keep working until regenerated with ``contract-diff --update``.
-SCHEMA = "repro-contract/2"
-
-#: Schemas :func:`contract_from_json` accepts.
-_ACCEPTED_SCHEMAS = ("repro-contract/1", SCHEMA)
+#: Schema identifier stamped into every serialized contract, and the only
+#: one :func:`contract_from_json` accepts.
+SCHEMA = "repro-contract/1"
 
 
 # --------------------------------------------------------------------------- #
@@ -134,10 +129,9 @@ def contract_from_json(payload: Mapping[str, object]) -> PerformanceContract:
     Raises:
         ValueError: the payload does not carry the expected schema tag.
     """
-    if payload.get("schema") not in _ACCEPTED_SCHEMAS:
+    if payload.get("schema") != SCHEMA:
         raise ValueError(
-            f"unsupported contract schema {payload.get('schema')!r} "
-            f"(expected one of {list(_ACCEPTED_SCHEMAS)})"
+            f"unsupported contract schema {payload.get('schema')!r} (expected {SCHEMA!r})"
         )
     pcvs = []
     for item in payload["pcvs"]:  # type: ignore[union-attr]
@@ -318,14 +312,6 @@ def diff_contracts(
     added = tuple(sorted(current_classes - golden_classes))
     removed = tuple(sorted(golden_classes - current_classes))
 
-    compare_metrics = [Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES, Metric.CYCLES]
-    # Tail columns join the comparison only once the golden carries them:
-    # a v1 golden diffed against a tail-bearing current contract must not
-    # report every tail column as drift — regenerating the goldens
-    # (`contract-diff --update`) is the acknowledgement that migrates a
-    # snapshot to schema v2 and arms the tail comparison.
-    if any(m in entry.exprs for entry in golden.entries for m in TAIL_METRICS):
-        compare_metrics.extend(TAIL_METRICS)
     effective = _effective_bounds(golden, current, bounds)
     drifted: List[ClassDrift] = []
     for class_name in current.class_names():
@@ -334,7 +320,7 @@ def diff_contracts(
         golden_entry = golden.entry_for(class_name)
         current_entry = current.entry_for(class_name)
         terms: List[TermDrift] = []
-        for metric in compare_metrics:
+        for metric in Metric:
             golden_terms = golden_entry.expr(metric).terms
             current_terms = current_entry.expr(metric).terms
             for monomial in sorted(

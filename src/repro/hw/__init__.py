@@ -12,13 +12,12 @@ predictions can be compared against (simulated) measured executions:
   hierarchy (:mod:`repro.hw.cachesim`) consumes the tracer's per-packet
   address stream, so hit rates are observed per packet instead of
   assumed, and each replay yields a per-packet cycle *distribution*
-  (the p50/p95/p99 tail columns).
+  (the bench reports its measured p50/p95/p99 per class).
 
 ``model.derive(contract)`` returns a contract with a ``cycles`` column;
 ``model.measure(trace)`` prices a concrete execution under the same
 assumptions.  The bench harness (``python -m repro.cli bench``) asserts
-measured ≤ predicted for every replayed packet under all three models,
-and that measured tail percentiles stay under their predicted envelopes.
+measured ≤ predicted for every replayed packet under all three models.
 """
 
 from repro.hw.cachesim import (

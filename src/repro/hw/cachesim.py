@@ -11,8 +11,8 @@ it — hit rates are **observed per packet** instead of assumed per kind.
 :class:`~repro.hw.model.SimulatedModel` owns one hierarchy per model
 instance and keeps it warm across the packets of a replay, which is what
 produces a *distribution* of per-packet cycle costs (cold-start packets
-miss, steady-state packets hit, conflict patterns sit in between) — the
-raw material of the p50/p95/p99 tail columns.
+miss, steady-state packets hit, conflict patterns sit in between) — which the
+bench summarises as report-only per-class p50/p95/p99 tails.
 
 Determinism: the simulator is a pure function of the access stream — no
 randomised replacement, no timestamps — so a bench cell's tail numbers

@@ -4,7 +4,7 @@ BOLT's contracts bound the two quantities binary instrumentation can count
 exactly — dynamic instructions and memory accesses.  To talk about *time*
 (the paper's §5 evaluation compares predicted against measured cycles on an
 x86 testbed), those counts must pass through a hardware model.  This module
-provides the two models the reproduction's evaluation loop uses:
+provides the three models the reproduction's evaluation loop uses:
 
 * :class:`ConservativeModel` — the worst-case bound: every instruction
   retires alone (CPI 1) and every memory access misses all caches and pays
@@ -21,10 +21,10 @@ provides the two models the reproduction's evaluation loop uses:
   (:mod:`repro.hw.cachesim`) and prices every access at the latency of
   the level that actually served it, so hit rates are *observed* per
   packet.  Its prediction side still prices every access at DRAM, which
-  keeps measured ≤ predicted sound and gives per-packet headroom — the
-  raw material of the p50/p95/p99 tail columns.
+  keeps measured ≤ predicted sound; the observed per-packet costs are
+  what the bench's report-only p50/p95/p99 tails summarise.
 
-Both models expose the same three-sided API:
+All three models expose the same three-sided API:
 
 * **predict** — :meth:`CycleModel.cycles_expr` turns one contract entry's
   instruction/memory expressions into a cycle :class:`PerfExpr` over the
@@ -440,11 +440,10 @@ class SimulatedModel(CycleModel):
     The prediction side prices every memory access at DRAM and
     instructions at ``1/issue_width``: since every simulated access costs
     at most ``dram_latency``, measured ≤ predicted holds packet by packet
-    whatever the cache does, and therefore at every percentile (sorted
-    dominance).  Accesses the trace counted but did not record addresses
-    for (address recording off, or an extern that reports counts only)
-    are priced at DRAM — the shortfall can only overprice the
-    measurement, never unsound-underprice it.
+    whatever the cache does.  Accesses the trace counted but did not
+    record addresses for (address recording off, or an extern that
+    reports counts only) are priced at DRAM — the shortfall can only
+    overprice the measurement, never unsound-underprice it.
 
     Args:
         spec: machine parameters (defaults to :class:`HwSpec`).

@@ -137,9 +137,9 @@ class Structure(ExternHandler):
         # A deterministic per-instance heap region for the simulated cache
         # model: derived purely from the instance name (no global counter,
         # no allocation order), so recorded address streams — and therefore
-        # the bench's tail percentiles — are bit-identical across workers
-        # and runs.  256 KiB-aligned regions spread instances across cache
-        # sets; a rare name-hash collision merely shares lines.
+        # simulated cycles and their measured tails — are bit-identical
+        # across workers and runs.  256 KiB-aligned regions spread instances
+        # across cache sets; a rare name-hash collision merely shares lines.
         self.heap_base = 0x1000_0000 + (zlib.crc32(name.encode("utf-8")) & 0x3FFF) * 0x4_0000
         # Snapshot the op table once: op() sits on the hot concrete replay
         # path (every charge() resolves its spec).

@@ -52,8 +52,6 @@ class SolverStats:
     The memoisation counters make the caching layer observable:
 
     * ``cache_hits`` — conjunctions answered from the verdict cache,
-    * ``prefix_pruned`` — conjunctions proven UNSAT because a previously
-      refuted *prefix* (subset) of their constraints was cached,
     * ``cache_misses`` — conjunctions the solving pipeline actually ran on,
     * ``dedup_dropped`` — duplicate conjuncts dropped before solving,
     * ``simplify_reused`` — constraints whose normal form was reused by
@@ -67,7 +65,6 @@ class SolverStats:
     search_nodes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    prefix_pruned: int = 0
     dedup_dropped: int = 0
     simplify_reused: int = 0
 
@@ -114,10 +111,8 @@ class Solver:
 
     * constraints are canonicalised once per node identity (the engine
       shares nodes along path conditions) and duplicates are dropped,
-    * verdicts (and verified SAT models) are cached per constraint keyset,
-    * UNSAT keysets are kept as *prefixes*: any superset conjunction is
-      UNSAT by monotonicity, so one refuted branch prunes every path that
-      shares it.  SAT verdicts are only ever reused for exact keysets.
+    * verdicts (and verified SAT models) are cached per exact constraint
+      keyset.
 
     Set ``cache=False`` (or flip :attr:`CACHE_DEFAULT`) to disable the
     verdict cache — contracts generated either way must be identical,
@@ -157,8 +152,6 @@ class Solver:
         self._canon: Dict[int, Tuple[BV, str]] = {}
         # keyset -> (verdict, verified model or None).
         self._verdicts: Dict[frozenset, Tuple[CheckResult, Optional[Dict[str, int]]]] = {}
-        # Refuted keysets; any superset is UNSAT by conjunction monotonicity.
-        self._unsat_prefixes: List[frozenset] = []
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -254,17 +247,9 @@ class Solver:
             self._count("cache_hits")
             result, model = cached
             return result, dict(model) if model is not None else None
-        for prefix in self._unsat_prefixes:
-            if prefix <= keyset:
-                self._count("cache_hits")
-                self._count("prefix_pruned")
-                self._verdicts[keyset] = (CheckResult.UNSAT, None)
-                return CheckResult.UNSAT, None
         self._count("cache_misses")
         result, model = self._solve(deduped)
         self._verdicts[keyset] = (result, dict(model) if model is not None else None)
-        if result is CheckResult.UNSAT:
-            self._unsat_prefixes.append(keyset)
         return result, model
 
     # ------------------------------------------------------------------ #

@@ -51,10 +51,9 @@ __all__ = [
     "Replayer",
     "ReplayResult",
     "TAIL_PERCENTILES",
-    "tail_envelopes",
 ]
 
-#: The percentiles the tail-latency contract columns cover.
+#: The percentiles of the measured per-class cycle tails in the report.
 TAIL_PERCENTILES = (50, 95, 99)
 
 
@@ -66,23 +65,6 @@ def _nearest_rank(ordered: Sequence[int], percentile: int) -> int:
     population and stay exact in the scaled-integer domain.
     """
     return ordered[-(-percentile * len(ordered) // 100) - 1]
-
-
-def tail_envelopes(predicted_samples: Sequence[int]) -> Dict[int, int]:
-    """Predicted tail envelope per percentile, in scaled cycles.
-
-    The envelope at percentile *q* is the nearest-rank *q*-percentile of
-    the **predicted** per-packet cycle population of the class.  Sound by
-    sorted dominance: the replay already asserts measured ≤ predicted
-    per packet, and ``a_i ≤ b_i`` pointwise implies ``sorted(a)_k ≤
-    sorted(b)_k`` at every rank — so each measured percentile is bounded
-    by the same percentile of the predictions, a far tighter statement
-    than the single worst-case envelope.  (Module-level and resolved at
-    call time, so tests can swap in a doctored envelope to prove the
-    bench actually checks it.)
-    """
-    ordered = sorted(predicted_samples)
-    return {p: _nearest_rank(ordered, p) for p in TAIL_PERCENTILES}
 
 
 class NFTarget(Protocol):
@@ -116,8 +98,8 @@ class PacketOutcome:
     #: model name -> (measured cycles, predicted cycles)
     cycles: Mapping[str, Tuple[Fraction, Fraction]]
     violations: Tuple[str, ...]
-    #: model name -> (measured, predicted) in scaled-integer cycles — the
-    #: exact per-packet samples the tail percentiles aggregate over.
+    #: model name -> (measured, predicted) in scaled-integer cycles; the
+    #: measured values are the samples the tail percentiles aggregate over.
     cycles_scaled: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
 
     @property
@@ -137,13 +119,9 @@ class ClassSummary:
     violations: int = 0
     #: model name -> measured per-packet cycle samples (scaled integers).
     cycle_samples: Dict[str, List[int]] = field(default_factory=dict)
-    #: model name -> predicted per-packet cycle samples (scaled integers).
-    predicted_samples: Dict[str, List[int]] = field(default_factory=dict)
     #: model name -> {percentile: measured value} (scaled), filled by
     #: :meth:`compute_tails` once the class population is complete.
     cycle_tails: Dict[str, Dict[int, int]] = field(default_factory=dict)
-    #: model name -> {percentile: predicted envelope} (scaled).
-    cycle_tail_envelopes: Dict[str, Dict[int, int]] = field(default_factory=dict)
 
     def absorb(self, outcome: PacketOutcome) -> None:
         self.packets += 1
@@ -156,25 +134,23 @@ class ClassSummary:
         for model, (measured, predicted) in outcome.cycles.items():
             prev = self.max_cycles.get(model, (Fraction(0), Fraction(0)))
             self.max_cycles[model] = (max(prev[0], measured), max(prev[1], predicted))
-        for model, (measured, predicted) in outcome.cycles_scaled.items():
+        for model, (measured, _) in outcome.cycles_scaled.items():
             self.cycle_samples.setdefault(model, []).append(measured)
-            self.predicted_samples.setdefault(model, []).append(predicted)
 
     def compute_tails(self) -> None:
-        """Aggregate the per-packet samples into measured tails + envelopes.
+        """Aggregate the measured per-packet samples into report-only tails.
 
         Percentiles are nearest-rank over the class's complete observed
-        packet population; envelopes come from :func:`tail_envelopes`
-        (resolved at call time so tests can doctor it).
+        packet population.  No envelope is checked: each packet is already
+        held to measured ≤ predicted, and pointwise dominance implies
+        dominance at every sorted rank, so a percentile check could never
+        fail on its own.
         """
         for model, samples in self.cycle_samples.items():
             ordered = sorted(samples)
             self.cycle_tails[model] = {
                 p: _nearest_rank(ordered, p) for p in TAIL_PERCENTILES
             }
-            self.cycle_tail_envelopes[model] = tail_envelopes(
-                self.predicted_samples.get(model, ())
-            )
 
 
 @dataclass
@@ -191,9 +167,6 @@ class ReplayResult:
     envelopes: Dict[str, Fraction]
     #: The scaled-integer denominator of every ``*_scaled`` cycle value.
     cycle_scale: int = 1
-    #: Distribution-level failures: a measured tail percentile escaping
-    #: its predicted envelope (per class, per model, per percentile).
-    tail_violations: List[str] = field(default_factory=list)
 
     @property
     def packets(self) -> int:
@@ -201,8 +174,7 @@ class ReplayResult:
 
     @property
     def violations(self) -> List[str]:
-        per_packet = [m for outcome in self.outcomes for m in outcome.violations]
-        return per_packet + list(self.tail_violations)
+        return [m for outcome in self.outcomes for m in outcome.violations]
 
     @property
     def ok(self) -> bool:
@@ -214,11 +186,8 @@ class ReplayResult:
     def table(self) -> str:
         """Render the per-class measured-vs-predicted summary table."""
         models = sorted({model for s in self.summaries.values() for model in s.max_cycles})
-        tailed = sorted({model for s in self.summaries.values() for model in s.cycle_tails})
         headers = ["input class", "packets", "instr max meas≤pred", "mem max meas≤pred"]
         headers += [f"{model} cycles" for model in models]
-        headers += [f"{model} p99 meas≤env" for model in tailed]
-        scale = self.cycle_scale
         rows: List[List[str]] = []
         for name in sorted(self.summaries):
             summary = self.summaries[name]
@@ -231,15 +200,6 @@ class ReplayResult:
             for model in models:
                 measured, predicted = summary.max_cycles.get(model, (Fraction(0), Fraction(0)))
                 row.append(f"{float(measured):.0f} ≤ {float(predicted):.0f}")
-            for model in tailed:
-                tails = summary.cycle_tails.get(model)
-                envelope = summary.cycle_tail_envelopes.get(model, {})
-                if not tails:
-                    row.append("-")
-                    continue
-                row.append(
-                    f"{tails[99] / scale:.0f} ≤ {envelope.get(99, 0) / scale:.0f}"
-                )
             rows.append(row)
         title = f"{self.nf_name} / {self.workload}: {self.packets} packets, "
         title += "no violations" if self.ok else f"{len(self.violations)} VIOLATIONS"
@@ -267,10 +227,6 @@ class ReplayResult:
                         "max": float(summary.max_cycles[model][0]),
                     }
                     for model, tails in summary.cycle_tails.items()
-                }
-                record["cycle_tail_envelopes"] = {
-                    model: {f"p{p}": envelope[p] / scale for p in TAIL_PERCENTILES}
-                    for model, envelope in summary.cycle_tail_envelopes.items()
                 }
             classes[name] = record
         return {
@@ -459,21 +415,8 @@ class Replayer:
             outcomes.append(outcome)
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
             summaries.setdefault(key, ClassSummary(key)).absorb(outcome)
-        scale = self._cycle_scale
-        tail_violations: List[str] = []
-        for name in sorted(summaries):
-            summary = summaries[name]
+        for summary in summaries.values():
             summary.compute_tails()
-            for model in sorted(summary.cycle_tails):
-                tails = summary.cycle_tails[model]
-                envelope = summary.cycle_tail_envelopes[model]
-                for p in TAIL_PERCENTILES:
-                    if tails[p] > envelope.get(p, 0):
-                        tail_violations.append(
-                            f"class {name}: {model} measured p{p} "
-                            f"{tails[p] / scale:.1f} cycles exceeds predicted "
-                            f"envelope {envelope.get(p, 0) / scale:.1f}"
-                        )
         return ReplayResult(
             nf_name=self.harness.name,
             workload=workload,
@@ -481,6 +424,5 @@ class Replayer:
             summaries=summaries,
             max_pcvs=max_pcvs,
             envelopes=dict(self._envelopes),
-            cycle_scale=scale,
-            tail_violations=tail_violations,
+            cycle_scale=self._cycle_scale,
         )

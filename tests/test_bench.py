@@ -200,8 +200,7 @@ def test_bench_report_is_bit_identical_for_any_worker_count(tmp_path):
 
 
 def test_bench_cells_record_ordered_simulated_tails(tmp_path):
-    """Every class row carries 0 < p50 ≤ p95 ≤ p99 ≤ max per model, and
-    every measured tail sits under its predicted envelope."""
+    """Every class row carries measured 0 < p50 ≤ p95 ≤ p99 ≤ max per model."""
     output = tmp_path / "BENCH_eval.json"
     assert cli.main(["bench", "--output", str(output), "--packets", "40"]) == 0
     report = json.loads(output.read_text())
@@ -210,43 +209,12 @@ def test_bench_cells_record_ordered_simulated_tails(tmp_path):
         for name, workload in record["workloads"].items():
             for cls, summary in workload["classes"].items():
                 tails = summary["cycle_tails"]
-                envelopes = summary["cycle_tail_envelopes"]
                 assert set(tails) == {"conservative", "realistic", "simulated"}
                 for model, t in tails.items():
                     where = (nf, name, cls, model)
                     assert 0 < t["p50"] <= t["p95"] <= t["p99"] <= t["max"], where
-                    for p in ("p50", "p95", "p99"):
-                        assert t[p] <= envelopes[model][p], where + (p,)
                     checked += 1
     assert checked > 100  # the whole matrix reported distributions
-
-
-def test_bench_goes_red_when_a_tail_envelope_is_doctored(monkeypatch, tmp_path, capsys):
-    """Zeroing the predicted envelopes must surface as tail violations —
-    the distribution check is live, not vacuously green."""
-    from repro.traffic import replayer as replayer_module
-
-    monkeypatch.setattr(
-        replayer_module,
-        "tail_envelopes",
-        lambda predicted_samples: {p: 0 for p in replayer_module.TAIL_PERCENTILES},
-    )
-    output = tmp_path / "BENCH_eval.json"
-    code = cli.main(
-        ["bench", "--output", str(output), "--packets", "30", "--workers", "1", "--nf", "bridge"]
-    )
-    assert code == 1
-    assert "BENCH FAILED" in capsys.readouterr().out
-    report = json.loads(output.read_text())
-    assert report["ok"] is False
-    violations = [
-        violation
-        for workload in report["nfs"]["bridge"]["workloads"].values()
-        for violation in workload["violations"]
-    ]
-    assert violations
-    assert all("exceeds predicted envelope" in v for v in violations)
-    assert any("measured p99" in v for v in violations)
 
 
 def test_bench_models_filter_restricts_the_matrix(tmp_path):

@@ -45,19 +45,6 @@ def test_exact_verdict_cache_answers_repeat_queries():
     assert solver.stats.cache_misses == 1
 
 
-def test_refuted_prefix_prunes_every_superset():
-    x, y = Sym("x", 16), Sym("y", 16)
-    contradiction = [E.eq(x, Const(1, 16)), E.eq(x, Const(2, 16))]
-    solver = Solver()
-    assert solver.check(contradiction) is CheckResult.UNSAT
-    # Extending a refuted conjunction must never reach the solving
-    # pipeline again: the prefix alone proves UNSAT.
-    extended = contradiction + [E.ult(y, Const(50, 16))]
-    assert solver.check(extended) is CheckResult.UNSAT
-    assert solver.stats.prefix_pruned == 1
-    assert solver.stats.cache_misses == 1
-
-
 def test_duplicate_conjuncts_are_dropped_before_solving():
     x = Sym("x", 16)
     shared = E.ult(x, Const(10, 16))

@@ -2,7 +2,7 @@
 """Docs-consistency check: the documentation must track the registries.
 
 Run by the CI ``docs-check`` job (and directly: ``python
-tools/check_docs.py``).  Two guarantees:
+tools/check_docs.py``).  Five guarantees:
 
 1. **Coverage** — every NF in :data:`repro.cli.NF_MATRIX` and every
    structure class in :func:`repro.cli.smoke_structures` (i.e. everything
@@ -10,8 +10,7 @@ tools/check_docs.py``).  Two guarantees:
    and every NF appears in ``docs/ARCHITECTURE.md``'s module map.
 2. **Hardware** — every bench cycle model is discussed in
    ``docs/CONTRACTS.md``; the cache-simulator backend additionally keeps
-   the tail-latency section (with every ``cycles_p*`` column) and the
-   ``repro.hw.cachesim`` module-map row alive.
+   the ``repro.hw.cachesim`` module-map row alive.
 3. **Graphs** — every service graph in :data:`repro.cli.GRAPH_MATRIX`
    has a section in ``docs/SERVICE_GRAPHS.md`` naming each of its hop
    NFs, and the authoring guides cross-link each other so the layering
@@ -46,7 +45,6 @@ from repro.cli import (  # noqa: E402
     _bench_models,
     smoke_structures,
 )
-from repro.core.contract import TAIL_METRICS  # noqa: E402
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -93,9 +91,8 @@ def check_hw_docs(failures: list[str]) -> None:
 
     Every bench cycle model must be discussed in ``docs/CONTRACTS.md``;
     as long as an access-stream-driven model (the cache-simulator
-    backend) is registered, the tail-latency section and every tail
-    metric column must be documented there too, and the simulator module
-    must appear in ``docs/ARCHITECTURE.md``'s module map.
+    backend) is registered, the simulator module must appear in
+    ``docs/ARCHITECTURE.md``'s module map.
     """
     contracts = (REPO / "docs" / "CONTRACTS.md").read_text(encoding="utf-8")
     architecture = (REPO / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
@@ -106,22 +103,13 @@ def check_hw_docs(failures: list[str]) -> None:
                 f"docs/CONTRACTS.md: hardware model {model.name!r} never discussed "
                 "(the bench prices with it; document its assumptions)"
             )
-    if any(model.requires_access_stream for model in models):
-        if "Tail-latency contracts" not in contracts:
-            failures.append(
-                "docs/CONTRACTS.md: no 'Tail-latency contracts' section "
-                "(the simulated backend emits tail columns; document them)"
-            )
-        missing = [str(metric) for metric in TAIL_METRICS if f"`{metric}`" not in contracts]
-        if missing:
-            failures.append(
-                f"docs/CONTRACTS.md: tail metric columns never mentioned: {missing}"
-            )
-        if "repro.hw.cachesim" not in architecture.replace("`", ""):
-            failures.append(
-                "docs/ARCHITECTURE.md: repro.hw.cachesim missing from the module map "
-                "(it backs the simulated model and the tail calibration)"
-            )
+    if any(model.requires_access_stream for model in models) and (
+        "repro.hw.cachesim" not in architecture.replace("`", "")
+    ):
+        failures.append(
+            "docs/ARCHITECTURE.md: repro.hw.cachesim missing from the module map "
+            "(it backs the simulated model)"
+        )
 
 
 def check_graph_docs(failures: list[str]) -> None:
