@@ -244,6 +244,20 @@ class PerfExpr:
         source = "lambda b: " + (" + ".join(parts) if parts else "0")
         return eval(source, {})  # noqa: S307 - generated from our own terms
 
+    def compile_int(self) -> Callable[[Mapping[str, Number]], int]:
+        """Compile :meth:`evaluate_int` into integer arithmetic.
+
+        The polynomial is compiled at its own clearing scale
+        (:meth:`denominator_lcm`) and the ceiling taken by floor division,
+        so the closure returns exactly what :meth:`evaluate_int` does
+        without building a ``Fraction``.
+        """
+        denominator = self.denominator_lcm()
+        scaled = self.compile_scaled(denominator)
+        if denominator == 1:
+            return scaled
+        return lambda b: -(-scaled(b) // denominator)
+
     def rename(self, mapping: Mapping[str, str]) -> "PerfExpr":
         """Return the expression with PCV names replaced per ``mapping``.
 

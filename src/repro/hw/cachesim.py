@@ -77,32 +77,35 @@ class SetAssociativeCache:
 
     Each set is a list of line tags ordered LRU-first (index 0 is the
     next victim); :meth:`access` returns whether the address hit and
-    updates the recency order either way.
+    updates the recency order either way.  The sets are allocated up
+    front, one list per set index.
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
         self._line_shift = geometry.line_size.bit_length() - 1
-        self._sets: Dict[int, List[int]] = {}
+        self._set_count = geometry.sets
+        self._ways = geometry.ways
+        self._sets: List[List[int]] = [[] for _ in range(geometry.sets)]
         self.hits = 0
         self.misses = 0
 
     def access(self, addr: int) -> bool:
         """Touch ``addr``; return True on hit.  Misses fill the line."""
         tag = addr >> self._line_shift
-        index = tag % self.geometry.sets
-        lines = self._sets.get(index)
-        if lines is None:
-            lines = []
-            self._sets[index] = lines
+        lines = self._sets[tag % self._set_count]
+        if lines and lines[-1] == tag:
+            # Already the most recently used line: the order stands.
+            self.hits += 1
+            return True
         if tag in lines:
             lines.remove(tag)
             lines.append(tag)
             self.hits += 1
             return True
         self.misses += 1
-        if len(lines) >= self.geometry.ways:
-            lines.pop(0)
+        if len(lines) >= self._ways:
+            del lines[0]
         lines.append(tag)
         return False
 
@@ -119,7 +122,8 @@ class SetAssociativeCache:
 
     def reset(self) -> None:
         """Drop all cached lines and counters (a cold machine)."""
-        self._sets.clear()
+        for lines in self._sets:
+            lines.clear()
         self.hits = 0
         self.misses = 0
 

@@ -53,9 +53,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.contract import ContractEntry, Metric, PerformanceContract
+from repro.core.pcv import PCVRegistry
 from repro.core.perfexpr import Monomial, Number, PerfExpr
 from repro.hw.cachesim import (
     DEFAULT_L1_GEOMETRY,
@@ -174,7 +175,7 @@ class CycleModel:
 
     # -- prediction side ------------------------------------------------- #
     def _monomial_access_cycles(
-        self, monomial: Monomial, structures: Sequence[Structure]
+        self, monomial: Monomial, registries: Sequence[Tuple[Structure, PCVRegistry]]
     ) -> Fraction:
         """Price one memory-expression monomial.
 
@@ -186,9 +187,9 @@ class CycleModel:
         """
         if not monomial:
             prices = [self.stateless_access_cycles()]
-            prices.extend(self.structure_access_cycles(s) for s in structures)
+            prices.extend(self.structure_access_cycles(s) for s, _ in registries)
             return max(prices)
-        owners = [s for s in structures if any(name in s.registry() for name in monomial)]
+        owners = [s for s, registry in registries if any(name in registry for name in monomial)]
         if not owners:
             return self.structure_access_cycles(None)
         return max(self.structure_access_cycles(s) for s in owners)
@@ -198,8 +199,9 @@ class CycleModel:
     ) -> PerfExpr:
         """Derive one entry's cycle expression over its PCVs."""
         expr = entry.expr(Metric.INSTRUCTIONS).scaled(self.instruction_cycles())
+        registries = [(structure, structure.registry()) for structure in structures]
         for monomial, coeff in entry.expr(Metric.MEMORY_ACCESSES).terms.items():
-            price = self._monomial_access_cycles(monomial, structures)
+            price = self._monomial_access_cycles(monomial, registries)
             expr += PerfExpr({monomial: coeff * price})
         return expr
 

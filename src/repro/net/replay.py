@@ -17,10 +17,13 @@ levels on every packet:
    observed PCVs.
 
 The end-to-end comparison is exact: the composed expression is evaluated
-as a scaled integer (one clearing denominator per entry) and compared
-against the raw measured totals — never against per-hop ceilings, whose
-sum can legitimately exceed the ceiling of the sum.  Measured cycles are
-summed as :class:`~fractions.Fraction` for the same reason.
+as a scaled integer and compared against the raw measured totals — never
+against per-hop ceilings, whose sum can legitimately exceed the ceiling
+of the sum.  Hop cycles are summed as integers at one graph-wide scale
+(the LCM of the hop replayers' scales); each composed entry is evaluated
+at a multiple of it that also clears the entry's own coefficients, so
+every comparison is integer arithmetic and no ``Fraction`` is built
+before a report is rendered.
 
 Churn (:mod:`repro.net.churn`) interleaves with the stream: events fire
 between packets, injected control frames are scored at their node like
@@ -30,6 +33,7 @@ mutations and clock jumps take effect before the next packet replays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -43,6 +47,16 @@ from repro.net.graph import Graph
 from repro.traffic.replayer import ClassSummary, PacketOutcome, Replayer
 
 __all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer", "RouteSummary"]
+
+#: A composed entry compiled for the end-to-end check: its scale, the
+#: factor from :attr:`GraphReplayer.cycle_scale` to it, ``(metric, scaled
+#: bound)`` pairs and ``(model name, scaled cycle bound)`` pairs.
+_RouteProgram = Tuple[
+    int,
+    int,
+    Tuple[Tuple[Metric, Callable[[Mapping[str, int]], int]], ...],
+    Tuple[Tuple[str, Callable[[Mapping[str, int]], int]], ...],
+]
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,12 @@ class GraphFrame:
 
 @dataclass(frozen=True)
 class GraphPacketOutcome:
-    """One packet's full journey: per-hop outcomes plus the composed check."""
+    """One packet's full journey: per-hop outcomes plus the composed check.
+
+    The composed bounds and cycles are exact integers in units of
+    ``1/scale``; :attr:`predicted` and :attr:`cycles` convert them to
+    ``Fraction`` on demand.
+    """
 
     index: int
     note: str
@@ -70,13 +89,27 @@ class GraphPacketOutcome:
     route_name: Optional[str]
     #: Cumulative counts over all hops.
     measured: Mapping[Metric, int]
-    #: The composed entry's exact per-metric bound at the merged PCVs.
-    predicted: Mapping[Metric, Fraction]
-    #: model name -> (summed measured cycles, composed predicted cycles).
-    cycles: Mapping[str, Tuple[Fraction, Fraction]]
+    #: The composed entry's exact per-metric bound at the merged PCVs, scaled.
+    predicted_scaled: Mapping[Metric, int]
+    #: model name -> (summed measured cycles, composed predicted cycles), scaled.
+    cycles_scaled: Mapping[str, Tuple[int, int]]
     #: Every violation of this packet: per-hop ones prefixed with the node
     #: name, then the end-to-end ones.
     violations: Tuple[str, ...]
+    #: The denominator of every ``*_scaled`` value (one per composed entry).
+    scale: int = 1
+
+    @property
+    def predicted(self) -> Dict[Metric, Fraction]:
+        return {metric: Fraction(v, self.scale) for metric, v in self.predicted_scaled.items()}
+
+    @property
+    def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
+        scale = self.scale
+        return {
+            model: (Fraction(measured, scale), Fraction(predicted, scale))
+            for model, (measured, predicted) in self.cycles_scaled.items()
+        }
 
     @property
     def ok(self) -> bool:
@@ -89,28 +122,45 @@ class GraphPacketOutcome:
 
 @dataclass
 class RouteSummary:
-    """Aggregate over every packet that traversed one route."""
+    """Aggregate over every packet that traversed one route.
+
+    One route is one composed entry, so every absorbed outcome shares one
+    ``scale``; the maxima stay scaled integers until a report converts
+    them through :attr:`max_predicted` and :attr:`max_cycles`.
+    """
 
     route_name: str
     packets: int = 0
     max_measured: Dict[Metric, int] = field(default_factory=dict)
-    max_predicted: Dict[Metric, Fraction] = field(default_factory=dict)
-    max_cycles: Dict[str, Tuple[Fraction, Fraction]] = field(default_factory=dict)
+    max_predicted_scaled: Dict[Metric, int] = field(default_factory=dict)
+    max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    scale: int = 1
     violations: int = 0
+
+    @property
+    def max_predicted(self) -> Dict[Metric, Fraction]:
+        return {m: Fraction(v, self.scale) for m, v in self.max_predicted_scaled.items()}
+
+    @property
+    def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
+        scale = self.scale
+        return {
+            model: (Fraction(measured, scale), Fraction(predicted, scale))
+            for model, (measured, predicted) in self.max_cycles_scaled.items()
+        }
 
     def absorb(self, outcome: GraphPacketOutcome) -> None:
         self.packets += 1
-        if not outcome.ok:
+        if outcome.violations:
             self.violations += 1
+        self.scale = outcome.scale
         for metric, value in outcome.measured.items():
             self.max_measured[metric] = max(self.max_measured.get(metric, 0), value)
-        for metric, value in outcome.predicted.items():
-            self.max_predicted[metric] = max(
-                self.max_predicted.get(metric, Fraction(0)), value
-            )
-        for model, (measured, predicted) in outcome.cycles.items():
-            prev = self.max_cycles.get(model, (Fraction(0), Fraction(0)))
-            self.max_cycles[model] = (max(prev[0], measured), max(prev[1], predicted))
+        for metric, value in outcome.predicted_scaled.items():
+            self.max_predicted_scaled[metric] = max(self.max_predicted_scaled.get(metric, 0), value)
+        for model, (measured, predicted) in outcome.cycles_scaled.items():
+            prev = self.max_cycles_scaled.get(model, (0, 0))
+            self.max_cycles_scaled[model] = (max(prev[0], measured), max(prev[1], predicted))
 
 
 def _summary_json(summary: ClassSummary) -> Dict[str, object]:
@@ -265,38 +315,49 @@ class GraphReplayer:
             entry.input_class.name: entry for entry in self.composed.entries
         }
         self._zero_pcvs = {name: 0 for name in self.composed.variables()}
+        #: The scale hop cycles are summed at: the LCM of the hop replayers'
+        #: scales, so each hop's scaled cycles convert by an integer factor.
+        self.cycle_scale = math.lcm(1, *(r.cycle_scale for r in self.replayers.values()))
+        self._hop_factors = {
+            name: self.cycle_scale // replayer.cycle_scale
+            for name, replayer in self.replayers.items()
+        }
         # Composed entries are numerous (every reachable route) but a
         # replay only traverses a handful, so their evaluators compile
         # lazily, memoised by route name.
-        self._count_cache: Dict[str, List[Tuple[Metric, Callable[..., int], int]]] = {}
-        self._cycle_cache: Dict[str, List[Tuple[str, Callable[..., int], int]]] = {}
+        self._programs: Dict[str, _RouteProgram] = {}
 
     # ------------------------------------------------------------------ #
     # Composed-entry evaluators
     # ------------------------------------------------------------------ #
-    def _count_programs(self, entry: ContractEntry) -> List[Tuple[Metric, Callable[..., int], int]]:
-        name = entry.input_class.name
-        programs = self._count_cache.get(name)
-        if programs is None:
-            programs = []
-            for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
-                expr = entry.expr(metric)
-                denom = expr.denominator_lcm()
-                programs.append((metric, expr.compile_scaled(denom), denom))
-            self._count_cache[name] = programs
-        return programs
+    def _route_program(self, entry: ContractEntry) -> "_RouteProgram":
+        """Compile one composed entry at a scale clearing all its coefficients.
 
-    def _cycle_programs(self, entry: ContractEntry) -> List[Tuple[str, Callable[..., int], int]]:
+        The scale is a multiple of :attr:`cycle_scale`, so summed hop
+        cycles convert to it by the returned factor and every bound
+        compares against exact integers.
+        """
         name = entry.input_class.name
-        programs = self._cycle_cache.get(name)
-        if programs is None:
-            programs = []
-            for model in self.models:
-                expr = model.cycles_expr(entry, structures=self._structures)
-                denom = expr.denominator_lcm()
-                programs.append((model.name, expr.compile_scaled(denom), denom))
-            self._cycle_cache[name] = programs
-        return programs
+        program = self._programs.get(name)
+        if program is None:
+            counts = [
+                (metric, entry.expr(metric))
+                for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
+            ]
+            cycles = [
+                (model.name, model.cycles_expr(entry, structures=self._structures))
+                for model in self.models
+            ]
+            scale = math.lcm(
+                self.cycle_scale, *(expr.denominator_lcm() for _, expr in counts + cycles)
+            )
+            program = self._programs[name] = (
+                scale,
+                scale // self.cycle_scale,
+                tuple((metric, expr.compile_scaled(scale)) for metric, expr in counts),
+                tuple((model, expr.compile_scaled(scale)) for model, expr in cycles),
+            )
+        return program
 
     # ------------------------------------------------------------------ #
     # Replay
@@ -321,11 +382,17 @@ class GraphReplayer:
         churn_log: List[str] = []
         max_pcvs: Dict[str, int] = dict(self._zero_pcvs)
 
+        hop_factors = self._hop_factors
+
         def absorb_hop(node: str, outcome: PacketOutcome) -> None:
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
-            hop_summaries.setdefault(node, {}).setdefault(key, ClassSummary(key)).absorb(
-                outcome
-            )
+            classes = hop_summaries.get(node)
+            if classes is None:
+                classes = hop_summaries[node] = {}
+            summary = classes.get(key)
+            if summary is None:
+                summary = classes[key] = ClassSummary(key)
+            summary.absorb(outcome)
             for name, value in outcome.pcvs.items():
                 if value > max_pcvs.get(name, 0):
                     max_pcvs[name] = value
@@ -368,18 +435,20 @@ class GraphReplayer:
                 Metric.INSTRUCTIONS: 0,
                 Metric.MEMORY_ACCESSES: 0,
             }
-            cycle_sums: Dict[str, Fraction] = {model.name: Fraction(0) for model in self.models}
+            cycle_sums: Dict[str, int] = {model.name: 0 for model in self.models}
             bindings = dict(self._zero_pcvs)
-            for _, hop_outcome in hops:
+            for node_name, hop_outcome in hops:
                 for metric in measured:
                     measured[metric] += hop_outcome.measured.get(metric, 0)
-                for model_name, (meas, _) in hop_outcome.cycles.items():
-                    cycle_sums[model_name] += meas
+                factor = hop_factors[node_name]
+                for model_name, (meas, _) in hop_outcome.cycles_scaled.items():
+                    cycle_sums[model_name] += meas * factor
                 bindings.update(hop_outcome.pcvs)
 
             route_name: Optional[str] = None
-            predicted: Dict[Metric, Fraction] = {}
-            cycles: Dict[str, Tuple[Fraction, Fraction]] = {}
+            predicted: Dict[Metric, int] = {}
+            cycles: Dict[str, Tuple[int, int]] = {}
+            scale = 1
             if classified:
                 route = tuple((node, o.class_name) for node, o in hops)
                 route_name = route_class_name(route)  # type: ignore[arg-type]
@@ -389,24 +458,24 @@ class GraphReplayer:
                         f"packet {index}: route {route_name!r} has no composed entry"
                     )
                 else:
-                    for metric, evaluate, denom in self._count_programs(entry):
-                        scaled = evaluate(bindings)
-                        predicted[metric] = Fraction(scaled, denom)
-                        if measured[metric] * denom > scaled:
+                    scale, factor, count_programs, cycle_programs = self._route_program(entry)
+                    for metric, evaluate in count_programs:
+                        bound = predicted[metric] = evaluate(bindings)
+                        if measured[metric] * scale > bound:
                             violations.append(
                                 f"packet {index} ({route_name}): end-to-end measured "
                                 f"{metric} {measured[metric]} exceeds composed bound "
-                                f"{float(predicted[metric]):.1f}"
+                                f"{bound / scale:.1f}"
                             )
-                    for model_name, evaluate, denom in self._cycle_programs(entry):
-                        bound = Fraction(evaluate(bindings), denom)
-                        total = cycle_sums[model_name]
+                    for model_name, evaluate in cycle_programs:
+                        bound = evaluate(bindings)
+                        total = cycle_sums[model_name] * factor
                         cycles[model_name] = (total, bound)
                         if total > bound:
                             violations.append(
                                 f"packet {index} ({route_name}): end-to-end {model_name} "
-                                f"measured {float(total):.1f} cycles exceeds composed "
-                                f"bound {float(bound):.1f}"
+                                f"measured {total / scale:.1f} cycles exceeds composed "
+                                f"bound {bound / scale:.1f}"
                             )
 
             graph_outcome = GraphPacketOutcome(
@@ -415,9 +484,10 @@ class GraphReplayer:
                 hops=tuple(hops),
                 route_name=route_name,
                 measured=measured,
-                predicted=predicted,
-                cycles=cycles,
+                predicted_scaled=predicted,
+                cycles_scaled=cycles,
                 violations=tuple(violations),
+                scale=scale,
             )
             outcomes.append(graph_outcome)
             if route_name is not None:

@@ -4,7 +4,9 @@ The interpreter executes one NFIL function on concrete 64-bit values.  Every
 executed instruction and memory access is reported to an
 :class:`repro.nfil.tracer.ExecutionTrace`, which makes the interpreter the
 reproduction's replacement for running the NF under Intel Pin (§3.2 of the
-paper).
+paper).  Replay runs the same few functions 10⁴+ times, so each function's
+blocks are decoded once, on its first run, into closures with their
+operands and operators resolved.
 
 Extern calls (the stateful data-structure methods of the Vigor-style
 library) are dispatched to an :class:`ExternHandler`; the handler returns
@@ -22,7 +24,8 @@ concretely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.nfil.instructions import (
     BinOp,
@@ -42,7 +45,7 @@ from repro.nfil.instructions import (
     WORD_BITS,
     WORD_MASK,
 )
-from repro.nfil.program import Function, Module
+from repro.nfil.program import BasicBlock, Function, Module
 from repro.nfil.tracer import ExecutionTrace
 
 __all__ = [
@@ -201,17 +204,139 @@ class ExternHandler:
         return result
 
 
-@dataclass
-class _Frame:
-    function: Function
-    block: str
-    index: int
-    registers: Dict[str, int]
-    ret_dest: Optional[str]
+#: How a decoded segment ends (its last instruction, or the lack of one).
+_CONTROL, _CALL, _RETURN, _FALL = range(4)
+
+#: A body closure: straight-line, memory and extern-call instructions all
+#: take ``(registers, memory, trace)``.
+_Op = Callable[[Dict[str, int], Memory, ExecutionTrace], None]
+
+
+class _Segment(NamedTuple):
+    """A block decoded once: body closures, then the instruction ending the run.
+
+    An internal call ends a segment too; the block's remaining
+    instructions form ``resume``, where execution continues once the
+    callee returns.  Fields are unpacked positionally on the hot path.
+    """
+
+    ops: Tuple[_Op, ...]
+    #: Instructions the segment executes (body plus its end instruction).
+    size: int
+    #: Steps it consumes: ``len(ops) + 1``; a fall-through spends its last
+    #: step on discovering that no terminator follows.
+    width: int
+    #: ``(category, instructions)`` in first-execution order.
+    tally: Tuple[Tuple[str, int], ...]
+    kind: int
+    #: _CONTROL: ``regs -> next label``; _CALL: ``regs -> (callee,
+    #: callee registers, destination)``; _RETURN: ``regs -> value``.
+    end: Optional[Callable]
+    resume: Optional["_Segment"]
+    #: Category of each instruction, in order (step-limit and error paths).
+    categories: Tuple[str, ...]
+    label: str
+
+
+def _undefined(function: str, regs: Mapping[str, int], names: Sequence[str]) -> InterpreterError:
+    """The error for the first of ``names`` with no value in ``regs``."""
+    missing = next(name for name in names if name not in regs)
+    return InterpreterError(f"{function}: read of undefined register %{missing}")
+
+
+def _reader(function: str, operand: Operand) -> Callable[[Dict[str, int]], int]:
+    """Resolve one operand into ``regs -> value``."""
+    if isinstance(operand, Imm):
+        value = operand.value
+        return lambda regs: value
+    if isinstance(operand, Reg):
+        name = operand.name
+        names = (name,)
+
+        def read(regs: Dict[str, int]) -> int:
+            try:
+                return regs[name]
+            except KeyError:
+                raise _undefined(function, regs, names) from None
+
+        return read
+
+    def bad(regs: Dict[str, int]) -> int:
+        raise InterpreterError(f"bad operand {operand!r}")  # pragma: no cover
+
+    return bad
+
+
+def _tuple_reader(
+    function: str, operands: Sequence[Operand]
+) -> Callable[[Dict[str, int]], Tuple[int, ...]]:
+    """Resolve an argument list into ``regs -> tuple of values``, read in order."""
+    if len(operands) > 1 and all(isinstance(operand, Reg) for operand in operands):
+        names = tuple(operand.name for operand in operands)
+        get = itemgetter(*names)
+
+        def read_all(regs: Dict[str, int]) -> Tuple[int, ...]:
+            try:
+                return get(regs)
+            except KeyError:
+                raise _undefined(function, regs, names) from None
+
+        return read_all
+    readers = tuple(_reader(function, operand) for operand in operands)
+    return lambda regs: tuple([read(regs) for read in readers])
+
+
+def _binary(function: str, dest: str, fn: Callable[[int, int], int], a: Operand, b: Operand) -> _Op:
+    """``regs[dest] = fn(a, b)``, specialised on register/immediate operands."""
+    if isinstance(a, Reg) and isinstance(b, (Reg, Imm)):
+        x = a.name
+        if isinstance(b, Reg):
+            y = b.name
+            names = (x, y)
+
+            def op(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+                try:
+                    regs[dest] = fn(regs[x], regs[y])
+                except KeyError:
+                    raise _undefined(function, regs, names) from None
+
+            return op
+        k = b.value
+        names = (x,)
+
+        def op_imm(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+            try:
+                regs[dest] = fn(regs[x], k)
+            except KeyError:
+                raise _undefined(function, regs, names) from None
+
+        return op_imm
+    read_a, read_b = _reader(function, a), _reader(function, b)
+
+    def op_any(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+        regs[dest] = fn(read_a(regs), read_b(regs))
+
+    return op_any
+
+
+def _tally(categories: Sequence[str]) -> Tuple[Tuple[str, int], ...]:
+    counts: Dict[str, int] = {}
+    for category in categories:
+        counts[category] = counts.get(category, 0) + 1
+    return tuple(counts.items())
 
 
 class Interpreter:
-    """Concrete executor for NFIL modules, doubling as the tracer driver."""
+    """Concrete executor for NFIL modules, doubling as the tracer driver.
+
+    On a function's first run its blocks are decoded once into
+    :class:`_Segment` tuples of closures with operands, operator functions
+    and instruction categories resolved; every later run only calls them.
+    Trace counters, the address stream, extern calls, results and error
+    messages are those of executing one instruction at a time — including
+    the counts recorded before an error or the step limit interrupts a
+    block.
+    """
 
     def __init__(
         self,
@@ -223,6 +348,7 @@ class Interpreter:
         self.module = module
         self.handler = handler or ExternHandler()
         self.max_steps = max_steps
+        self._decoded: Dict[str, Tuple[Function, Dict[str, _Segment]]] = {}
 
     def run(
         self,
@@ -250,127 +376,236 @@ class Interpreter:
             param.name: _truncate(int(value))
             for param, value in zip(function.params, args)
         }
-        frames: List[_Frame] = [_Frame(function, function.entry, 0, registers, None)]
-        steps = 0
-        while frames:
-            if steps >= self.max_steps:
-                raise StepLimitExceeded(f"exceeded {self.max_steps} steps")
-            steps += 1
-            frame = frames[-1]
-            block = frame.function.blocks.get(frame.block)
-            if block is None:
-                raise InterpreterError(f"{frame.function.name}: unknown block {frame.block!r}")
-            if frame.index >= len(block.instructions):
-                raise InterpreterError(
-                    f"{frame.function.name}:{frame.block} fell through without terminator"
-                )
-            instruction = block.instructions[frame.index]
-            frame.index += 1
-            trace.record_instruction(self._category(instruction))
-            returned = self._step(instruction, frame, frames, memory, trace)
-            if returned is not _NOT_RETURNED:
-                return returned, trace
-        raise InterpreterError("empty frame stack")  # pragma: no cover - defensive
+        return self._execute(function, registers, memory, trace), trace
 
-    # ------------------------------------------------------------------ #
-    # Instruction dispatch
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _category(instruction: Instruction) -> str:
-        return instruction.category
-
-    def _value(self, operand: Operand, frame: _Frame) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, Reg):
-            try:
-                return frame.registers[operand.name]
-            except KeyError:
-                raise InterpreterError(
-                    f"{frame.function.name}: read of undefined register %{operand.name}"
-                ) from None
-        raise InterpreterError(f"bad operand {operand!r}")  # pragma: no cover
-
-    def _step(
+    def _execute(
         self,
-        instruction: Instruction,
-        frame: _Frame,
-        frames: List[_Frame],
+        function: Function,
+        regs: Dict[str, int],
         memory: Memory,
         trace: ExecutionTrace,
     ) -> Optional[int]:
-        regs = frame.registers
-        if isinstance(instruction, ConstInstr):
-            regs[instruction.dest] = _truncate(instruction.value)
-        elif isinstance(instruction, BinOp):
-            a = self._value(instruction.a, frame)
-            b = self._value(instruction.b, frame)
-            regs[instruction.dest] = _BINOP_FUNCS[instruction.op](a, b)
-        elif isinstance(instruction, Cmp):
-            a = self._value(instruction.a, frame)
-            b = self._value(instruction.b, frame)
-            regs[instruction.dest] = _CMP_FUNCS[instruction.op](a, b)
-        elif isinstance(instruction, Select):
-            cond = self._value(instruction.cond, frame)
-            picked = instruction.a if cond != 0 else instruction.b
-            regs[instruction.dest] = self._value(picked, frame)
-        elif isinstance(instruction, Load):
-            addr = self._value(instruction.addr, frame)
-            trace.record_access(addr, instruction.size, "load", frame.function.name)
-            regs[instruction.dest] = memory.load(addr, instruction.size)
-        elif isinstance(instruction, Store):
-            addr = self._value(instruction.addr, frame)
-            value = self._value(instruction.value, frame)
-            trace.record_access(addr, instruction.size, "store", frame.function.name)
-            memory.store(addr, value, instruction.size)
-        elif isinstance(instruction, Br):
-            cond = self._value(instruction.cond, frame)
-            frame.block = instruction.then_label if cond != 0 else instruction.else_label
-            frame.index = 0
-        elif isinstance(instruction, Jmp):
-            frame.block = instruction.label
-            frame.index = 0
-        elif isinstance(instruction, Call):
-            self._call(instruction, frame, frames, memory, trace)
-        elif isinstance(instruction, Ret):
-            value = (
-                self._value(instruction.value, frame)
-                if instruction.value is not None
-                else None
-            )
-            frames.pop()
-            if not frames:
-                return value
-            caller = frames[-1]
-            if caller.ret_dest is not None:
-                if value is None:
+        max_steps = self.max_steps
+        counts = trace.category_counts
+        blocks = self._blocks(function)
+        label = function.entry
+        seg = blocks.get(label)
+        # Suspended callers: (function, blocks, resume segment, registers, dest).
+        frames: List[Tuple[Function, Dict[str, _Segment], _Segment, Dict[str, int], Optional[str]]]
+        frames = []
+        steps = 0
+        op = None
+        try:
+            while True:
+                if seg is None:
+                    if steps >= max_steps:
+                        raise StepLimitExceeded(f"exceeded {max_steps} steps")
+                    raise InterpreterError(f"{function.name}: unknown block {label!r}")
+                ops, size, width, tally, kind, end, resume, _, _ = seg
+                steps += width
+                if steps > max_steps:
+                    self._exhaust(seg, width - (steps - max_steps), regs, memory, trace)
+                trace.instructions += size
+                for category, n in tally:
+                    counts[category] = counts.get(category, 0) + n
+                for op in ops:
+                    op(regs, memory, trace)
+                op = None
+                if kind is _CONTROL:
+                    label = end(regs)
+                    seg = blocks.get(label)
+                elif kind is _RETURN:
+                    value = end(regs)
+                    if not frames:
+                        return value
+                    callee_name = function.name
+                    function, blocks, seg, regs, dest = frames.pop()
+                    if dest is not None:
+                        if value is None:
+                            raise InterpreterError(f"{callee_name} returned void into %{dest}")
+                        regs[dest] = value
+                elif kind is _CALL:
+                    callee, callee_regs, dest = end(regs)
+                    frames.append((function, blocks, resume, regs, dest))
+                    function, regs = callee, callee_regs
+                    blocks = self._blocks(callee)
+                    label = callee.entry
+                    seg = blocks.get(label)
+                else:
                     raise InterpreterError(
-                        f"{frame.function.name} returned void into %{caller.ret_dest}"
+                        f"{function.name}:{seg.label} fell through without terminator"
                     )
-                caller.registers[caller.ret_dest] = value
-                caller.ret_dest = None
-        else:  # pragma: no cover - defensive
-            raise InterpreterError(f"cannot execute {type(instruction).__name__}")
-        return _NOT_RETURNED
+        except BaseException:
+            # Counts went in for the whole segment up front; take back those
+            # of the instructions after the one that raised.
+            if op is not None:
+                for category in seg.categories[seg.ops.index(op) + 1 :]:
+                    trace.instructions -= 1
+                    counts[category] -= 1
+                    if not counts[category]:
+                        del counts[category]
+            raise
 
-    def _call(
+    def _exhaust(
         self,
-        instruction: Call,
-        frame: _Frame,
-        frames: List[_Frame],
+        seg: _Segment,
+        budget: int,
+        regs: Dict[str, int],
         memory: Memory,
         trace: ExecutionTrace,
     ) -> None:
-        args = tuple(self._value(arg, frame) for arg in instruction.args)
-        if self.module.is_extern(instruction.callee):
-            decl = self.module.externs[instruction.callee]
-            if len(args) != decl.arity:
-                raise InterpreterError(
-                    f"extern {decl.name} expects {decl.arity} args, got {len(args)}"
+        """Run the ``budget`` instructions left before the step limit, then raise."""
+        for op, category in zip(seg.ops[:budget], seg.categories):
+            trace.record_instruction(category)
+            op(regs, memory, trace)
+        raise StepLimitExceeded(f"exceeded {self.max_steps} steps")
+
+    # ------------------------------------------------------------------ #
+    # Decoding
+    # ------------------------------------------------------------------ #
+    def _blocks(self, function: Function) -> Dict[str, _Segment]:
+        cached = self._decoded.get(function.name)
+        if cached is None or cached[0] is not function:
+            cached = (
+                function,
+                {
+                    label: self._decode_block(function.name, block)
+                    for label, block in function.blocks.items()
+                },
+            )
+            self._decoded[function.name] = cached
+        return cached[1]
+
+    def _decode_block(self, function: str, block: BasicBlock) -> _Segment:
+        pieces: List[Tuple[List[_Op], List[str], int, Optional[Callable]]] = []
+        ops: List[_Op] = []
+        categories: List[str] = []
+        for instruction in block.instructions:
+            categories.append(instruction.category)
+            if isinstance(instruction, (Br, Jmp)):
+                pieces.append((ops, categories, _CONTROL, self._control(function, instruction)))
+                break
+            if isinstance(instruction, Ret):
+                ret = (
+                    _reader(function, instruction.value)
+                    if instruction.value is not None
+                    else lambda regs: None
                 )
-            result = self.handler.handle(decl.name, args, memory)
+                pieces.append((ops, categories, _RETURN, ret))
+                break
+            if isinstance(instruction, Call) and not self.module.is_extern(instruction.callee):
+                pieces.append((ops, categories, _CALL, self._internal_call(function, instruction)))
+                ops, categories = [], []
+                continue
+            ops.append(self._op(function, instruction))
+        else:
+            pieces.append((ops, categories, _FALL, None))
+        segment: Optional[_Segment] = None
+        for ops, categories, kind, end in reversed(pieces):
+            segment = _Segment(
+                tuple(ops),
+                len(categories),
+                len(ops) + 1,
+                _tally(categories),
+                kind,
+                end,
+                segment,
+                tuple(categories),
+                block.label,
+            )
+        return segment  # type: ignore[return-value]  # pieces is never empty
+
+    def _control(self, function: str, instruction: Union[Br, Jmp]) -> Callable:
+        if isinstance(instruction, Jmp):
+            target = instruction.label
+            return lambda regs: target
+        then_label, else_label = instruction.then_label, instruction.else_label
+        cond = _reader(function, instruction.cond)
+        return lambda regs: then_label if cond(regs) != 0 else else_label
+
+    def _internal_call(self, function: str, instruction: Call) -> Callable:
+        module, name, dest = self.module, instruction.callee, instruction.dest
+        read_args = _tuple_reader(function, instruction.args)
+
+        def call(regs: Dict[str, int]) -> Tuple[Function, Dict[str, int], Optional[str]]:
+            args = read_args(regs)
+            callee = module.functions.get(name)
+            if callee is None:
+                raise InterpreterError(f"call to unknown symbol {name!r}")
+            if len(args) != len(callee.params):
+                raise InterpreterError(
+                    f"{callee.name} expects {len(callee.params)} args, got {len(args)}"
+                )
+            return callee, {param.name: value for param, value in zip(callee.params, args)}, dest
+
+        return call
+
+    def _op(self, function: str, instruction: Instruction) -> _Op:
+        """Decode one non-terminator instruction into a body closure."""
+        if isinstance(instruction, ConstInstr):
+            dest, value = instruction.dest, _truncate(instruction.value)
+
+            def const(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+                regs[dest] = value
+
+            return const
+        if isinstance(instruction, (BinOp, Cmp)):
+            fn = (_BINOP_FUNCS if isinstance(instruction, BinOp) else _CMP_FUNCS)[instruction.op]
+            return _binary(function, instruction.dest, fn, instruction.a, instruction.b)
+        if isinstance(instruction, Select):
+            dest = instruction.dest
+            cond = _reader(function, instruction.cond)
+            read_a, read_b = _reader(function, instruction.a), _reader(function, instruction.b)
+
+            def select(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+                regs[dest] = read_a(regs) if cond(regs) != 0 else read_b(regs)
+
+            return select
+        if isinstance(instruction, Load):
+            dest, size = instruction.dest, instruction.size
+            addr = _reader(function, instruction.addr)
+
+            def load(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+                at = addr(regs)
+                trace.record_access(at, size, "load", function)
+                regs[dest] = memory.load(at, size)
+
+            return load
+        if isinstance(instruction, Store):
+            size = instruction.size
+            addr = _reader(function, instruction.addr)
+            read_value = _reader(function, instruction.value)
+
+            def store(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+                at = addr(regs)
+                value = read_value(regs)
+                trace.record_access(at, size, "store", function)
+                memory.store(at, value, size)
+
+            return store
+        if isinstance(instruction, Call):
+            return self._extern_call(function, instruction)
+
+        def cannot(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+            raise InterpreterError(f"cannot execute {type(instruction).__name__}")
+
+        return cannot
+
+    def _extern_call(self, function: str, instruction: Call) -> _Op:
+        decl = self.module.externs[instruction.callee]
+        name, arity, dest = decl.name, decl.arity, instruction.dest
+        read_args = _tuple_reader(function, instruction.args)
+        interpreter = self
+
+        def call(regs: Dict[str, int], memory: Memory, trace: ExecutionTrace) -> None:
+            args = read_args(regs)
+            if len(args) != arity:
+                raise InterpreterError(f"extern {name} expects {arity} args, got {len(args)}")
+            # Resolved per call: a traced run wraps ``handle`` on the handler
+            # instance after the blocks were decoded.
+            result = interpreter.handler.handle(name, args, memory)
             trace.record_extern(
-                decl.name,
+                name,
                 args,
                 result.value,
                 instructions=result.instructions,
@@ -378,24 +613,9 @@ class Interpreter:
                 pcvs=result.pcvs,
                 accesses=result.accesses,
             )
-            if instruction.dest is not None:
+            if dest is not None:
                 if result.value is None:
-                    raise InterpreterError(
-                        f"extern {decl.name} returned no value into %{instruction.dest}"
-                    )
-                frame.registers[instruction.dest] = _truncate(result.value)
-            return
-        callee = self.module.functions.get(instruction.callee)
-        if callee is None:
-            raise InterpreterError(f"call to unknown symbol {instruction.callee!r}")
-        if len(args) != len(callee.params):
-            raise InterpreterError(
-                f"{callee.name} expects {len(callee.params)} args, got {len(args)}"
-            )
-        frame.ret_dest = instruction.dest
-        registers = {param.name: value for param, value in zip(callee.params, args)}
-        frames.append(_Frame(callee, callee.entry, 0, registers, None))
+                    raise InterpreterError(f"extern {name} returned no value into %{dest}")
+                regs[dest] = result.value & WORD_MASK
 
-
-#: Sentinel distinguishing "no top-level return yet" from "returned None".
-_NOT_RETURNED = object()
+        return call

@@ -40,7 +40,7 @@ never alias each other's PCVs, contract columns or adversarial bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import re
 import zlib
@@ -141,16 +141,11 @@ class Structure(ExternHandler):
         # across workers and runs.  256 KiB-aligned regions spread instances
         # across cache sets; a rare name-hash collision merely shares lines.
         self.heap_base = 0x1000_0000 + (zlib.crc32(name.encode("utf-8")) & 0x3FFF) * 0x4_0000
-        # Snapshot the op table once: op() sits on the hot concrete replay
-        # path (every charge() resolves its spec).
+        # Snapshot the op table once; op() answers from it.
         self._ops_by_method: Dict[str, OpSpec] = {op.method: op for op in self.ops()}
-        # Qualified names are also resolved per extern call; precompute them
-        # for every symbol the op table uses.
-        self._qualified: Dict[str, str] = {
-            symbol: qualify_name(name, symbol)
-            for op in self._ops_by_method.values()
-            for symbol in op.pcvs
-        }
+        # charge() programs, compiled on each method's first charge: most
+        # instances built for a replay serve only a few of their methods.
+        self._charges: Dict[str, _Charge] = {}
         for op in self._ops_by_method.values():
             handler = getattr(self, f"_op_{op.method}", None)
             if handler is None:
@@ -205,9 +200,6 @@ class Structure(ExternHandler):
 
     def pcv_name(self, symbol: str) -> str:
         """Return the instance-qualified name of a local PCV symbol."""
-        cached = self._qualified.get(symbol)
-        if cached is not None:
-            return cached
         return qualify_name(self.name, symbol)
 
     def qualify_spec(self, op: OpSpec) -> OpSpec:
@@ -278,9 +270,12 @@ class Structure(ExternHandler):
         """Build the :class:`ExternResult` of one concrete call.
 
         Evaluates the operation's cost formulas at the observed PCV values
-        (callers pass *local* symbols, e.g. ``t=3``); the reported PCV
-        observations are instance-qualified (``{"fwd.t": 3}``) so traces
-        line up with the contract's namespaced variables.
+        (callers pass exactly the operation's *local* symbols, e.g.
+        ``t=3``; a missing or unexpected one raises ``TypeError`` rather
+        than be charged at 0 or dropped); the reported PCV observations
+        are instance-qualified (``{"fwd.t": 3}``) so traces line up with
+        the contract's namespaced variables.  The formulas compile to
+        integer closures on the method's first charge.
         ``discount_instructions`` lets a fast path report fewer instructions
         than the worst-case formula (never more), keeping the hand contract
         a genuine upper bound rather than a tautology.
@@ -293,12 +288,16 @@ class Structure(ExternHandler):
         word — a realistic stand-in for the bookkeeping accesses the cost
         formula charges but the handler does not enumerate).
         """
-        op = self.op(method)
-        bindings = {name: pcvs.get(name, 0) for name in op.pcvs}
-        instructions = op.cost[Metric.INSTRUCTIONS].evaluate_int(bindings)
+        compiled = self._charges.get(method)
+        if compiled is None:
+            compiled = self._charges[method] = self._compile_charge(method)
+        symbols, instructions_of, accesses_of, qualified = compiled
+        if pcvs.keys() != symbols:
+            raise self._pcv_mismatch(method, symbols, pcvs)
+        instructions = instructions_of(pcvs)
         if discount_instructions < 0 or discount_instructions >= instructions:
             raise ValueError(f"bad instruction discount {discount_instructions}")
-        memory_accesses = op.cost[Metric.MEMORY_ACCESSES].evaluate_int(bindings)
+        memory_accesses = accesses_of(pcvs)
         accesses = tuple(touched[:memory_accesses])
         if len(accesses) < memory_accesses:
             accesses += (self.heap_base,) * (memory_accesses - len(accesses))
@@ -306,9 +305,41 @@ class Structure(ExternHandler):
             value,
             instructions=instructions - discount_instructions,
             memory_accesses=memory_accesses,
-            pcvs={self.pcv_name(name): observed for name, observed in bindings.items()},
+            pcvs={name: pcvs[symbol] for symbol, name in qualified},
             accesses=accesses,
         )
+
+    def _compile_charge(self, method: str) -> "_Charge":
+        op = self.op(method)
+        return _Charge(
+            frozenset(op.pcvs),
+            op.cost[Metric.INSTRUCTIONS].compile_int(),
+            op.cost[Metric.MEMORY_ACCESSES].compile_int(),
+            tuple((symbol, self.pcv_name(symbol)) for symbol in op.pcvs),
+        )
+
+    def _pcv_mismatch(self, method: str, symbols: frozenset, pcvs: Mapping[str, int]) -> TypeError:
+        """The error for a charge whose PCV keywords differ from its operation's."""
+        missing = sorted(symbols - pcvs.keys())
+        if missing:
+            problem = f"missing PCV {missing[0]!r}"
+        else:
+            problem = f"unexpected PCV {sorted(pcvs.keys() - symbols)[0]!r}"
+        return TypeError(
+            f"{self.name}.charge({method!r}): {problem}; "
+            f"the operation charges exactly {sorted(symbols)}"
+        )
+
+
+class _Charge(NamedTuple):
+    """One operation's cost formulas, compiled for :meth:`Structure.charge`."""
+
+    #: The local PCV symbols the formulas are written over.
+    symbols: frozenset
+    instructions: Callable[[Mapping[str, int]], int]
+    memory_accesses: Callable[[Mapping[str, int]], int]
+    #: ``(local symbol, instance-qualified name)`` in the op's PCV order.
+    qualified: Tuple[Tuple[str, str], ...]
 
 
 def _widen(a: PCV, b: PCV) -> PCV:

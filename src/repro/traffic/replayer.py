@@ -24,8 +24,9 @@ compile_conjunction`), contract polynomials and cycle pricing compile to
 scaled-integer evaluators (:meth:`repro.core.perfexpr.PerfExpr.
 compile_scaled`, :meth:`repro.hw.model.CycleModel.compile_measure`) — so
 the per-packet work is one interpreter run plus straight-line integer
-arithmetic.  Cycle values convert back to :class:`~fractions.Fraction`
-only when an outcome is recorded.
+arithmetic.  Outcomes and per-class maxima keep cycles as scaled
+integers; they convert to :class:`~fractions.Fraction` only when a report
+is rendered.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
-from repro.core.contract import ContractEntry, Metric, PerformanceContract
+from repro.core.contract import Metric, PerformanceContract
 from repro.core.perfexpr import PerfExpr
 from repro.core.report import format_table
 from repro.hw.model import CycleModel
@@ -87,7 +88,12 @@ class NFTarget(Protocol):
 
 @dataclass(frozen=True)
 class PacketOutcome:
-    """Measured-vs-predicted record of one replayed stimulus."""
+    """Measured-vs-predicted record of one replayed stimulus.
+
+    Cycles are stored exactly, as integers in units of ``1/cycle_scale``
+    cycles; :attr:`cycles` turns them into ``Fraction`` pairs on demand,
+    so scoring a packet builds none.
+    """
 
     index: int
     note: str
@@ -95,12 +101,21 @@ class PacketOutcome:
     pcvs: Mapping[str, int]
     measured: Mapping[Metric, int]
     predicted: Mapping[Metric, int]
-    #: model name -> (measured cycles, predicted cycles)
-    cycles: Mapping[str, Tuple[Fraction, Fraction]]
     violations: Tuple[str, ...]
     #: model name -> (measured, predicted) in scaled-integer cycles; the
     #: measured values are the samples the tail percentiles aggregate over.
     cycles_scaled: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
+    #: The denominator of every ``cycles_scaled`` value.
+    cycle_scale: int = 1
+
+    @property
+    def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
+        """model name -> (measured cycles, predicted cycles)."""
+        scale = self.cycle_scale
+        return {
+            model: (Fraction(measured, scale), Fraction(predicted, scale))
+            for model, (measured, predicted) in self.cycles_scaled.items()
+        }
 
     @property
     def ok(self) -> bool:
@@ -109,13 +124,20 @@ class PacketOutcome:
 
 @dataclass
 class ClassSummary:
-    """Aggregate over every packet that fell into one input class."""
+    """Aggregate over every packet that fell into one input class.
+
+    Cycle maxima stay scaled integers (``max_cycles_scaled``, in units of
+    ``1/cycle_scale`` cycles, the scale of the absorbed outcomes);
+    :attr:`max_cycles` converts them when a report is rendered.
+    """
 
     class_name: str
     packets: int = 0
     max_measured: Dict[Metric, int] = field(default_factory=dict)
     max_predicted: Dict[Metric, int] = field(default_factory=dict)
-    max_cycles: Dict[str, Tuple[Fraction, Fraction]] = field(default_factory=dict)
+    #: model name -> (largest measured, largest predicted), scaled.
+    max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    cycle_scale: int = 1
     violations: int = 0
     #: model name -> measured per-packet cycle samples (scaled integers).
     cycle_samples: Dict[str, List[int]] = field(default_factory=dict)
@@ -123,19 +145,30 @@ class ClassSummary:
     #: :meth:`compute_tails` once the class population is complete.
     cycle_tails: Dict[str, Dict[int, int]] = field(default_factory=dict)
 
+    @property
+    def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
+        """model name -> (largest measured, largest predicted) cycles."""
+        scale = self.cycle_scale
+        return {
+            model: (Fraction(measured, scale), Fraction(predicted, scale))
+            for model, (measured, predicted) in self.max_cycles_scaled.items()
+        }
+
     def absorb(self, outcome: PacketOutcome) -> None:
         self.packets += 1
-        if not outcome.ok:
+        if outcome.violations:
             self.violations += 1
+        max_measured, max_predicted = self.max_measured, self.max_predicted
         for metric, value in outcome.measured.items():
-            self.max_measured[metric] = max(self.max_measured.get(metric, 0), value)
+            max_measured[metric] = max(max_measured.get(metric, 0), value)
         for metric, value in outcome.predicted.items():
-            self.max_predicted[metric] = max(self.max_predicted.get(metric, 0), value)
-        for model, (measured, predicted) in outcome.cycles.items():
-            prev = self.max_cycles.get(model, (Fraction(0), Fraction(0)))
-            self.max_cycles[model] = (max(prev[0], measured), max(prev[1], predicted))
-        for model, (measured, _) in outcome.cycles_scaled.items():
-            self.cycle_samples.setdefault(model, []).append(measured)
+            max_predicted[metric] = max(max_predicted.get(metric, 0), value)
+        self.cycle_scale = outcome.cycle_scale
+        max_cycles, samples = self.max_cycles_scaled, self.cycle_samples
+        for model, (measured, predicted) in outcome.cycles_scaled.items():
+            prev = max_cycles.get(model, (0, 0))
+            max_cycles[model] = (max(prev[0], measured), max(prev[1], predicted))
+            samples.setdefault(model, []).append(measured)
 
     def compute_tails(self) -> None:
         """Aggregate the measured per-packet samples into report-only tails.
@@ -239,6 +272,15 @@ class ReplayResult:
         }
 
 
+#: A contract entry compiled for scoring: class name, ``(metric, count
+#: program)`` pairs, and one scaled cycle program per model.
+_EntryProgram = Tuple[
+    str,
+    Tuple[Tuple[Metric, Callable[[Mapping[str, int]], int]], ...],
+    Tuple[Callable[[Mapping[str, int]], int], ...],
+]
+
+
 class Replayer:
     """Replays workloads through an NF and scores them against its contract.
 
@@ -268,71 +310,59 @@ class Replayer:
         # Entries charge PCVs their path never observed at zero.
         self._zero_pcvs = {name: 0 for name in contract.variables()}
         # Harness, contract and models are fixed here, so derive each
-        # entry's cycle expression (and the worst-case envelopes) once
-        # instead of rebuilding them for every replayed packet.
+        # entry's cycle expression once; the worst-case envelopes are the
+        # same expressions at the registry's bounds.
         structures = tuple(harness.structures)
-        self._cycle_exprs: Dict[str, Dict[str, PerfExpr]] = {
+        cycle_exprs: Dict[str, Dict[str, PerfExpr]] = {
             model.name: {
                 entry.input_class.name: model.cycles_expr(entry, structures=structures)
                 for entry in contract.entries
             }
             for model in self.models
         }
+        bounds = contract.registry.default_bounds()
         self._envelopes: Dict[str, Fraction] = {
-            model.name: model.envelope(contract, structures=structures)
-            for model in self.models
+            name: max([Fraction(0), *(expr.upper_bound(bounds) for expr in exprs.values())])
+            for name, exprs in cycle_exprs.items()
         }
         # ---- batched-replay programs (built once, run per packet) ---- #
-        # Classification: the flattened (compiled predicate, entry) list
-        # preserves `contract.classify` order — first entry whose class
-        # predicate (or any of whose paths) matches wins.
-        self._classify_program: List[Tuple[Callable[[Mapping[str, int]], bool], ContractEntry]]
-        self._classify_program = []
-        for entry in contract.entries:
-            if entry.paths:
-                for path in entry.paths:
-                    self._classify_program.append(
-                        (compile_conjunction(path.constraints), entry)
-                    )
-            else:
-                self._classify_program.append((entry.input_class.matches, entry))
-        # Count predictions: ceil(expr) per (entry, metric), each compiled
-        # at its own clearing scale so the ceil is exact.
-        self._count_programs: Dict[int, List[Tuple[Metric, Callable[..., int]]]] = {}
-        for entry in contract.entries:
-            programs: List[Tuple[Metric, Callable[..., int]]] = []
-            for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
-                expr = entry.expr(metric)
-                denom = expr.denominator_lcm()
-                scaled = expr.compile_scaled(denom)
-
-                def ceil_eval(bindings, _f=scaled, _d=denom) -> int:
-                    return -(-_f(bindings) // _d)
-
-                programs.append((metric, ceil_eval))
-            self._count_programs[id(entry)] = programs
         # Cycles: one global scale clears every model price and every
         # derived cycle coefficient, so measured/predicted stay exact
         # integers and compare without Fraction arithmetic.
         scale = 1
         for model in self.models:
             scale = math.lcm(scale, model.price_denominator(structures))
-            for expr in self._cycle_exprs[model.name].values():
+            for expr in cycle_exprs[model.name].values():
                 scale = math.lcm(scale, expr.denominator_lcm())
-        self._cycle_scale = scale
-        self._cycle_programs: List[
-            Tuple[str, Callable[[ExecutionTrace], int], Dict[str, Callable[..., int]]]
-        ] = [
-            (
-                model.name,
-                model.compile_measure(structures, scale=scale),
-                {
-                    name: expr.compile_scaled(scale)
-                    for name, expr in self._cycle_exprs[model.name].items()
-                },
-            )
-            for model in self.models
+        #: The denominator of every scaled cycle value this replayer records.
+        self.cycle_scale = scale
+        self._measures: List[Tuple[str, Callable[[ExecutionTrace], int]]] = [
+            (model.name, model.compile_measure(structures, scale=scale)) for model in self.models
         ]
+        # Classification: the flattened (compiled predicate, entry program)
+        # list preserves `contract.classify` order — first entry whose class
+        # predicate (or any of whose paths) matches wins.  An entry's
+        # program is its class name, its count predictions (ceil(expr) per
+        # metric) and one scaled cycle prediction per model.
+        self._classify_program: List[Tuple[Callable[[Mapping[str, int]], bool], _EntryProgram]]
+        self._classify_program = []
+        for entry in contract.entries:
+            name = entry.input_class.name
+            program: _EntryProgram = (
+                name,
+                tuple(
+                    (metric, entry.expr(metric).compile_int())
+                    for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
+                ),
+                tuple(
+                    cycle_exprs[model.name][name].compile_scaled(scale) for model in self.models
+                ),
+            )
+            if entry.paths:
+                for path in entry.paths:
+                    self._classify_program.append((compile_conjunction(path.constraints), program))
+            else:
+                self._classify_program.append((entry.input_class.matches, program))
 
     def score(self, stimulus: Stimulus, index: int = 0) -> PacketOutcome:
         """Run ONE stimulus and score it against the contract.
@@ -346,43 +376,38 @@ class Replayer:
         """
         _, trace = self.harness.run(stimulus)
         env = self.harness.env(stimulus, trace)
-        entry = None
+        program = None
         for predicate, candidate in self._classify_program:
             if predicate(env):
-                entry = candidate
+                program = candidate
                 break
-        cycle_scale = self._cycle_scale
         violations: List[str] = []
         measured: Dict[Metric, int] = {
             Metric.INSTRUCTIONS: trace.total_instructions(),
             Metric.MEMORY_ACCESSES: trace.total_memory_accesses(),
         }
         predicted: Dict[Metric, int] = {}
-        cycles: Dict[str, Tuple[Fraction, Fraction]] = {}
         cycles_scaled: Dict[str, Tuple[int, int]] = {}
         observed = trace.pcv_bindings()
-        if entry is None:
+        if program is None:
             violations.append(f"packet {index}: no contract entry covers the execution")
             class_name = None
         else:
-            class_name = entry.input_class.name
+            class_name, count_programs, cycle_programs = program
             bindings = dict(self._zero_pcvs)
             bindings.update(observed)
-            for metric, evaluate_count in self._count_programs[id(entry)]:
-                predicted[metric] = evaluate_count(bindings)
-                if measured[metric] > predicted[metric]:
+            for metric, evaluate_count in count_programs:
+                bound = predicted[metric] = evaluate_count(bindings)
+                if measured[metric] > bound:
                     violations.append(
                         f"packet {index} ({class_name}): measured {metric} "
-                        f"{measured[metric]} exceeds predicted {predicted[metric]}"
+                        f"{measured[metric]} exceeds predicted {bound}"
                     )
-            for model_name, measure, predictors in self._cycle_programs:
+            cycle_scale = self.cycle_scale
+            for (model_name, measure), predict in zip(self._measures, cycle_programs):
                 measured_scaled = measure(trace)
-                predicted_scaled = predictors[class_name](bindings)
+                predicted_scaled = predict(bindings)
                 cycles_scaled[model_name] = (measured_scaled, predicted_scaled)
-                cycles[model_name] = (
-                    Fraction(measured_scaled, cycle_scale),
-                    Fraction(predicted_scaled, cycle_scale),
-                )
                 if measured_scaled > predicted_scaled:
                     violations.append(
                         f"packet {index} ({class_name}): {model_name} measured "
@@ -396,9 +421,9 @@ class Replayer:
             pcvs=observed,
             measured=measured,
             predicted=predicted,
-            cycles=cycles,
             violations=tuple(violations),
             cycles_scaled=cycles_scaled,
+            cycle_scale=self.cycle_scale,
         )
 
     def replay(self, stimuli: Iterable[Stimulus], *, workload: str = "workload") -> ReplayResult:
@@ -414,7 +439,10 @@ class Replayer:
                     max_pcvs[name] = value
             outcomes.append(outcome)
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
-            summaries.setdefault(key, ClassSummary(key)).absorb(outcome)
+            summary = summaries.get(key)
+            if summary is None:
+                summary = summaries[key] = ClassSummary(key)
+            summary.absorb(outcome)
         for summary in summaries.values():
             summary.compute_tails()
         return ReplayResult(
@@ -424,5 +452,6 @@ class Replayer:
             summaries=summaries,
             max_pcvs=max_pcvs,
             envelopes=dict(self._envelopes),
-            cycle_scale=self._cycle_scale,
+            cycle_scale=self.cycle_scale,
         )
+

@@ -229,3 +229,59 @@ def test_unclassified_hops_terminate_the_route(router_contract):
     assert outcome.route_name is None
     assert not outcome.ok
     assert "<unclassified>" in result.hop_summaries["r"]
+
+
+def test_a_composed_bound_below_the_hop_sum_turns_the_end_to_end_check_red(monkeypatch):
+    """Every composed entry doctored down to 31/3 instructions: each routed
+    journey fails end to end, with exact sums and bounds recorded.  The
+    bound sits below every journey's cost but above it once scaled, so a
+    comparison that forgot the scale would stay green."""
+    from fractions import Fraction
+
+    from repro.core.contract import ContractEntry, Metric, PerformanceContract
+    from repro.core.perfexpr import PerfExpr
+
+    workload = lb_nat_router_workloads(0, 40)[0]
+    graph = workload.graph
+    composed = graph.compose()
+    doctored = PerformanceContract(
+        composed.nf_name,
+        registry=composed.registry,
+        entries=[
+            ContractEntry(
+                input_class=entry.input_class,
+                exprs={
+                    Metric.INSTRUCTIONS: PerfExpr.constant(Fraction(31, 3)),
+                    Metric.MEMORY_ACCESSES: PerfExpr.zero(),
+                },
+            )
+            for entry in composed.entries
+        ],
+    )
+    monkeypatch.setattr(graph, "compose", lambda: doctored)
+    models = (ConservativeModel(), RealisticModel())
+    result = GraphReplayer(graph, models=models).replay(workload.stream, schedule=workload.schedule)
+    routed = [outcome for outcome in result.outcomes if outcome.route_name is not None]
+    assert routed
+    for outcome in routed:
+        violations = "\n".join(outcome.violations)
+        assert outcome.predicted == {
+            Metric.INSTRUCTIONS: Fraction(31, 3),
+            Metric.MEMORY_ACCESSES: 0,
+        }
+        instructions = sum(hop.measured[Metric.INSTRUCTIONS] for _, hop in outcome.hops)
+        assert (
+            f"end-to-end measured instructions {instructions} exceeds composed bound 10.3"
+            in violations
+        )
+        for model in models:
+            measured = sum(hop.cycles[model.name][0] for _, hop in outcome.hops)
+            bound = model.cycles_expr(doctored.entry_for(outcome.route_name)).evaluate({})
+            assert outcome.cycles[model.name] == (measured, bound)
+            assert (
+                f"end-to-end {model.name} measured {float(measured):.1f} cycles "
+                f"exceeds composed bound {float(bound):.1f}"
+            ) in violations
+    summary = result.route_summaries[routed[0].route_name]
+    assert summary.max_predicted[Metric.INSTRUCTIONS] == Fraction(31, 3)
+    assert summary.violations == summary.packets

@@ -2,15 +2,18 @@
 per-operation hand contracts (replayed against 100+ traced operations per
 structure), and the Bolt cross-validation harness."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from repro.core import Metric, PerfExpr
+from repro.core import PCV, Metric, PerfExpr
 from repro.nfil import ExecutionTrace, ExternHandler, Interpreter
 from repro.structures import (
     NOT_FOUND,
     ChainingHashMap,
+    CountMinSketch,
     ExpiringMap,
     LpmTrie,
     MaglevTable,
@@ -374,6 +377,73 @@ def test_charge_rejects_bad_discounts():
     m = ChainingHashMap("m", capacity=4)
     with pytest.raises(ValueError):
         m.charge("get", 0, t=0, discount_instructions=99)
+
+
+def test_charge_rejects_pcv_keywords_that_differ_from_its_operation():
+    em = ExpiringMap("em", capacity=4, timeout=5)
+    # A missing PCV would be charged at 0, understating the cost.
+    with pytest.raises(TypeError, match=r"em\.charge\('expire'\): missing PCV 'e'"):
+        em.charge("expire", w=1)
+    # A misspelt one would be dropped silently.
+    with pytest.raises(TypeError, match=r"em\.charge\('get'\): unexpected PCV 'tt'"):
+        em.charge("get", 0, t=1, tt=3)
+    with pytest.raises(TypeError, match=r"unexpected PCV 't'"):
+        PortAllocator("ports", pool=[1, 2]).charge("alloc", 1, t=0)
+    assert em.charge("get", 0, t=1).pcvs == {"em.t": 1}
+
+
+class _Fractional(Structure):
+    """One op whose cost coefficients are fractions, so charges round up."""
+
+    kind = "fractional"
+
+    def ops(self):
+        cost = {
+            Metric.INSTRUCTIONS: PerfExpr({("t",): Fraction(3, 2), (): Fraction(1, 3)}),
+            Metric.MEMORY_ACCESSES: PerfExpr({("t",): Fraction(5, 4), ("t", "u"): 1, (): 2}),
+        }
+        return (OpSpec("walk", 1, False, cost, ("t", "u")),)
+
+    def pcvs(self):
+        return (
+            PCV("t", "steps", structure=self.name, max_value=9),
+            PCV("u", "rounds", structure=self.name, max_value=3),
+        )
+
+    def _op_walk(self, args, memory):  # pragma: no cover - never replayed
+        return self.charge("walk", t=0, u=0)
+
+
+def _every_structure_kind():
+    return (
+        ChainingHashMap("hm", capacity=4),
+        ExpiringMap("em", capacity=4, timeout=5),
+        LpmTrie("rt"),
+        PortAllocator("ports", pool=range(1024, 1030)),
+        MaglevTable("lb", table_size=7, max_backends=3),
+        CountMinSketch("cms", depth=2, width=8),
+        _Fractional("frac"),
+    )
+
+
+def test_compiled_charges_equal_evaluate_int_at_every_pcv_value():
+    for structure in _every_structure_kind():
+        bounds = {pcv.name: pcv.max_value for pcv in structure.pcvs()}
+        for op in structure.ops():
+            for values in itertools.product(*(range(bounds[s] + 1) for s in op.pcvs)):
+                bindings = dict(zip(op.pcvs, values))
+                result = structure.charge(op.method, 0, **bindings)
+                where = (structure.kind, op.method, bindings)
+                assert result.instructions == op.cost[Metric.INSTRUCTIONS].evaluate_int(
+                    bindings
+                ), where
+                expected_accesses = op.cost[Metric.MEMORY_ACCESSES].evaluate_int(bindings)
+                assert result.memory_accesses == expected_accesses, where
+                assert result.accesses == (structure.heap_base,) * expected_accesses, where
+    # The fractional op really exercises the rounding.
+    frac = _Fractional("frac2")
+    assert frac.charge("walk", t=1, u=0).instructions == 2  # ceil(3/2 + 1/3)
+    assert frac.charge("walk", t=1, u=1).memory_accesses == 5  # ceil(5/4 + 1 + 2)
 
 
 def test_structure_model_merges_registries_and_dispatches():
