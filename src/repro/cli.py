@@ -24,10 +24,9 @@
     independent job whose stimuli are derived from a per-cell seed, so
     the matrix fans out across a ``--workers``-sized process pool (default:
     all CPUs) and the report is bit-identical for every worker count.
-    Cells record their wall clock and replay rate; ``--profile`` runs one
-    cell under cProfile instead of the full matrix.  Alongside the per-NF
+    Cells record their wall clock and replay rate.  Alongside the per-NF
     cells the bench replays every registered *service graph*
-    (:data:`GRAPH_MATRIX`) end to end — per-hop and composed-route checks,
+    (:data:`GRAPH_MATRIX`) — every hop checked against its own contract,
     with mid-stream churn — into ``report["graphs"]``; ``--nf`` / ``--graph``
     restrict the matrix to named rows and write a partial report.
 
@@ -35,9 +34,11 @@
     Replays the registered service graphs on their own (see
     :mod:`repro.net`): a pcap-derived stream enters the graph's entry
     node, every hop is scored against that NF's contract, every complete
-    journey against the composed route contract, and the churn schedule
-    reconfigures the deployment mid-stream.  Exits non-zero on any
-    violation or on missing per-hop class coverage.
+    journey must be a route of the composed contract, and the churn
+    schedule reconfigures the deployment mid-stream.  Each route's row
+    sums its hops' measured and predicted costs; the per-hop checks imply
+    the route bound.  Exits non-zero on any violation or on missing
+    per-hop class coverage.
 
 ``python -m repro.cli contract-diff``
     The regression gate: regenerates every NF's bench-geometry contract
@@ -517,11 +518,11 @@ def _nf_cell(task: BenchTask) -> Dict[str, object]:
 
 
 def _graph_cell(task: BenchTask) -> Dict[str, object]:
-    """Run one (graph, workload) bench cell: end-to-end replay with churn.
+    """Run one (graph, workload) bench cell: graph replay with churn.
 
-    Violations at *either* level — a hop exceeding its own contract, or a
-    journey exceeding the composed route bound — and missing per-hop
-    class coverage all count as failures.
+    Violations — a hop exceeding its own contract, or a journey taking a
+    route the composed contract lacks — and missing per-hop class
+    coverage all count as failures.
     """
     _, graph_name, workload_name, seed, packets, model_names = task
     spec = next(spec for spec in GRAPH_MATRIX if spec.name == graph_name)
@@ -578,30 +579,12 @@ def _run_cells(tasks: List[BenchTask], workers: int) -> List[Dict[str, object]]:
     return [_bench_cell(task) for task in tasks]
 
 
-def _profile_cell(task: BenchTask) -> int:
-    """Run one bench cell under cProfile; print the top cumulative entries."""
-    import cProfile
-    import pstats
-
-    _, nf_name, workload_name, _, packets, _ = task
-    _section(f"profile: {nf_name}/{workload_name} at {packets} packets")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    cell = _bench_cell(task)
-    profiler.disable()
-    print(cell["text"])
-    print()
-    pstats.Stats(profiler, stream=sys.stdout).sort_stats("cumulative").print_stats(20)
-    return 0
-
-
 def run_bench(
     *,
     output: str = BENCH_OUTPUT,
     packets: int = BENCH_PACKETS,
     seed: int = BENCH_SEED,
     workers: Optional[int] = None,
-    profile: bool = False,
     nfs: Optional[Sequence[str]] = None,
     graphs: Optional[Sequence[str]] = None,
     models: Optional[Sequence[str]] = None,
@@ -660,8 +643,6 @@ def run_bench(
     if not tasks:
         print("FAIL: the --nf/--graph filters selected no bench rows")
         return 2
-    if profile:
-        return _profile_cell(tasks[0])
     cells = _run_cells(tasks, workers)
 
     report: Dict[str, object] = {
@@ -756,7 +737,7 @@ def run_bench(
 
 
 # --------------------------------------------------------------------------- #
-# graph: standalone end-to-end service-graph replay
+# graph: standalone service-graph replay
 # --------------------------------------------------------------------------- #
 def run_graph(
     *,
@@ -765,12 +746,13 @@ def run_graph(
     seed: int = BENCH_SEED,
     output: Optional[str] = None,
 ) -> int:
-    """Replay the registered service graphs end to end, with churn.
+    """Replay the registered service graphs, with churn.
 
-    Prints each graph's per-route table, throughput and the head of its
-    churn log; optionally writes the full per-workload payloads to
-    ``output``.  Exits non-zero on any per-hop or end-to-end violation,
-    or when a hop misses its expected input-class coverage.
+    Prints each graph's per-route table (each row the sum of its hops),
+    throughput and the head of its churn log; optionally writes the full
+    per-workload payloads to ``output``.  Exits non-zero on any per-hop
+    violation or route missing from the composed contract, or when a hop
+    misses its expected input-class coverage.
     """
     specs = [spec for spec in GRAPH_MATRIX if graph is None or spec.name == graph]
     if not specs:
@@ -981,11 +963,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "is bit-identical for every value",
     )
     bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile one bench cell under cProfile and exit",
-    )
-    bench.add_argument(
         "--nf",
         action="append",
         metavar="NAME",
@@ -1060,7 +1037,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             packets=args.packets,
             seed=args.seed,
             workers=args.workers,
-            profile=args.profile,
             nfs=args.nf,
             graphs=args.graph,
             models=args.models,

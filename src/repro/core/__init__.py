@@ -24,7 +24,6 @@ from repro.core.contract import (
 from repro.core.input_class import InputClass
 from repro.core.bolt import Bolt, BoltConfig
 from repro.core.composition import (
-    compose_contracts,
     compose_graph_contracts,
     naive_add_contracts,
     route_class_name,
@@ -53,7 +52,6 @@ __all__ = [
     "PCVRegistry",
     "PerfExpr",
     "PerformanceContract",
-    "compose_contracts",
     "compose_graph_contracts",
     "contract_from_json",
     "contract_to_json",

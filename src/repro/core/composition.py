@@ -1,22 +1,19 @@
 """Contract composition for NF chains and service graphs (§3.4, §6).
 
 When NFs are chained (e.g. firewall → NAT → bridge), the chain's contract
-is derived from the per-NF contracts.  Three compositions are provided:
+is derived from the per-NF contracts.  Two compositions are provided:
 
-* :func:`compose_contracts` — the precise cross product for a *linear*
-  chain every packet fully traverses: one entry per combination of per-NF
-  input classes, expressions summed metric-wise.  Class predicates are not
-  combined (model-output symbols of different NFs live in different
-  namespaces), so composed entries classify by name only.
-* :func:`compose_graph_contracts` — the graph-aware generalisation: hops
-  are nodes of a directed service graph and a *routing function* says
-  which node each (node, input class) pair forwards to — or that the
-  packet terminates there (drops terminate early; branches diverge).  One
-  composed entry is emitted per reachable **route** (the sequence of
-  (node, class) hops a packet can traverse), named by
-  :func:`route_class_name`, with the per-hop expressions summed.  A linear
-  chain whose every class forwards reproduces :func:`compose_contracts`
-  modulo entry naming.
+* :func:`compose_graph_contracts` — the precise one: hops are nodes of a
+  directed service graph and a *routing function* says which node each
+  (node, input class) pair forwards to — or that the packet terminates
+  there (drops terminate early; branches diverge).  One composed entry is
+  emitted per reachable **route** (the sequence of (node, class) hops a
+  packet can traverse), named by :func:`route_class_name`, with the
+  per-hop expressions summed.  A linear chain is the graph whose every
+  class forwards to the next NF: one entry per combination of per-NF
+  classes.  Class predicates are not combined (model-output symbols of
+  different NFs live in different namespaces), so composed entries
+  classify by name only.
 * :func:`naive_add_contracts` — the coarse bound: a single entry summing
   each NF's worst-case envelope.  Cheaper, and what operators use when the
   per-class traffic mix is unknown.
@@ -28,7 +25,6 @@ expression evaluates correctly at the union of the hops' observed PCVs.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.contract import (
@@ -43,7 +39,6 @@ from repro.core.perfexpr import PerfExpr
 
 __all__ = [
     "HOP_SEPARATOR",
-    "compose_contracts",
     "compose_graph_contracts",
     "naive_add_contracts",
     "route_class_name",
@@ -57,8 +52,8 @@ def route_class_name(hops: Sequence[Tuple[str, str]]) -> str:
     """Name the composed entry of one route: ``"lb:new_flow > nat:..."``.
 
     The name is reconstructible from a concrete graph replay (the node
-    names and per-hop classes it observed), which is how the end-to-end
-    check finds the composed entry a packet's journey falls into.
+    names and per-hop classes it observed), which is how a replay checks
+    that a packet's journey is a route of the composed contract.
     """
     return HOP_SEPARATOR.join(f"{node}:{class_name}" for node, class_name in hops)
 
@@ -68,43 +63,6 @@ def _merged_registry(contracts: Sequence[PerformanceContract]) -> PCVRegistry:
     for contract in contracts:
         registry = registry.merge(contract.registry)
     return registry
-
-
-def compose_contracts(
-    name: str, contracts: Sequence[PerformanceContract]
-) -> PerformanceContract:
-    """Cross-product composition of a chain of contracts.
-
-    Every combination of one entry per NF becomes one entry of the chain
-    contract named ``"classA & classB & ..."``, with the per-metric
-    expressions summed.
-
-    Raises:
-        ValueError: no contracts, or a contract without entries, were given.
-    """
-    if not contracts:
-        raise ValueError("compose_contracts needs at least one contract")
-    for contract in contracts:
-        if not contract.entries:
-            raise ValueError(f"contract for {contract.nf_name!r} has no entries to compose")
-    composed = PerformanceContract(name, registry=_merged_registry(contracts))
-    for combo in itertools.product(*(contract.entries for contract in contracts)):
-        class_name = " & ".join(entry.input_class.name for entry in combo)
-        description = "; ".join(
-            f"{contract.nf_name}={entry.input_class.name}"
-            for contract, entry in zip(contracts, combo)
-        )
-        exprs: Dict[Metric, PerfExpr] = {}
-        for entry in combo:
-            for metric, expr in entry.exprs.items():
-                exprs[metric] = exprs.get(metric, PerfExpr.zero()) + expr
-        composed.add_entry(
-            ContractEntry(
-                input_class=InputClass(class_name, description=description),
-                exprs=exprs,
-            )
-        )
-    return composed
 
 
 def compose_graph_contracts(

@@ -258,6 +258,19 @@ class PerfExpr:
             return scaled
         return lambda b: -(-scaled(b) // denominator)
 
+    def compile_floor(self) -> Callable[[Mapping[str, Number]], int]:
+        """Compile ``floor(evaluate())`` into integer arithmetic.
+
+        An integer ``m`` satisfies ``m ≤ evaluate()`` exactly when
+        ``m ≤ floor(evaluate())``, so this is the bound a measured count
+        compares against exactly; :meth:`compile_int` rounds up instead.
+        """
+        denominator = self.denominator_lcm()
+        scaled = self.compile_scaled(denominator)
+        if denominator == 1:
+            return scaled
+        return lambda b: scaled(b) // denominator
+
     def rename(self, mapping: Mapping[str, str]) -> "PerfExpr":
         """Return the expression with PCV names replaced per ``mapping``.
 

@@ -5,8 +5,8 @@ the idea to deployment shape: NF instances become :class:`Node` objects
 in a directed :class:`Graph` whose links forward by input class, the
 composed contract enumerates every reachable route
 (:meth:`Graph.compose`), and :class:`GraphReplayer` replays one packet
-stream end-to-end — scoring every hop against its own contract and every
-complete journey against the composed one — while a
+stream end-to-end — scoring every hop against its own contract, which
+bounds every complete journey by its composed route — while a
 :class:`~repro.net.churn.ChurnSchedule` reconfigures the deployment
 mid-stream (backend churn, route installs, expiry sweeps).
 

@@ -1,29 +1,24 @@
-"""End-to-end graph replay: every hop scored, every journey re-scored.
+"""Graph replay: every hop scored, every route the sum of its hops.
 
 :class:`GraphReplayer` drives one packet stream through a whole
-:class:`~repro.net.graph.Graph` and checks the contract story at *two*
-levels on every packet:
+:class:`~repro.net.graph.Graph`.  Each node execution is scored by that
+node's own :class:`~repro.traffic.replayer.Replayer` (via its per-packet
+:meth:`~repro.traffic.replayer.Replayer.score` primitive) against the
+node's generated contract: classification, exact count bounds, cycle
+bounds under every hardware model.  The hops a packet traversed name a
+route (:func:`repro.core.composition.route_class_name`), which must be an
+entry of the composed contract (:meth:`~repro.net.graph.Graph.compose`):
+that checks the routing the composition assumed.
 
-1. **Per hop** — each node execution is scored by that node's own
-   :class:`~repro.traffic.replayer.Replayer` (via its per-packet
-   :meth:`~repro.traffic.replayer.Replayer.score` primitive) against the
-   node's generated contract: classification, count bounds, cycle bounds
-   under every hardware model.
-2. **End to end** — the hops a packet actually traversed name a route
-   (:func:`repro.core.composition.route_class_name`), the composed
-   contract (:meth:`~repro.net.graph.Graph.compose`) holds one entry per
-   reachable route, and the packet's *cumulative* measured cost is
-   checked against that entry evaluated at the union of the hops'
-   observed PCVs.
-
-The end-to-end comparison is exact: the composed expression is evaluated
-as a scaled integer and compared against the raw measured totals — never
-against per-hop ceilings, whose sum can legitimately exceed the ceiling
-of the sum.  Hop cycles are summed as integers at one graph-wide scale
-(the LCM of the hop replayers' scales); each composed entry is evaluated
-at a multiple of it that also clears the entry's own coefficients, so
-every comparison is integer arithmetic and no ``Fraction`` is built
-before a report is rendered.
+The per-hop checks already bound the whole route, so the composed
+expression is never evaluated.  A composed entry is the sum of its hops'
+entries; graph validation keeps the hops' instance-qualified PCVs
+disjoint and the routes acyclic, so at the merged PCVs the entry equals
+the sum of the hop bounds, and each hop's measurement meets its own
+bound exactly.  A route row is therefore the sum of its hop outcomes:
+measured and predicted counts, and measured and predicted cycles summed
+as integers at one graph-wide scale (the LCM of the hop replayers'
+scales), so no ``Fraction`` is built before a report is rendered.
 
 Churn (:mod:`repro.net.churn`) interleaves with the stream: events fire
 between packets, injected control frames are scored at their node like
@@ -36,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.composition import route_class_name
-from repro.core.contract import ContractEntry, Metric, PerformanceContract
+from repro.core.contract import Metric, PerformanceContract
 from repro.core.report import format_table
 from repro.hw.model import CycleModel
 from repro.net.churn import ChurnSchedule
@@ -47,17 +42,6 @@ from repro.net.graph import Graph
 from repro.traffic.replayer import ClassSummary, PacketOutcome, Replayer
 
 __all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer", "RouteSummary"]
-
-#: A composed entry compiled for the end-to-end check: its scale, the
-#: factor from :attr:`GraphReplayer.cycle_scale` to it, ``(metric, scaled
-#: bound)`` pairs and ``(model name, scaled cycle bound)`` pairs.
-_RouteProgram = Tuple[
-    int,
-    int,
-    Tuple[Tuple[Metric, Callable[[Mapping[str, int]], int]], ...],
-    Tuple[Tuple[str, Callable[[Mapping[str, int]], int]], ...],
-]
-
 
 @dataclass(frozen=True)
 class GraphFrame:
@@ -73,11 +57,10 @@ class GraphFrame:
 
 @dataclass(frozen=True)
 class GraphPacketOutcome:
-    """One packet's full journey: per-hop outcomes plus the composed check.
+    """One packet's full journey: its hop outcomes and their sums.
 
-    The composed bounds and cycles are exact integers in units of
-    ``1/scale``; :attr:`predicted` and :attr:`cycles` convert them to
-    ``Fraction`` on demand.
+    The summed cycles are exact integers in units of ``1/cycle_scale``;
+    :attr:`cycles` converts them to ``Fraction`` on demand.
     """
 
     index: int
@@ -85,27 +68,22 @@ class GraphPacketOutcome:
     #: ``(node name, hop outcome)`` in traversal order.
     hops: Tuple[Tuple[str, PacketOutcome], ...]
     #: Composed-entry name of the traversed route (None when a hop failed
-    #: to classify, so no route exists to check).
+    #: to classify, so the packet took no route).
     route_name: Optional[str]
-    #: Cumulative counts over all hops.
+    #: Hop counts summed over the journey, measured and predicted.
     measured: Mapping[Metric, int]
-    #: The composed entry's exact per-metric bound at the merged PCVs, scaled.
-    predicted_scaled: Mapping[Metric, int]
-    #: model name -> (summed measured cycles, composed predicted cycles), scaled.
+    predicted: Mapping[Metric, int]
+    #: model name -> (summed measured, summed predicted) hop cycles, scaled.
     cycles_scaled: Mapping[str, Tuple[int, int]]
     #: Every violation of this packet: per-hop ones prefixed with the node
-    #: name, then the end-to-end ones.
+    #: name, then a route missing from the composed contract.
     violations: Tuple[str, ...]
-    #: The denominator of every ``*_scaled`` value (one per composed entry).
-    scale: int = 1
-
-    @property
-    def predicted(self) -> Dict[Metric, Fraction]:
-        return {metric: Fraction(v, self.scale) for metric, v in self.predicted_scaled.items()}
+    #: The denominator of every ``cycles_scaled`` value.
+    cycle_scale: int = 1
 
     @property
     def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
-        scale = self.scale
+        scale = self.cycle_scale
         return {
             model: (Fraction(measured, scale), Fraction(predicted, scale))
             for model, (measured, predicted) in self.cycles_scaled.items()
@@ -124,26 +102,21 @@ class GraphPacketOutcome:
 class RouteSummary:
     """Aggregate over every packet that traversed one route.
 
-    One route is one composed entry, so every absorbed outcome shares one
-    ``scale``; the maxima stay scaled integers until a report converts
-    them through :attr:`max_predicted` and :attr:`max_cycles`.
+    Cycle maxima stay scaled integers (units of ``1/cycle_scale``) until a
+    report converts them through :attr:`max_cycles`.
     """
 
     route_name: str
     packets: int = 0
     max_measured: Dict[Metric, int] = field(default_factory=dict)
-    max_predicted_scaled: Dict[Metric, int] = field(default_factory=dict)
+    max_predicted: Dict[Metric, int] = field(default_factory=dict)
     max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    scale: int = 1
+    cycle_scale: int = 1
     violations: int = 0
 
     @property
-    def max_predicted(self) -> Dict[Metric, Fraction]:
-        return {m: Fraction(v, self.scale) for m, v in self.max_predicted_scaled.items()}
-
-    @property
     def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
-        scale = self.scale
+        scale = self.cycle_scale
         return {
             model: (Fraction(measured, scale), Fraction(predicted, scale))
             for model, (measured, predicted) in self.max_cycles_scaled.items()
@@ -153,27 +126,14 @@ class RouteSummary:
         self.packets += 1
         if outcome.violations:
             self.violations += 1
-        self.scale = outcome.scale
+        self.cycle_scale = outcome.cycle_scale
         for metric, value in outcome.measured.items():
             self.max_measured[metric] = max(self.max_measured.get(metric, 0), value)
-        for metric, value in outcome.predicted_scaled.items():
-            self.max_predicted_scaled[metric] = max(self.max_predicted_scaled.get(metric, 0), value)
+        for metric, value in outcome.predicted.items():
+            self.max_predicted[metric] = max(self.max_predicted.get(metric, 0), value)
         for model, (measured, predicted) in outcome.cycles_scaled.items():
             prev = self.max_cycles_scaled.get(model, (0, 0))
             self.max_cycles_scaled[model] = (max(prev[0], measured), max(prev[1], predicted))
-
-
-def _summary_json(summary: ClassSummary) -> Dict[str, object]:
-    return {
-        "packets": summary.packets,
-        "violations": summary.violations,
-        "max_measured": {str(m): v for m, v in summary.max_measured.items()},
-        "max_predicted": {str(m): v for m, v in summary.max_predicted.items()},
-        "max_cycles": {
-            model: {"measured": float(meas), "predicted": float(pred)}
-            for model, (meas, pred) in summary.max_cycles.items()
-        },
-    }
 
 
 @dataclass
@@ -188,7 +148,7 @@ class GraphReplayResult:
     #: node name -> input class -> per-hop aggregate (includes injected
     #: control executions at their node).
     hop_summaries: Dict[str, Dict[str, ClassSummary]]
-    #: composed route name -> end-to-end aggregate.
+    #: composed route name -> aggregate of the summed hop outcomes.
     route_summaries: Dict[str, RouteSummary]
     #: Human-readable record of every churn event, in firing order.
     churn_log: List[str]
@@ -223,7 +183,7 @@ class GraphReplayResult:
         return sorted(self.route_summaries)
 
     def table(self) -> str:
-        """Render the per-route end-to-end summary table."""
+        """Render the per-route summary table."""
         models = sorted(
             {model for s in self.route_summaries.values() for model in s.max_cycles}
         )
@@ -236,7 +196,7 @@ class GraphReplayResult:
             for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
                 row.append(
                     f"{summary.max_measured.get(metric, 0)} ≤ "
-                    f"{float(summary.max_predicted.get(metric, Fraction(0))):.0f}"
+                    f"{summary.max_predicted.get(metric, 0)}"
                 )
             for model in models:
                 measured, predicted = summary.max_cycles.get(
@@ -275,7 +235,7 @@ class GraphReplayResult:
                 },
             }
         hops: Dict[str, object] = {
-            node: {name: _summary_json(summary) for name, summary in classes.items()}
+            node: {name: summary.to_json() for name, summary in classes.items()}
             for node, classes in self.hop_summaries.items()
         }
         return {
@@ -291,15 +251,12 @@ class GraphReplayResult:
 
 
 class GraphReplayer:
-    """Replays packet streams through a service graph, checking both levels.
+    """Replays packet streams through a service graph, scoring every hop.
 
     Args:
         graph: the validated topology.
-        models: hardware models per-hop *and* end-to-end cycles are
-            priced under.  The composed cycle expressions are derived
-            with every structure of the graph in scope, so the composed
-            bound dominates the sum of per-hop measurements (constant
-            monomials price at the most expensive structure in scope).
+        models: hardware models every hop's cycles are priced under; a
+            route row sums its hops' measured and predicted cycles.
     """
 
     def __init__(self, graph: Graph, *, models: Sequence[CycleModel] = ()) -> None:
@@ -310,10 +267,7 @@ class GraphReplayer:
             for name, node in graph.nodes.items()
         }
         self.composed: PerformanceContract = graph.compose()
-        self._structures = graph.structures()
-        self._entries_by_route: Dict[str, ContractEntry] = {
-            entry.input_class.name: entry for entry in self.composed.entries
-        }
+        self._routes = frozenset(self.composed.class_names())
         self._zero_pcvs = {name: 0 for name in self.composed.variables()}
         #: The scale hop cycles are summed at: the LCM of the hop replayers'
         #: scales, so each hop's scaled cycles convert by an integer factor.
@@ -322,42 +276,6 @@ class GraphReplayer:
             name: self.cycle_scale // replayer.cycle_scale
             for name, replayer in self.replayers.items()
         }
-        # Composed entries are numerous (every reachable route) but a
-        # replay only traverses a handful, so their evaluators compile
-        # lazily, memoised by route name.
-        self._programs: Dict[str, _RouteProgram] = {}
-
-    # ------------------------------------------------------------------ #
-    # Composed-entry evaluators
-    # ------------------------------------------------------------------ #
-    def _route_program(self, entry: ContractEntry) -> "_RouteProgram":
-        """Compile one composed entry at a scale clearing all its coefficients.
-
-        The scale is a multiple of :attr:`cycle_scale`, so summed hop
-        cycles convert to it by the returned factor and every bound
-        compares against exact integers.
-        """
-        name = entry.input_class.name
-        program = self._programs.get(name)
-        if program is None:
-            counts = [
-                (metric, entry.expr(metric))
-                for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
-            ]
-            cycles = [
-                (model.name, model.cycles_expr(entry, structures=self._structures))
-                for model in self.models
-            ]
-            scale = math.lcm(
-                self.cycle_scale, *(expr.denominator_lcm() for _, expr in counts + cycles)
-            )
-            program = self._programs[name] = (
-                scale,
-                scale // self.cycle_scale,
-                tuple((metric, expr.compile_scaled(scale)) for metric, expr in counts),
-                tuple((model, expr.compile_scaled(scale)) for model, expr in cycles),
-            )
-        return program
 
     # ------------------------------------------------------------------ #
     # Replay
@@ -431,52 +349,27 @@ class GraphReplayer:
                 packet = node.harness.last_packet
                 node_name = self.graph.next_hop(node_name, outcome.class_name)
 
-            measured: Dict[Metric, int] = {
-                Metric.INSTRUCTIONS: 0,
-                Metric.MEMORY_ACCESSES: 0,
-            }
-            cycle_sums: Dict[str, int] = {model.name: 0 for model in self.models}
-            bindings = dict(self._zero_pcvs)
+            measured = {Metric.INSTRUCTIONS: 0, Metric.MEMORY_ACCESSES: 0}
+            predicted = dict(measured)
+            cycles: Dict[str, Tuple[int, int]] = {model.name: (0, 0) for model in self.models}
             for node_name, hop_outcome in hops:
-                for metric in measured:
-                    measured[metric] += hop_outcome.measured.get(metric, 0)
+                for metric, value in hop_outcome.measured.items():
+                    measured[metric] += value
+                for metric, value in hop_outcome.predicted.items():
+                    predicted[metric] += value
                 factor = hop_factors[node_name]
-                for model_name, (meas, _) in hop_outcome.cycles_scaled.items():
-                    cycle_sums[model_name] += meas * factor
-                bindings.update(hop_outcome.pcvs)
+                for model_name, (meas, pred) in hop_outcome.cycles_scaled.items():
+                    total_meas, total_pred = cycles[model_name]
+                    cycles[model_name] = (total_meas + meas * factor, total_pred + pred * factor)
 
             route_name: Optional[str] = None
-            predicted: Dict[Metric, int] = {}
-            cycles: Dict[str, Tuple[int, int]] = {}
-            scale = 1
             if classified:
                 route = tuple((node, o.class_name) for node, o in hops)
                 route_name = route_class_name(route)  # type: ignore[arg-type]
-                entry = self._entries_by_route.get(route_name)
-                if entry is None:
+                if route_name not in self._routes:
                     violations.append(
                         f"packet {index}: route {route_name!r} has no composed entry"
                     )
-                else:
-                    scale, factor, count_programs, cycle_programs = self._route_program(entry)
-                    for metric, evaluate in count_programs:
-                        bound = predicted[metric] = evaluate(bindings)
-                        if measured[metric] * scale > bound:
-                            violations.append(
-                                f"packet {index} ({route_name}): end-to-end measured "
-                                f"{metric} {measured[metric]} exceeds composed bound "
-                                f"{bound / scale:.1f}"
-                            )
-                    for model_name, evaluate in cycle_programs:
-                        bound = evaluate(bindings)
-                        total = cycle_sums[model_name] * factor
-                        cycles[model_name] = (total, bound)
-                        if total > bound:
-                            violations.append(
-                                f"packet {index} ({route_name}): end-to-end {model_name} "
-                                f"measured {total / scale:.1f} cycles exceeds composed "
-                                f"bound {bound / scale:.1f}"
-                            )
 
             graph_outcome = GraphPacketOutcome(
                 index=index,
@@ -484,10 +377,10 @@ class GraphReplayer:
                 hops=tuple(hops),
                 route_name=route_name,
                 measured=measured,
-                predicted_scaled=predicted,
+                predicted=predicted,
                 cycles_scaled=cycles,
                 violations=tuple(violations),
-                scale=scale,
+                cycle_scale=self.cycle_scale,
             )
             outcomes.append(graph_outcome)
             if route_name is not None:

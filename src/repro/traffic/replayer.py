@@ -185,6 +185,33 @@ class ClassSummary:
                 p: _nearest_rank(ordered, p) for p in TAIL_PERCENTILES
             }
 
+    def to_json(self) -> Dict[str, object]:
+        """The class's record in the ``BENCH_*.json`` report.
+
+        ``cycle_tails`` appears only once :meth:`compute_tails` has filled
+        them.
+        """
+        record: Dict[str, object] = {
+            "packets": self.packets,
+            "violations": self.violations,
+            "max_measured": {str(m): v for m, v in self.max_measured.items()},
+            "max_predicted": {str(m): v for m, v in self.max_predicted.items()},
+            "max_cycles": {
+                model: {"measured": float(meas), "predicted": float(pred)}
+                for model, (meas, pred) in self.max_cycles.items()
+            },
+        }
+        if self.cycle_tails:
+            scale = self.cycle_scale
+            record["cycle_tails"] = {
+                model: {
+                    **{f"p{p}": tails[p] / scale for p in TAIL_PERCENTILES},
+                    "max": float(self.max_cycles[model][0]),
+                }
+                for model, tails in self.cycle_tails.items()
+            }
+        return record
+
 
 @dataclass
 class ReplayResult:
@@ -198,8 +225,6 @@ class ReplayResult:
     max_pcvs: Dict[str, int]
     #: Worst-case cycle envelopes per model (PCV bounds, all entries).
     envelopes: Dict[str, Fraction]
-    #: The scaled-integer denominator of every ``*_scaled`` cycle value.
-    cycle_scale: int = 1
 
     @property
     def packets(self) -> int:
@@ -240,33 +265,11 @@ class ReplayResult:
 
     def to_json(self) -> Dict[str, object]:
         """Serialise for the ``BENCH_*.json`` report."""
-        classes: Dict[str, object] = {}
-        scale = self.cycle_scale
-        for name, summary in self.summaries.items():
-            record: Dict[str, object] = {
-                "packets": summary.packets,
-                "violations": summary.violations,
-                "max_measured": {str(m): v for m, v in summary.max_measured.items()},
-                "max_predicted": {str(m): v for m, v in summary.max_predicted.items()},
-                "max_cycles": {
-                    model: {"measured": float(meas), "predicted": float(pred)}
-                    for model, (meas, pred) in summary.max_cycles.items()
-                },
-            }
-            if summary.cycle_tails:
-                record["cycle_tails"] = {
-                    model: {
-                        **{f"p{p}": tails[p] / scale for p in TAIL_PERCENTILES},
-                        "max": float(summary.max_cycles[model][0]),
-                    }
-                    for model, tails in summary.cycle_tails.items()
-                }
-            classes[name] = record
         return {
             "packets": self.packets,
             "ok": self.ok,
             "violations": self.violations[:20],
-            "classes": classes,
+            "classes": {name: summary.to_json() for name, summary in self.summaries.items()},
             "max_pcvs": dict(self.max_pcvs),
             "cycle_envelopes": {model: float(v) for model, v in self.envelopes.items()},
         }
@@ -342,8 +345,11 @@ class Replayer:
         # Classification: the flattened (compiled predicate, entry program)
         # list preserves `contract.classify` order — first entry whose class
         # predicate (or any of whose paths) matches wins.  An entry's
-        # program is its class name, its count predictions (ceil(expr) per
-        # metric) and one scaled cycle prediction per model.
+        # program is its class name, its count predictions and one scaled
+        # cycle prediction per model.  A count prediction is floor(expr):
+        # measured counts are integers, so ``measured ≤ floor(expr)`` is
+        # exactly ``measured ≤ expr`` (a ceiling would let a fractional
+        # bound pass one count too many).
         self._classify_program: List[Tuple[Callable[[Mapping[str, int]], bool], _EntryProgram]]
         self._classify_program = []
         for entry in contract.entries:
@@ -351,7 +357,7 @@ class Replayer:
             program: _EntryProgram = (
                 name,
                 tuple(
-                    (metric, entry.expr(metric).compile_int())
+                    (metric, entry.expr(metric).compile_floor())
                     for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
                 ),
                 tuple(
@@ -370,8 +376,7 @@ class Replayer:
         This is the per-packet primitive :meth:`replay` iterates — and
         what the service-graph replayer (:mod:`repro.net`) calls per hop,
         where each hop of a packet's journey is scored against that NF's
-        own contract before the cumulative trace is checked against the
-        composed one.  Violations are recorded on the outcome, never
+        own contract.  Violations are recorded on the outcome, never
         raised.
         """
         _, trace = self.harness.run(stimulus)
@@ -452,6 +457,5 @@ class Replayer:
             summaries=summaries,
             max_pcvs=max_pcvs,
             envelopes=dict(self._envelopes),
-            cycle_scale=self.cycle_scale,
         )
 

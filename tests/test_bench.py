@@ -121,8 +121,8 @@ def test_bench_writes_a_green_report(tmp_path, capsys):
     assert "hot_flow" in monitor_record["workloads"]["header_flood"]["classes"]
     for workload in monitor_record["workloads"].values():
         assert workload["packets_per_sec"] > 0
-    # The service-graph rows: end-to-end replay with churn, green at both
-    # levels, full per-hop class coverage.
+    # The service-graph rows: replay with churn, green at every hop, full
+    # per-hop class coverage.
     assert set(report["graphs"]) == {"lb_nat_router", "lb_nat_fw_router"}
     graph_record = report["graphs"]["lb_nat_router"]
     assert graph_record["failures"] == 0
@@ -139,7 +139,7 @@ def test_bench_writes_a_green_report(tmp_path, capsys):
     assert capture_cell["hop_executions"] > capture_cell["packets"]
     assert capture_cell["churn"]["events"] > 0
     assert capture_cell["packets_per_sec"] > 0
-    # Every observed route stayed within its composed bound.
+    # Every observed route row (the sum of its hops) stayed within bound.
     for route in capture_cell["routes"].values():
         assert route["violations"] == 0
         for cycles in route["max_cycles"].values():

@@ -1,7 +1,7 @@
 """Dedicated coverage for contract composition (`repro.core.composition`),
-including the ROADMAP's end-to-end chain check: composing the two real NF
-contracts and cross-checking the chain bound against chained concrete
-execution."""
+including the end-to-end chain check: composing the two real NF contracts
+as a linear chain and cross-checking the chain bound against chained
+concrete execution."""
 
 import random
 
@@ -15,8 +15,9 @@ from repro.core import (
     PCVRegistry,
     PerfExpr,
     PerformanceContract,
-    compose_contracts,
+    compose_graph_contracts,
     naive_add_contracts,
+    route_class_name,
 )
 from repro.nf.bridge import (
     BRIDGE_FUNCTION,
@@ -48,6 +49,15 @@ def _entry(name, instr, mem=None):
     return ContractEntry(input_class=InputClass(name), exprs=exprs)
 
 
+def _chain(**contracts):
+    """Compose a linear chain of named nodes: every class forwards to the next."""
+    names = list(contracts)
+    following = dict(zip(names, names[1:]))
+    return compose_graph_contracts(
+        "chain", contracts, names[0], lambda node, _: following.get(node)
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Unit coverage
 # --------------------------------------------------------------------------- #
@@ -65,12 +75,12 @@ def test_compose_sums_expressions_per_combination():
         ],
         [PCV("d", "depth", max_value=33)],
     )
-    chain = compose_contracts("chain", [a, b])
-    assert chain.class_names() == ["x & y", "x & z"]
-    xy = chain.entry_for("x & y")
+    chain = _chain(a=a, b=b)
+    assert chain.class_names() == ["a:x > b:y", "a:x > b:z"]
+    xy = chain.entry_for("a:x > b:y")
     assert xy.expr(Metric.INSTRUCTIONS) == PerfExpr.from_terms(t=2, const=12)
     assert xy.expr(Metric.MEMORY_ACCESSES) == PerfExpr.constant(3)
-    xz = chain.entry_for("x & z")
+    xz = chain.entry_for("a:x > b:z")
     assert xz.expr(Metric.INSTRUCTIONS) == PerfExpr.from_terms(t=2, d=3, const=5)
     # The merged registry carries both NFs' PCVs (and hence their bounds).
     assert chain.registry.names() == ["d", "t"]
@@ -78,17 +88,22 @@ def test_compose_sums_expressions_per_combination():
 
 
 def test_compose_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        compose_contracts("chain", [])
-    with pytest.raises(ValueError):
-        compose_contracts("chain", [_contract("empty", [])])
+    a = _contract("a", [_entry("x", PerfExpr.constant(1))])
+    with pytest.raises(ValueError, match="has no contract"):
+        compose_graph_contracts("chain", {"a": a}, "b", lambda node, _: None)
+    with pytest.raises(ValueError, match="no entries to compose"):
+        _chain(empty=_contract("empty", []))
+    with pytest.raises(ValueError, match="unknown node"):
+        compose_graph_contracts("chain", {"a": a}, "a", lambda node, _: "ghost")
+    with pytest.raises(ValueError, match="cyclic route a -> a"):
+        compose_graph_contracts("chain", {"a": a}, "a", lambda node, _: "a")
 
 
 def test_compose_single_contract_is_identity_on_exprs():
     a = _contract("a", [_entry("x", PerfExpr.constant(9))])
-    chain = compose_contracts("chain", [a])
-    assert chain.class_names() == ["x"]
-    assert chain.entry_for("x").expr(Metric.INSTRUCTIONS) == PerfExpr.constant(9)
+    chain = _chain(a=a)
+    assert chain.class_names() == ["a:x"]
+    assert chain.entry_for("a:x").expr(Metric.INSTRUCTIONS) == PerfExpr.constant(9)
 
 
 def test_naive_add_takes_per_contract_envelopes():
@@ -115,21 +130,22 @@ def test_naive_add_rejects_empty_input():
 
 def test_composed_entries_classify_by_name_only():
     a = _contract("a", [_entry("x", PerfExpr.constant(1))])
-    chain = compose_contracts("chain", [a])
+    chain = _chain(a=a)
     # No paths and no predicate: the entry covers everything.
-    assert chain.entry_for("x").covers({"anything": 42})
+    assert chain.entry_for("a:x").covers({"anything": 42})
 
 
 # --------------------------------------------------------------------------- #
 # End-to-end: bridge → router chain
 # --------------------------------------------------------------------------- #
 def test_chain_of_real_nf_contracts_bounds_chained_execution():
-    """Compose the bridge and router contracts, then run both NFs back to
-    back concretely: the composed entry for the observed class pair must
-    bound the summed traced cost of each chained execution."""
+    """Compose the bridge and router contracts as a chain (every bridge
+    class forwards to the router), then run both NFs back to back
+    concretely: the composed entry for the observed class pair must bound
+    the summed traced cost of each chained execution."""
     bridge_contract = generate_bridge_contract(capacity=16, timeout=50)
     router_contract = generate_router_contract()
-    chain = compose_contracts("bridge>router", [bridge_contract, router_contract])
+    chain = _chain(bridge=bridge_contract, router=router_contract)
     assert len(chain) == len(bridge_contract) * len(router_contract)
 
     bridge = Interpreter(build_bridge_module(), handler=make_bridge_table(16, timeout=50))
@@ -164,7 +180,9 @@ def test_chain_of_real_nf_contracts_bounds_chained_execution():
             router_replay_env(packet, len(packet), router_trace)
         )
         assert bridge_entry is not None and router_entry is not None
-        pair = f"{bridge_entry.input_class.name} & {router_entry.input_class.name}"
+        pair = route_class_name(
+            (("bridge", bridge_entry.input_class.name), ("router", router_entry.input_class.name))
+        )
         pairs_seen.add(pair)
         chained = chain.entry_for(pair)
 

@@ -13,7 +13,6 @@ from repro.core import (
     PCVRegistry,
     PerfExpr,
     PerformanceContract,
-    compose_contracts,
     naive_add_contracts,
     upper_envelope,
 )
@@ -83,26 +82,6 @@ def test_contract_render_mentions_classes_and_pcvs():
     assert "bridge" in text and "hit" in text
     assert "6·t + 36" in text
     assert "bucket traversals" in text
-
-
-def test_compose_contracts_cross_product():
-    def one(name, classes):
-        contract = PerformanceContract(name)
-        for cls, const in classes:
-            contract.add_entry(
-                ContractEntry(
-                    InputClass(cls),
-                    {Metric.INSTRUCTIONS: PerfExpr.from_terms(const=const)},
-                )
-            )
-        return contract
-
-    chain = compose_contracts(
-        "chain", [one("fw", [("pass", 10), ("drop", 4)]), one("nat", [("hit", 20)])]
-    )
-    assert sorted(chain.class_names()) == ["drop & hit", "pass & hit"]
-    assert chain.entry_for("pass & hit").expr(Metric.INSTRUCTIONS) == PerfExpr.constant(30)
-    assert chain.entry_for("drop & hit").expr(Metric.INSTRUCTIONS) == PerfExpr.constant(24)
 
 
 def test_naive_add_contracts_single_worst_case():

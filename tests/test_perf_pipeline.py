@@ -7,6 +7,7 @@ compiled evaluators have to agree bit-for-bit with the interpreting
 the ``Fraction`` arithmetic it replaced.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -239,8 +240,10 @@ def test_perfexpr_compile_scaled_matches_fraction_evaluation():
     scale = 12  # a multiple of denominator_lcm() == 6
     assert expr.denominator_lcm() == 6
     compiled = expr.compile_scaled(scale)
+    floor = expr.compile_floor()
     for bindings in ({"t": 0, "w": 0}, {"t": 3, "w": 1}, {"t": 16, "w": 51}):
         assert compiled(bindings) == expr.evaluate(bindings) * scale
+        assert floor(bindings) == math.floor(expr.evaluate(bindings))
 
 
 def test_perfexpr_compile_scaled_rejects_insufficient_scale():

@@ -181,6 +181,39 @@ def test_replayer_flags_a_wrong_nf_contract():
     assert not result.ok
 
 
+def test_a_bound_one_third_below_the_measured_count_turns_replay_red():
+    """Counts compare exactly against the class bound: ttl_expired runs
+    exactly 11 instructions, so a bound of 11 − 1/3 must go red even
+    though its ceiling is still 11."""
+    from fractions import Fraction
+
+    from repro.core import ContractEntry, PerfExpr, PerformanceContract
+
+    contract = generate_router_contract()
+    assert contract.entry_for("ttl_expired").expr(Metric.INSTRUCTIONS) == PerfExpr.constant(11)
+
+    def lowered(entry):
+        if entry.input_class.name != "ttl_expired":
+            return entry
+        exprs = dict(entry.exprs)
+        exprs[Metric.INSTRUCTIONS] = PerfExpr.constant(11 - Fraction(1, 3))
+        return ContractEntry(input_class=entry.input_class, exprs=exprs, paths=entry.paths)
+
+    doctored = PerformanceContract(
+        contract.nf_name,
+        registry=contract.registry,
+        entries=[lowered(entry) for entry in contract.entries],
+    )
+    workload = router_workloads(packets=60)[0]
+    result = Replayer(workload.harness, doctored).replay(workload.stimuli)
+    assert not result.ok
+    assert {name for name, s in result.summaries.items() if s.violations} == {"ttl_expired"}
+    assert all(
+        "(ttl_expired): measured instructions 11 exceeds predicted 10" in message
+        for message in result.violations
+    )
+
+
 def test_stimulus_defaults_len_to_packet_length():
     workload = bridge_workloads(packets=10)[0]
     stimulus = Stimulus(packet=b"\x01\x02\x03", scalars={"in_port": 0, "time": 0})
