@@ -17,9 +17,11 @@ NSDI 2019 together with the substrates it depends on:
   library (chaining hash map, time-wheel expiring map, LPM trie); each
   structure ships an instrumented concrete implementation, a symbolic
   model, and a hand-derived per-operation contract cross-validated by Bolt.
-* :mod:`repro.nf` — the network functions under analysis: the MAC learning
-  bridge and a static LPM IPv4 router, both assembled from the structure
-  library, plus their replay harnesses and evaluation workloads.
+* :mod:`repro.nf` — the six network functions under analysis (bridge,
+  router, NAT, load balancer, firewall, monitor), all assembled from the
+  structure library, each declared once as an ``NFSpec`` descriptor from
+  which its contract and replay harness are generated, plus their
+  evaluation workloads.
 * :mod:`repro.hw` — hardware cycle models mapping contract
   instruction/memory counts to cycle predictions: a conservative
   worst-case model and a realistic model with per-structure cache-hit

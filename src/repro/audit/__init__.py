@@ -3,12 +3,11 @@
 Since a contract bounds *cycles per input class* symbolically, it can
 answer a security question no measurement campaign can settle: are two
 secret-dependent input classes **cycle-indistinguishable**?  See
-:mod:`repro.audit.ct` for the audit engine and the per-NF registry of
-secret class sets.
+:mod:`repro.audit.ct` for the audit engine; each NF declares its own
+secret class sets in its :class:`~repro.nf.replay.NFSpec` descriptor.
 """
 
 from repro.audit.ct import (
-    SECRET_CLASS_SETS,
     AuditFinding,
     PairVerdict,
     SecretClassSet,
@@ -16,7 +15,6 @@ from repro.audit.ct import (
 )
 
 __all__ = [
-    "SECRET_CLASS_SETS",
     "AuditFinding",
     "PairVerdict",
     "SecretClassSet",

@@ -15,13 +15,14 @@ identical** — equality of exact rational coefficients is a proof over
 audit reports the offending class pair, the symbolic cycle delta, its
 maximum at the PCV bounds, and a concrete witness valuation.
 
-Each NF declares its secret-dependent class sets in
-:data:`SECRET_CLASS_SETS` together with an **expectation**: ``"leak"``
-for channels the NF knowingly exposes (the VigNAT-style NAT *is* a port
-scan oracle — its miss path walks two flow tables the hit path never
-touches), ``"constant_time"`` for pairs the implementation claims are
-indistinguishable (the bridge charges its ``hit`` and ``hairpin``
-classes identically, so the forwarding decision is timing-invisible).
+Each NF declares its secret-dependent class sets in its descriptor
+(``NFSpec.secret_sets``, see :mod:`repro.nf`), each together with an
+**expectation**: ``"leak"`` for channels the NF knowingly exposes (the
+VigNAT-style NAT *is* a port scan oracle — its miss path walks two flow
+tables the hit path never touches), ``"constant_time"`` for pairs the
+implementation claims are indistinguishable (the bridge charges its
+``hit`` and ``hairpin`` classes identically, so the forwarding decision
+is timing-invisible).
 The CLI's ``ct-audit`` exits non-zero when the *computed* verdict
 contradicts the *declared* expectation — a silently appearing leak (or a
 silently vanished one) fails CI, while known leaks stay documented
@@ -39,7 +40,6 @@ from repro.core.distiller import resolve_pcv
 from repro.core.perfexpr import Number, PerfExpr
 
 __all__ = [
-    "SECRET_CLASS_SETS",
     "AuditFinding",
     "PairVerdict",
     "SecretClassSet",
@@ -200,7 +200,8 @@ def audit_contract(
     Args:
         contract: the NF's generated contract (counts, not cycles — the
             cycle columns are derived here per model).
-        secret_sets: the class sets to compare (see :data:`SECRET_CLASS_SETS`).
+        secret_sets: the class sets to compare (an NF declares its own as
+            ``NFSpec.secret_sets``).
         models: :class:`repro.hw.CycleModel` instances; each pair is
             audited under every model (typed loosely to keep this layer
             import-free of :mod:`repro.hw`).
@@ -251,99 +252,3 @@ def audit_contract(
                     )
         findings.append(AuditFinding(contract.nf_name, secret_set, tuple(verdicts)))
     return findings
-
-
-#: The per-NF registry of secret-dependent class sets the CLI audits.
-#: Expectations document the *accepted* security posture: a ``leak`` entry
-#: is a channel the NF's design inherently exposes (with the rationale in
-#: ``secret``), a ``constant_time`` entry is a claim CI must keep proving.
-SECRET_CLASS_SETS: Dict[str, Tuple[SecretClassSet, ...]] = {
-    "bridge": (
-        SecretClassSet(
-            "mac-table membership",
-            ("hit", "miss"),
-            "whether the destination MAC has been learned (who is on the LAN)",
-            LEAK,
-        ),
-        SecretClassSet(
-            "forwarding decision",
-            ("hit", "hairpin"),
-            "whether the frame was forwarded or hairpin-dropped",
-            CONSTANT_TIME,
-        ),
-    ),
-    "router": (
-        # Both classes walk the trie to the same depth PCV ``d`` and charge
-        # identical polynomials: timing reveals *how deep* the lookup went,
-        # but not whether a route matched at that depth — the membership
-        # bit itself is constant time, and CI keeps proving it.
-        SecretClassSet(
-            "fib membership at equal depth",
-            ("routed", "no_route"),
-            "whether a destination prefix exists in the FIB (topology probing)",
-            CONSTANT_TIME,
-        ),
-    ),
-    "nat": (
-        SecretClassSet(
-            "external port scan",
-            ("external_hit", "external_miss"),
-            "whether an external port maps to an internal host (NAT state oracle)",
-            LEAK,
-        ),
-        SecretClassSet(
-            "internal flow novelty",
-            ("internal_new", "internal_existing"),
-            "whether an internal flow was already active (traffic-pattern recovery)",
-            LEAK,
-        ),
-    ),
-    "lb": (
-        SecretClassSet(
-            "connection affinity",
-            ("new_flow", "existing_flow"),
-            "whether a flow already has backend affinity (connection-table oracle)",
-            LEAK,
-        ),
-    ),
-    "firewall": (
-        SecretClassSet(
-            "egress rule verdict",
-            ("denied", "outbound_new"),
-            "whether an outbound destination port is filtered (policy probing "
-            "from the LAN: the denied path does no table work)",
-            LEAK,
-        ),
-        SecretClassSet(
-            "connection tracking",
-            ("outbound_new", "outbound_established"),
-            "whether an outbound flow was already tracked (conn-table oracle: "
-            "admission allocates a slot the refresh path never touches)",
-            LEAK,
-        ),
-        # The default-deny is deliberately shaped so both inbound paths do
-        # one read-only lookup and return a constant: a WAN prober timing
-        # the firewall cannot tell a tracked endpoint from an untracked
-        # one.  CI keeps proving the polynomials identical.
-        SecretClassSet(
-            "inbound probe response",
-            ("inbound_established", "unsolicited"),
-            "whether a WAN-probed endpoint has an active connection "
-            "(conn-table scan from outside)",
-            CONSTANT_TIME,
-        ),
-    ),
-    "monitor": (
-        # The count-min sketch is constant-time by construction (no PCVs)
-        # and the hot/cold verdict blocks are shape-identical, so the
-        # cycle-delta polynomial is literally zero: timing reveals nothing
-        # about which flows the monitor considers heavy hitters.
-        SecretClassSet(
-            "heavy-hitter status",
-            ("hot_flow", "cold_flow"),
-            "whether a flow is flagged as a heavy hitter (detection-threshold "
-            "probing by an attacker pacing their own flows)",
-            CONSTANT_TIME,
-        ),
-    ),
-}

@@ -10,14 +10,14 @@
 ``python -m repro.cli bench``
     Closes the evaluation loop (§5 of the paper): replays uniform, Zipf,
     adversarial, scan-sweep and header-flood workloads through every NF
-    in :data:`NF_MATRIX` (bridge, router, NAT, LB, firewall, monitor),
-    derives cycle predictions under the conservative, realistic and
-    cache-simulated hardware models, asserts **measured ≤ predicted on
+    in :data:`repro.nf.NF_MATRIX` (bridge, router, NAT, LB, firewall,
+    monitor), derives cycle predictions under the conservative, realistic
+    and cache-simulated hardware models, asserts **measured ≤ predicted on
     every packet** (counts and cycles), checks that the adversarial
     streams actually drive every instance-qualified PCV to its declared
-    bound, and writes the whole record — including each class's measured
-    p50/p95/p99 cycle tails, as report-only data — to a ``BENCH_*.json``
-    CI archives as an artifact.
+    bound (and that no stream drives one past it), and writes the whole
+    record — including each class's measured p50/p95/p99 cycle tails, as
+    report-only data — to a ``BENCH_*.json`` CI archives as an artifact.
     ``--models`` restricts the cycle pricing to named hardware models.
 
     The bench is throughput-grade: each (NF, workload) cell is an
@@ -51,14 +51,15 @@
 
 ``python -m repro.cli ct-audit``
     The constant-time audit: for every NF's declared secret-dependent
-    class sets (:data:`repro.audit.SECRET_CLASS_SETS`), proves
+    class sets (its descriptor's ``secret_sets``), proves
     cycle-indistinguishability under every hardware model (polynomial
     identity) or reports the leaking class pair with its symbolic cycle
     delta and a concrete witness.  Exits non-zero when a computed verdict
     contradicts its declared expectation (``--strict``: on any leak).
 
 The smoke structures (:func:`smoke_structures`), the NF matrix
-(:data:`NF_MATRIX`) and the graph matrix (:data:`GRAPH_MATRIX`) are
+(:data:`repro.nf.NF_MATRIX`, one :class:`~repro.nf.replay.NFSpec`
+descriptor per NF) and the graph matrix (:data:`GRAPH_MATRIX`) are
 module-level registries: adding a structure, an NF or a graph means
 appending one entry, and ``tools/check_docs.py`` walks the same
 registries to keep the documentation in sync with what actually runs.
@@ -79,10 +80,10 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.structures as structures_pkg
-from repro.audit import SECRET_CLASS_SETS, audit_contract
+from repro.audit import audit_contract
 from repro.core import Distiller, diff_contracts, dump_contract, load_contract
 from repro.core.contract import PerformanceContract
 from repro.hw import (
@@ -92,27 +93,14 @@ from repro.hw import (
     SimulatedModel,
     model_to_json,
 )
-from repro.nf.bridge import generate_bridge_contract
-from repro.nf.firewall import generate_firewall_contract
-from repro.nf.lb import generate_lb_contract
-from repro.nf.monitor import generate_monitor_contract
-from repro.nf.nat import generate_nat_contract
-from repro.nf.router import generate_router_contract
+from repro.nf import NF_MATRIX
+from repro.nf.replay import NFSpec
+from repro.nf.workloads import worst_case_report
 from repro.net.replay import GraphReplayer
 from repro.net.workloads import (
     GraphWorkload,
     lb_nat_fw_router_workloads,
     lb_nat_router_workloads,
-)
-from repro.nf.workloads import (
-    Workload,
-    bridge_workloads,
-    firewall_workloads,
-    lb_workloads,
-    monitor_workloads,
-    nat_workloads,
-    router_workloads,
-    worst_case_report,
 )
 from repro.structures import (
     ChainingHashMap,
@@ -128,57 +116,13 @@ from repro.structures import (
 from repro.sym.solver import Solver
 from repro.traffic import Replayer
 
-#: Input classes each NF contract must keep covering.
-EXPECTED_BRIDGE_CLASSES = frozenset({"short", "miss", "hairpin", "hit"})
-EXPECTED_ROUTER_CLASSES = frozenset({"short", "non_ip", "ttl_expired", "no_route", "routed"})
-EXPECTED_NAT_CLASSES = frozenset(
-    {
-        "short",
-        "non_ip",
-        "internal_new",
-        "internal_existing",
-        "no_ports",
-        "external_hit",
-        "external_miss",
-    }
-)
-EXPECTED_LB_CLASSES = frozenset(
-    {
-        "short",
-        "non_ip",
-        "reconfig",
-        "new_flow",
-        "existing_flow",
-        "backend_drained",
-        "no_backends",
-    }
-)
-EXPECTED_FIREWALL_CLASSES = frozenset(
-    {
-        "short",
-        "non_ip",
-        "denied",
-        "outbound_established",
-        "outbound_new",
-        "conn_full",
-        "inbound_established",
-        "unsolicited",
-    }
-)
-EXPECTED_MONITOR_CLASSES = frozenset({"short", "non_ip", "cold_flow", "hot_flow"})
-
-#: Bench defaults: table geometries and per-workload packet budget.
-BENCH_CAPACITY = 16
-BENCH_TIMEOUT = 50
+#: Bench defaults: per-workload packet budget, seed and report path.
 BENCH_PACKETS = 10_000
 BENCH_SEED = 2019
 BENCH_OUTPUT = "BENCH_eval.json"
 #: Default stream length for the standalone ``graph`` subcommand (the
 #: bench replays graphs at the full ``--packets`` budget).
 GRAPH_PACKETS = 1_000
-#: LB-specific geometry: Maglev slots (prime) and the backend ceiling.
-LB_TABLE_SIZE = 13
-LB_MAX_BACKENDS = 4
 #: Where the golden contract snapshots live (``contract-diff`` default).
 GOLDEN_DIR = os.path.join("tests", "golden")
 
@@ -202,99 +146,6 @@ SUBCOMMANDS: Tuple[Tuple[str, str], ...] = (
         "ct-audit",
         "0 = every verdict matches its declared expectation; "
         "1 = unexpected leak/proof (or any leak with --strict); 2 = unknown NF",
-    ),
-)
-
-
-@dataclass(frozen=True)
-class NFSpec:
-    """One NF's registration with the smoke and bench pipelines.
-
-    Attributes:
-        name: short NF name (bench report key, workload harness name).
-        title: section title printed by the smoke/bench runs.
-        smoke_contract: contract generator at default geometry (smoke).
-        bench_contract: contract generator at bench geometry.
-        bench_workloads: ``(seed, packets) -> [Workload]`` factory whose
-            streams must jointly cover ``expected_classes``.
-        expected_classes: input classes the contract and the replayed
-            workloads must keep covering.
-    """
-
-    name: str
-    title: str
-    smoke_contract: Callable[[], PerformanceContract]
-    bench_contract: Callable[[], PerformanceContract]
-    bench_workloads: Callable[[int, int], List[Workload]]
-    expected_classes: FrozenSet[str]
-
-
-NF_MATRIX: Tuple[NFSpec, ...] = (
-    NFSpec(
-        "bridge",
-        "NF: MAC learning bridge",
-        generate_bridge_contract,
-        lambda: generate_bridge_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
-        lambda seed, packets: bridge_workloads(
-            seed=seed, capacity=BENCH_CAPACITY, timeout=BENCH_TIMEOUT, packets=packets
-        ),
-        EXPECTED_BRIDGE_CLASSES,
-    ),
-    NFSpec(
-        "router",
-        "NF: static LPM router",
-        generate_router_contract,
-        generate_router_contract,
-        lambda seed, packets: router_workloads(seed=seed, packets=packets),
-        EXPECTED_ROUTER_CLASSES,
-    ),
-    NFSpec(
-        "nat",
-        "NF: VigNAT-style NAT",
-        generate_nat_contract,
-        lambda: generate_nat_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
-        lambda seed, packets: nat_workloads(
-            seed=seed, capacity=BENCH_CAPACITY, timeout=BENCH_TIMEOUT, packets=packets
-        ),
-        EXPECTED_NAT_CLASSES,
-    ),
-    NFSpec(
-        "lb",
-        "NF: Maglev-style load balancer",
-        generate_lb_contract,
-        lambda: generate_lb_contract(
-            BENCH_CAPACITY,
-            BENCH_TIMEOUT,
-            table_size=LB_TABLE_SIZE,
-            max_backends=LB_MAX_BACKENDS,
-        ),
-        lambda seed, packets: lb_workloads(
-            seed=seed,
-            capacity=BENCH_CAPACITY,
-            timeout=BENCH_TIMEOUT,
-            packets=packets,
-            table_size=LB_TABLE_SIZE,
-            max_backends=LB_MAX_BACKENDS,
-        ),
-        EXPECTED_LB_CLASSES,
-    ),
-    NFSpec(
-        "firewall",
-        "NF: connection-tracking firewall",
-        generate_firewall_contract,
-        lambda: generate_firewall_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
-        lambda seed, packets: firewall_workloads(
-            seed=seed, capacity=BENCH_CAPACITY, timeout=BENCH_TIMEOUT, packets=packets
-        ),
-        EXPECTED_FIREWALL_CLASSES,
-    ),
-    NFSpec(
-        "monitor",
-        "NF: heavy-hitter monitor",
-        generate_monitor_contract,
-        generate_monitor_contract,
-        lambda seed, packets: monitor_workloads(seed=seed, packets=packets),
-        EXPECTED_MONITOR_CLASSES,
     ),
 )
 
@@ -393,13 +244,13 @@ def run_nf_contracts(specs: Optional[Sequence[NFSpec]] = None) -> int:
     """Generate and render every NF contract; check their input classes."""
     failures = 0
     before = replace(Solver.TOTALS)
-    for spec in NF_MATRIX if specs is None else specs:
+    for spec in [spec for spec, _ in NF_MATRIX] if specs is None else specs:
         _section(spec.title)
-        contract = spec.smoke_contract()
+        contract = spec.contract()
         print(contract.render())
         feasibility = {path.feasibility for entry in contract for path in entry.paths}
         print(f"path feasibility: {sorted(feasibility)}")
-        missing = spec.expected_classes - set(contract.class_names())
+        missing = set(spec.classes) - set(contract.class_names())
         if missing:
             failures += 1
             print(f"FAIL: contract lost input classes {sorted(missing)}")
@@ -474,9 +325,11 @@ def _bench_cell(task: BenchTask) -> Dict[str, object]:
 def _nf_cell(task: BenchTask) -> Dict[str, object]:
     """Run one (NF, workload) bench cell."""
     _, nf_name, workload_name, seed, packets, model_names = task
-    spec = next(spec for spec in NF_MATRIX if spec.name == nf_name)
-    contract = spec.bench_contract()
-    workloads = spec.bench_workloads(_cell_seed(seed, nf_name, workload_name), packets)
+    spec, factory = next(row for row in NF_MATRIX if row[0].name == nf_name)
+    contract = spec.contract(**spec.bench)
+    workloads = factory(
+        seed=_cell_seed(seed, nf_name, workload_name), packets=packets, **spec.bench
+    )
     workload = next(workload for workload in workloads if workload.name == workload_name)
     started = time.perf_counter()
     result = Replayer(workload.harness, contract, models=_bench_models(model_names)).replay(
@@ -607,24 +460,25 @@ def run_bench(
         return 2
     selected_models = _bench_models(models)
     model_names = tuple(model.name for model in selected_models)
-    unknown = sorted(set(nfs or ()) - {spec.name for spec in NF_MATRIX})
+    unknown = sorted(set(nfs or ()) - {spec.name for spec, _ in NF_MATRIX})
     unknown += sorted(set(graphs or ()) - {spec.name for spec in GRAPH_MATRIX})
     if unknown:
         print(f"FAIL: unknown bench rows {unknown}")
         return 2
     filtered = nfs is not None or graphs is not None
     nf_selected = [
-        spec for spec in NF_MATRIX if not filtered or (nfs and spec.name in set(nfs))
+        (spec, factory)
+        for spec, factory in NF_MATRIX
+        if not filtered or (nfs and spec.name in set(nfs))
     ]
     graph_selected = [
         spec for spec in GRAPH_MATRIX if not filtered or (graphs and spec.name in set(graphs))
     ]
-    # One cheap factory call per row names its workloads (and provides the
-    # structure instances the distilled views attribute costs to); the
-    # real per-cell streams are built inside the cells themselves.
+    # One cheap factory call per row names its workloads; the real
+    # per-cell streams are built inside the cells themselves.
     plan = [
-        (spec, spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1))
-        for spec in nf_selected
+        (spec, factory(seed=_cell_seed(seed, spec.name, "<cells>"), packets=1, **spec.bench))
+        for spec, factory in nf_selected
     ]
     graph_plan = [
         (spec, spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1))
@@ -664,7 +518,7 @@ def run_bench(
     cursor = 0
     for spec, workloads in plan:
         _section(f"bench: {spec.title.removeprefix('NF: ')}")
-        contract = spec.bench_contract()
+        contract = spec.contract(**spec.bench)
         record: Dict[str, object] = {"contract_classes": contract.class_names(), "workloads": {}}
         classes_seen: set = set()
         nf_failures = 0
@@ -676,7 +530,7 @@ def run_bench(
             classes_seen.update(cell["classes"])  # type: ignore[arg-type]
             nf_failures += cell["failures"]  # type: ignore[operator]
             total_packets += cell["packets"]  # type: ignore[operator]
-        missing = spec.expected_classes - classes_seen
+        missing = set(spec.classes) - classes_seen
         if missing:
             nf_failures += 1
             print(f"FAIL: {spec.name} workloads never exercised classes {sorted(missing)}")
@@ -684,10 +538,9 @@ def run_bench(
         record["failures"] = nf_failures
         failures += nf_failures
         # Show what the hardware models make of the contract, distilled.
+        structures = spec.structures(**spec.bench)
         for model in selected_models:
-            distilled = Distiller(contract).distill_cycles(
-                model, structures=tuple(workloads[0].harness.structures)
-            )
+            distilled = Distiller(contract).distill_cycles(model, structures=structures)
             print()
             print(distilled.render())
         report["nfs"][spec.name] = record  # type: ignore[index]
@@ -806,11 +659,12 @@ def _gate_targets(
     """
     selected = set(names) if names else None
     targets: List[Tuple[str, PerformanceContract, Tuple[Structure, ...]]] = []
-    for spec in NF_MATRIX:
+    for spec, _ in NF_MATRIX:
         if selected is not None and spec.name not in selected:
             continue
-        workload = spec.bench_workloads(_cell_seed(BENCH_SEED, spec.name, "<gate>"), 1)[0]
-        targets.append((spec.name, spec.bench_contract(), tuple(workload.harness.structures)))
+        targets.append(
+            (spec.name, spec.contract(**spec.bench), spec.structures(**spec.bench))
+        )
     for spec in GRAPH_MATRIX:
         if selected is not None and spec.name not in selected:
             continue
@@ -832,7 +686,7 @@ def run_contract_diff(
     1 any drift (the drifted classes are named), 2 a golden file is
     missing or a ``--nf`` name is unknown.
     """
-    known = {spec.name for spec in NF_MATRIX} | {spec.name for spec in GRAPH_MATRIX}
+    known = {spec.name for spec, _ in NF_MATRIX} | {spec.name for spec in GRAPH_MATRIX}
     unknown = sorted(set(names or ()) - known)
     if unknown:
         print(f"FAIL: unknown contract-diff targets {unknown} (known: {sorted(known)})")
@@ -891,7 +745,7 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
     proven), 1 a verdict contradicts its declaration — or, with
     ``--strict``, any leak at all — and 2 an unknown ``--nf`` name.
     """
-    known = {spec.name for spec in NF_MATRIX}
+    known = {spec.name for spec, _ in NF_MATRIX}
     unknown = sorted(set(names or ()) - known)
     if unknown:
         print(f"FAIL: unknown NFs {unknown} (known: {sorted(known)})")
@@ -899,21 +753,19 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
     models = _bench_models()
     failures = 0
     audited = 0
-    for spec in NF_MATRIX:
+    for spec, _ in NF_MATRIX:
         if names and spec.name not in set(names):
             continue
-        secret_sets = SECRET_CLASS_SETS.get(spec.name, ())
         _section(f"ct-audit: {spec.name}")
-        if not secret_sets:
+        if not spec.secret_sets:
             print(f"no secret class sets declared for {spec.name}")
             continue
-        contract = spec.bench_contract()
-        workload = spec.bench_workloads(_cell_seed(BENCH_SEED, spec.name, "<gate>"), 1)[0]
+        contract = spec.contract(**spec.bench)
         findings = audit_contract(
             contract,
-            secret_sets,
+            spec.secret_sets,
             models=models,
-            structures=tuple(workload.harness.structures),
+            structures=spec.structures(**spec.bench),
         )
         for finding in findings:
             audited += 1
@@ -924,8 +776,8 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
                 print(
                     f"FAIL: {spec.name}/{finding.secret_set.name} is "
                     f"{finding.verdict} but declared "
-                    f"{finding.secret_set.expectation} — update "
-                    "repro.audit.SECRET_CLASS_SETS if this is intentional"
+                    f"{finding.secret_set.expectation} — update the "
+                    f"secret_sets of repro.nf.{spec.name} if this is intentional"
                 )
             elif strict and finding.leaks:
                 failures += 1

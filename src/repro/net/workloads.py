@@ -40,21 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import FrozenSet, List, Mapping, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Tuple
 
 from repro.nf import firewall as firewall_nf
 from repro.nf import lb as lb_nf
 from repro.nf import nat as nat_nf
-from repro.nf.firewall import generate_firewall_contract
-from repro.nf.lb import generate_lb_contract
-from repro.nf.nat import generate_nat_contract
-from repro.nf.router import generate_router_contract
-from repro.nf.workloads import (
-    firewall_harness,
-    lb_harness,
-    nat_harness,
-    router_harness,
-)
+from repro.nf.firewall import FIREWALL
+from repro.nf.lb import LB
+from repro.nf.nat import NAT
+from repro.nf.replay import NFSpec
+from repro.nf.router import ROUTER
 from repro.net.churn import (
     ChurnSchedule,
     backend_add,
@@ -71,9 +66,7 @@ from repro.traffic.pcap import Capture, CapturedPacket, read_pcap, sample_captur
 
 __all__ = [
     "GRAPH_BACKENDS",
-    "GRAPH_CAPACITY",
     "GRAPH_FIXTURE",
-    "GRAPH_TIMEOUT",
     "GraphWorkload",
     "expected_fw_hop_classes",
     "expected_hop_classes",
@@ -87,12 +80,9 @@ __all__ = [
     "load_graph_capture",
 ]
 
-#: Geometry shared by every stateful hop (matches the single-NF bench).
-GRAPH_CAPACITY = 16
-GRAPH_TIMEOUT = 50
-#: LB geometry (matches the single-NF bench).
-GRAPH_TABLE_SIZE = 13
-GRAPH_MAX_BACKENDS = 4
+# Every hop runs at its NF's bench geometry (``NFSpec.bench``); the
+# constants below are this deployment's own choices.
+
 #: The LB's backend pool, activated by churn control frames at stream
 #: index 2 — the frames before that are deliberately dropped
 #: (``no_backends``).
@@ -241,6 +231,30 @@ def _fw_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
     )
 
 
+def _node(
+    spec: NFSpec,
+    name: str,
+    ingress: Callable[[bytes, Mapping[str, int]], Stimulus],
+    **state: object,
+) -> Node:
+    """One hop: a fresh ``spec`` at its bench geometry plus ``state``."""
+    return Node(
+        name=name,
+        harness=spec.harness(**spec.bench, **state),
+        contract=spec.contract(**spec.bench),
+        ingress=ingress,
+    )
+
+
+def _lb_nat_router_nodes() -> Tuple[Node, Node, Node]:
+    """The LB, NAT and router hops both shipped graphs deploy, fresh."""
+    return (
+        _node(LB, "lb", _lb_ingress),
+        _node(NAT, "nat", _nat_ingress, pool=GRAPH_POOL),
+        _node(ROUTER, "router", _router_ingress, routes=GRAPH_ROUTES),
+    )
+
+
 def lb_nat_router_graph() -> Graph:
     """Build the shipped 3-hop graph with fresh state and fresh contracts.
 
@@ -249,37 +263,9 @@ def lb_nat_router_graph() -> Graph:
     precondition :class:`~repro.net.graph.Graph` enforces so a route's
     merged PCV observations never collide.
     """
-    lb_node = Node(
-        name="lb",
-        harness=lb_harness(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        contract=generate_lb_contract(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        ingress=_lb_ingress,
-    )
-    nat_node = Node(
-        name="nat",
-        harness=nat_harness(GRAPH_CAPACITY, GRAPH_TIMEOUT, pool=GRAPH_POOL),
-        contract=generate_nat_contract(GRAPH_CAPACITY, GRAPH_TIMEOUT),
-        ingress=_nat_ingress,
-    )
-    router_node = Node(
-        name="router",
-        harness=router_harness(list(GRAPH_ROUTES)),
-        contract=generate_router_contract(),
-        ingress=_router_ingress,
-    )
     return Graph(
         "lb_nat_router",
-        nodes=(lb_node, nat_node, router_node),
+        nodes=_lb_nat_router_nodes(),
         links=(
             Link("lb", "nat", frozenset({"new_flow", "existing_flow", "backend_drained"})),
             Link("nat", "router", frozenset({"internal_new", "internal_existing"})),
@@ -291,46 +277,14 @@ def lb_nat_router_graph() -> Graph:
 def lb_nat_fw_router_graph() -> Graph:
     """Build the 4-hop egress pipeline: LB → NAT → firewall → router.
 
-    The firewall hop reuses the 3-hop deployment's geometry; its instance
-    names (``fw_conn``/``fw_slots``) are disjoint from every other hop's,
-    which is what lets the same NF library compose into deeper graphs
-    without PCV aliasing.  Only admitted connections (``outbound_new`` /
-    ``outbound_established``) reach the router.
+    The firewall hop runs at its bench geometry like every other hop; its
+    instance names (``fw_conn``/``fw_slots``) are disjoint from every
+    other hop's, which is what lets the same NF library compose into
+    deeper graphs without PCV aliasing.  Only admitted connections
+    (``outbound_new`` / ``outbound_established``) reach the router.
     """
-    lb_node = Node(
-        name="lb",
-        harness=lb_harness(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        contract=generate_lb_contract(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        ingress=_lb_ingress,
-    )
-    nat_node = Node(
-        name="nat",
-        harness=nat_harness(GRAPH_CAPACITY, GRAPH_TIMEOUT, pool=GRAPH_POOL),
-        contract=generate_nat_contract(GRAPH_CAPACITY, GRAPH_TIMEOUT),
-        ingress=_nat_ingress,
-    )
-    fw_node = Node(
-        name="fw",
-        harness=firewall_harness(GRAPH_CAPACITY, GRAPH_TIMEOUT, slots=GRAPH_FW_SLOTS),
-        contract=generate_firewall_contract(GRAPH_CAPACITY, GRAPH_TIMEOUT),
-        ingress=_fw_ingress,
-    )
-    router_node = Node(
-        name="router",
-        harness=router_harness(list(GRAPH_ROUTES)),
-        contract=generate_router_contract(),
-        ingress=_router_ingress,
-    )
+    lb_node, nat_node, router_node = _lb_nat_router_nodes()
+    fw_node = _node(FIREWALL, "fw", _fw_ingress, slots=GRAPH_FW_SLOTS)
     return Graph(
         "lb_nat_fw_router",
         nodes=(lb_node, nat_node, fw_node, router_node),
@@ -395,7 +349,7 @@ def graph_stream(packets: int) -> List[GraphFrame]:
 def _drained_backend() -> int:
     """The backend flow A binds to (repopulation is deterministic)."""
     scratch = MaglevTable(
-        "scratch", table_size=GRAPH_TABLE_SIZE, max_backends=GRAPH_MAX_BACKENDS
+        "scratch", table_size=LB.bench["table_size"], max_backends=LB.bench["max_backends"]
     )
     for backend in GRAPH_BACKENDS:
         scratch.add_backend(backend)
@@ -418,7 +372,7 @@ def graph_churn_schedule(graph: Graph, packets: int) -> ChurnSchedule:
         for structure in graph.nodes["lb"].harness.structures
         if hasattr(structure, "wheel_slots")
     )
-    jump = GRAPH_TIMEOUT + conn.wheel_slots + 1
+    jump = conn.timeout + conn.wheel_slots + 1
     drained = _drained_backend()
     events = [backend_add(2, "lb", backend) for backend in GRAPH_BACKENDS]
     events += [
@@ -452,6 +406,21 @@ class GraphWorkload:
     expected_hop_classes: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
 
 
+def _capture_workloads(
+    graph: Graph, packets: int, expected: Mapping[str, FrozenSet[str]]
+) -> List[GraphWorkload]:
+    """A graph's one bench workload: the looped capture with its churn plan."""
+    return [
+        GraphWorkload(
+            name="capture",
+            graph=graph,
+            stream=tuple(graph_stream(packets)),
+            schedule=graph_churn_schedule(graph, packets),
+            expected_hop_classes=expected,
+        )
+    ]
+
+
 def lb_nat_router_workloads(seed: int, packets: int) -> List[GraphWorkload]:
     """The shipped graph's bench workloads.
 
@@ -460,16 +429,7 @@ def lb_nat_router_workloads(seed: int, packets: int) -> List[GraphWorkload]:
     verbatim — determinism comes from the capture, not an RNG.
     """
     del seed
-    graph = lb_nat_router_graph()
-    return [
-        GraphWorkload(
-            name="capture",
-            graph=graph,
-            stream=tuple(graph_stream(packets)),
-            schedule=graph_churn_schedule(graph, packets),
-            expected_hop_classes=expected_hop_classes(),
-        )
-    ]
+    return _capture_workloads(lb_nat_router_graph(), packets, expected_hop_classes())
 
 
 def lb_nat_fw_router_workloads(seed: int, packets: int) -> List[GraphWorkload]:
@@ -480,13 +440,4 @@ def lb_nat_fw_router_workloads(seed: int, packets: int) -> List[GraphWorkload]:
     clock is shared); only the topology differs.
     """
     del seed
-    graph = lb_nat_fw_router_graph()
-    return [
-        GraphWorkload(
-            name="capture",
-            graph=graph,
-            stream=tuple(graph_stream(packets)),
-            schedule=graph_churn_schedule(graph, packets),
-            expected_hop_classes=expected_fw_hop_classes(),
-        )
-    ]
+    return _capture_workloads(lb_nat_fw_router_graph(), packets, expected_fw_hop_classes())

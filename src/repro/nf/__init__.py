@@ -1,10 +1,15 @@
 """Network functions under analysis.
 
-Each NF module provides the stateless NFIL code, a factory for the
-:mod:`repro.structures` instances backing its state, and a one-call
-contract generator; its module docstring states the NF's input classes,
-its (instance-qualified) PCVs, and the workload that provably drives them
-to their bounds.  Currently implemented:
+Each NF module holds the NF's stateless NFIL code, a factory for the
+:mod:`repro.structures` instances backing its state, and one
+:class:`~repro.nf.replay.NFSpec` descriptor declaring everything else the
+shared pipeline needs: entry function, classifier and class table,
+symbolic packet layout, scalar assumptions, bench geometry and secret
+class sets.  The descriptor's generic methods generate the contract
+(:meth:`~repro.nf.replay.NFSpec.contract`) and wire a fresh instance for
+replay (:meth:`~repro.nf.replay.NFSpec.harness`); the module docstring
+states the NF's input classes, its (instance-qualified) PCVs, and the
+workload that provably drives them to their bounds.  The six NFs:
 
 * :mod:`repro.nf.bridge` — the MAC learning bridge (paper Table 4), backed
   by an :class:`~repro.structures.ExpiringMap` (PCVs ``bridge_map.t`` /
@@ -20,98 +25,132 @@ to their bounds.  Currently implemented:
   :class:`~repro.structures.ExpiringMap` connection table (PCVs
   ``lb_tbl.f`` and ``conn.*``) — the first NF whose dominant cost is a
   control-plane operation (table repopulation on backend churn).
+* :mod:`repro.nf.firewall` — a connection-tracking stateful firewall,
+  backed by an :class:`~repro.structures.ExpiringMap` plus a
+  :class:`~repro.structures.PortAllocator` slot pool (PCVs
+  ``fw_conn.*``).
+* :mod:`repro.nf.monitor` — a heavy-hitter monitor on a
+  :class:`~repro.structures.CountMinSketch` (no PCVs at all).
 
-Shared replay glue lives in :mod:`repro.nf.replay` (the
-:class:`~repro.nf.replay.NFHarness` the traffic replayer drives) and the
-per-NF evaluation workloads — uniform, Zipf and provably-worst-case
-adversarial — in :mod:`repro.nf.workloads`.
+:data:`NF_MATRIX` pairs each descriptor with its ``<nf>_workloads``
+factory — uniform, Zipf, provably-worst-case adversarial, scan-sweep and
+header-flood streams, in :mod:`repro.nf.workloads` — in the order the
+CLI and its reports list them.  The pairing lives here rather than on
+the descriptor because the workload factories import the NF modules.
 
-The paper's remaining NFs (e.g. a firewall with connection tracking) are
-tracked in ROADMAP.md; docs/NF_AUTHORING.md is the step-by-step guide to
-adding one, and docs/STRUCTURES.md its counterpart for structures.
+docs/NF_AUTHORING.md is the step-by-step guide to adding an NF, and
+docs/STRUCTURES.md its counterpart for structures.
 """
 
-from repro.nf.replay import NFHarness, replay_env
+from typing import Callable, List, Tuple
+
+from repro.nf.replay import NFHarness, NFSpec, replay_env
 from repro.nf.workloads import (
     Workload,
-    bridge_harness,
     bridge_workloads,
-    lb_harness,
+    firewall_workloads,
     lb_workloads,
-    nat_harness,
+    monitor_workloads,
     nat_workloads,
-    router_harness,
     router_workloads,
 )
-from repro.nf.lb import (
-    build_lb_module,
-    classify_lb_path,
-    generate_lb_contract,
-    lb_replay_env,
-    lb_symbolic_inputs,
-    make_lb_state,
-)
 from repro.nf.bridge import (
-    bridge_replay_env,
-    bridge_symbolic_inputs,
+    BRIDGE,
     build_bridge_module,
     classify_bridge_path,
     generate_bridge_contract,
     make_bridge_table,
 )
+from repro.nf.firewall import (
+    FIREWALL,
+    build_firewall_module,
+    classify_firewall_path,
+    generate_firewall_contract,
+    make_firewall_state,
+)
+from repro.nf.lb import (
+    LB,
+    build_lb_module,
+    classify_lb_path,
+    generate_lb_contract,
+    make_lb_state,
+)
+from repro.nf.monitor import (
+    MONITOR,
+    build_monitor_module,
+    classify_monitor_path,
+    generate_monitor_contract,
+    make_sketch,
+)
 from repro.nf.nat import (
+    NAT,
     build_nat_module,
     classify_nat_path,
     generate_nat_contract,
     make_nat_tables,
-    nat_replay_env,
-    nat_symbolic_inputs,
 )
 from repro.nf.router import (
+    ROUTER,
     build_router_module,
     classify_router_path,
     generate_router_contract,
     ipv4_packet,
     make_routing_table,
-    router_replay_env,
-    router_symbolic_inputs,
+)
+
+#: Every NF with its workload factory, in report order.  A factory takes
+#: ``seed``, ``packets`` and the descriptor's ``bench`` geometry as
+#: keywords and returns the NF's five workloads.
+NF_MATRIX: Tuple[Tuple[NFSpec, Callable[..., List[Workload]]], ...] = (
+    (BRIDGE, bridge_workloads),
+    (ROUTER, router_workloads),
+    (NAT, nat_workloads),
+    (LB, lb_workloads),
+    (FIREWALL, firewall_workloads),
+    (MONITOR, monitor_workloads),
 )
 
 __all__ = [
+    "BRIDGE",
+    "FIREWALL",
+    "LB",
+    "MONITOR",
+    "NAT",
     "NFHarness",
+    "NFSpec",
+    "NF_MATRIX",
+    "ROUTER",
     "Workload",
-    "bridge_harness",
-    "bridge_replay_env",
-    "bridge_symbolic_inputs",
     "bridge_workloads",
     "build_bridge_module",
+    "build_firewall_module",
     "build_lb_module",
+    "build_monitor_module",
     "build_nat_module",
     "build_router_module",
     "classify_bridge_path",
+    "classify_firewall_path",
     "classify_lb_path",
+    "classify_monitor_path",
     "classify_nat_path",
     "classify_router_path",
+    "firewall_workloads",
     "generate_bridge_contract",
+    "generate_firewall_contract",
     "generate_lb_contract",
+    "generate_monitor_contract",
     "generate_nat_contract",
     "generate_router_contract",
     "ipv4_packet",
-    "lb_harness",
-    "lb_replay_env",
-    "lb_symbolic_inputs",
     "lb_workloads",
     "make_bridge_table",
+    "make_firewall_state",
     "make_lb_state",
     "make_nat_tables",
     "make_routing_table",
-    "nat_harness",
-    "nat_replay_env",
-    "nat_symbolic_inputs",
+    "make_sketch",
+    "monitor_workloads",
     "nat_workloads",
     "replay_env",
-    "router_harness",
-    "router_replay_env",
-    "router_symbolic_inputs",
     "router_workloads",
 ]

@@ -35,33 +35,25 @@ one sweep (pins ``bridge_map.w`` and ``bridge_map.e``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.bolt import Bolt, BoltConfig
+from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
+from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nf.replay import replay_env
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
+    "BRIDGE",
     "BRIDGE_FUNCTION",
     "DROP",
     "FLOOD",
     "MAX_PORTS",
     "NOT_FOUND",
     "PKT_BASE",
-    "bridge_registry",
-    "bridge_replay_env",
-    "bridge_symbolic_inputs",
     "build_bridge_module",
     "classify_bridge_path",
     "generate_bridge_contract",
@@ -93,11 +85,6 @@ def make_bridge_table(capacity: int = 64, timeout: int = 300) -> ExpiringMap:
         timeout=timeout,
         value_bound=MAX_PORTS,
     )
-
-
-def bridge_registry(capacity: int = 64, timeout: int = 300) -> PCVRegistry:
-    """PCVs of the bridge contract (from the MAC table's structure contract)."""
-    return make_bridge_table(capacity, timeout).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -149,29 +136,8 @@ def build_bridge_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# The descriptor: everything the shared pipeline needs to know
 # --------------------------------------------------------------------------- #
-def bridge_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one bridge invocation.
-
-    Returns ``(args, memory, constraints)``: the packet buffer bytes are
-    fresh symbols ``pkt[i]`` at :data:`PKT_BASE`, the scalar inputs are the
-    symbols ``len`` / ``in_port`` / ``time``, and the ingress port is
-    assumed valid.
-    """
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    in_port = Sym("in_port", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        in_port,
-        Sym("time", 64),
-    ]
-    constraints = [E.ult(in_port, Const(MAX_PORTS, 64))]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than an Ethernet header; dropped unparsed",
     "miss": "destination MAC unknown; frame flooded",
@@ -193,42 +159,35 @@ def classify_bridge_path(path: Path) -> InputClass:
     return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
 
 
-def generate_bridge_contract(
-    capacity: int = 64,
-    timeout: int = 300,
-    *,
-    config: Optional[BoltConfig] = None,
-) -> PerformanceContract:
+BRIDGE = NFSpec(
+    name="bridge",
+    title="NF: MAC learning bridge",
+    function=BRIDGE_FUNCTION,
+    build_module=build_bridge_module,
+    make_state=make_bridge_table,
+    classify=classify_bridge_path,
+    classes=_CLASS_DESCRIPTIONS,
+    pkt_base=PKT_BASE,
+    sym_bytes=PKT_SYM_BYTES,
+    assume={"in_port": MAX_PORTS},
+    bench={"capacity": 16, "timeout": 50},
+    secret_sets=(
+        SecretClassSet(
+            "mac-table membership",
+            ("hit", "miss"),
+            "whether the destination MAC has been learned (who is on the LAN)",
+            LEAK,
+        ),
+        SecretClassSet(
+            "forwarding decision",
+            ("hit", "hairpin"),
+            "whether the frame was forwarded or hairpin-dropped",
+            CONSTANT_TIME,
+        ),
+    ),
+)
+
+
+def generate_bridge_contract(capacity: int = 64, timeout: int = 300) -> PerformanceContract:
     """Run BOLT end-to-end on the bridge and return its contract."""
-    module = build_bridge_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_bridge_path)
-    elif config.classifier is None:
-        config.classifier = classify_bridge_path
-    table = make_bridge_table(capacity, timeout)
-    bolt = Bolt(
-        module,
-        BRIDGE_FUNCTION,
-        model=StructureModel(table),
-        registry=table.registry(),
-        config=config,
-    )
-    args, memory, constraints = bridge_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def bridge_replay_env(
-    packet: bytes,
-    length: int,
-    in_port: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete execution corresponds to.
-
-    Combines the concrete inputs with the extern return values recorded in
-    the trace (named ``"{extern}#{index}"``, matching the symbolic model's
-    output naming), so the execution can be matched to the symbolic path —
-    and hence contract entry — it followed.
-    """
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
+    return BRIDGE.contract(capacity=capacity, timeout=timeout)

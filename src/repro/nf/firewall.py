@@ -57,22 +57,18 @@ into ``conn_full``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from repro.core.bolt import Bolt, BoltConfig
+from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
     "CONN_NAME",
@@ -82,6 +78,7 @@ __all__ = [
     "DROP_NON_IP",
     "DROP_SHORT",
     "DROP_UNSOLICITED",
+    "FIREWALL",
     "FIREWALL_FUNCTION",
     "LAN_PORT",
     "MAX_PORTS",
@@ -91,9 +88,6 @@ __all__ = [
     "SLOTS_NAME",
     "build_firewall_module",
     "classify_firewall_path",
-    "firewall_registry",
-    "firewall_replay_env",
-    "firewall_symbolic_inputs",
     "generate_firewall_contract",
     "make_firewall_state",
 ]
@@ -155,11 +149,6 @@ def make_firewall_state(
         slots = range(1, capacity + 1)
     pool = PortAllocator(SLOTS_NAME, pool=slots)
     return conn, pool
-
-
-def firewall_registry(capacity: int = 64, timeout: int = 300) -> PCVRegistry:
-    """PCVs of the firewall contract (the connection table's registry)."""
-    return StructureModel(*make_firewall_state(capacity, timeout)).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -271,23 +260,8 @@ def build_firewall_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# The descriptor: everything the shared pipeline needs to know
 # --------------------------------------------------------------------------- #
-def firewall_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one firewall invocation."""
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    in_port = Sym("in_port", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        in_port,
-        Sym("time", 64),
-    ]
-    constraints = [E.ult(in_port, Const(MAX_PORTS, 64))]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -323,36 +297,48 @@ def classify_firewall_path(path: Path) -> InputClass:
     return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
 
 
-def generate_firewall_contract(
-    capacity: int = 64,
-    timeout: int = 300,
-    *,
-    config: Optional[BoltConfig] = None,
-) -> PerformanceContract:
+FIREWALL = NFSpec(
+    name="firewall",
+    title="NF: connection-tracking firewall",
+    function=FIREWALL_FUNCTION,
+    build_module=build_firewall_module,
+    make_state=make_firewall_state,
+    classify=classify_firewall_path,
+    classes=_CLASS_DESCRIPTIONS,
+    pkt_base=PKT_BASE,
+    sym_bytes=PKT_SYM_BYTES,
+    assume={"in_port": MAX_PORTS},
+    bench={"capacity": 16, "timeout": 50},
+    secret_sets=(
+        SecretClassSet(
+            "egress rule verdict",
+            ("denied", "outbound_new"),
+            "whether an outbound destination port is filtered (policy probing "
+            "from the LAN: the denied path does no table work)",
+            LEAK,
+        ),
+        SecretClassSet(
+            "connection tracking",
+            ("outbound_new", "outbound_established"),
+            "whether an outbound flow was already tracked (conn-table oracle: "
+            "admission allocates a slot the refresh path never touches)",
+            LEAK,
+        ),
+        # The default-deny is deliberately shaped so both inbound paths do
+        # one read-only lookup and return a constant: a WAN prober timing
+        # the firewall cannot tell a tracked endpoint from an untracked
+        # one.  CI keeps proving the polynomials identical.
+        SecretClassSet(
+            "inbound probe response",
+            ("inbound_established", "unsolicited"),
+            "whether a WAN-probed endpoint has an active connection "
+            "(conn-table scan from outside)",
+            CONSTANT_TIME,
+        ),
+    ),
+)
+
+
+def generate_firewall_contract(capacity: int = 64, timeout: int = 300) -> PerformanceContract:
     """Run BOLT end-to-end on the firewall and return its contract."""
-    module = build_firewall_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_firewall_path)
-    elif config.classifier is None:
-        config.classifier = classify_firewall_path
-    model = StructureModel(*make_firewall_state(capacity, timeout))
-    bolt = Bolt(
-        module,
-        FIREWALL_FUNCTION,
-        model=model,
-        registry=model.registry(),
-        config=config,
-    )
-    args, memory, constraints = firewall_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def firewall_replay_env(
-    packet: bytes,
-    length: int,
-    in_port: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete firewall execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
+    return FIREWALL.contract(capacity=capacity, timeout=timeout)

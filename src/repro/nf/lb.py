@@ -50,22 +50,18 @@ connection table in one sweep (``conn.w`` / ``conn.e``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
-from repro.core.bolt import Bolt, BoltConfig
+from repro.audit.ct import LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, MaglevTable, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap, MaglevTable
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
     "CMD_ADD",
@@ -76,6 +72,7 @@ __all__ = [
     "DROP_NO_BACKENDS",
     "DROP_NON_IP",
     "DROP_SHORT",
+    "LB",
     "LB_FUNCTION",
     "MAX_CMD",
     "MIN_LB_FRAME",
@@ -85,9 +82,6 @@ __all__ = [
     "build_lb_module",
     "classify_lb_path",
     "generate_lb_contract",
-    "lb_registry",
-    "lb_replay_env",
-    "lb_symbolic_inputs",
     "make_lb_state",
 ]
 
@@ -142,19 +136,6 @@ def make_lb_state(
     )
     conn = ExpiringMap(CONN_NAME, capacity=capacity, timeout=timeout, value_bound=1 << 16)
     return tbl, conn
-
-
-def lb_registry(
-    capacity: int = 64,
-    timeout: int = 300,
-    *,
-    table_size: int = 13,
-    max_backends: int = 4,
-) -> PCVRegistry:
-    """PCVs of the LB contract: both instances' namespaced registries."""
-    return StructureModel(
-        *make_lb_state(capacity, timeout, table_size=table_size, max_backends=max_backends)
-    ).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -261,33 +242,8 @@ def build_lb_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# The descriptor: everything the shared pipeline needs to know
 # --------------------------------------------------------------------------- #
-def lb_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one LB invocation.
-
-    The packet bytes are fresh symbols at :data:`PKT_BASE`, the scalars
-    are ``len`` / ``cmd`` / ``arg`` / ``time``; the command is assumed
-    valid and the backend argument a 16-bit id.
-    """
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    cmd = Sym("cmd", 64)
-    arg = Sym("arg", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        cmd,
-        arg,
-        Sym("time", 64),
-    ]
-    constraints = [
-        E.ult(cmd, Const(MAX_CMD, 64)),
-        E.ult(arg, Const(1 << 16, 64)),
-    ]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "reconfig": "control frame; backend added/removed, table repopulated",
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
@@ -321,41 +277,38 @@ def classify_lb_path(path: Path) -> InputClass:
     return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
 
 
+LB = NFSpec(
+    name="lb",
+    title="NF: Maglev-style load balancer",
+    function=LB_FUNCTION,
+    build_module=build_lb_module,
+    make_state=make_lb_state,
+    classify=classify_lb_path,
+    classes=_CLASS_DESCRIPTIONS,
+    pkt_base=PKT_BASE,
+    sym_bytes=PKT_SYM_BYTES,
+    # The command is valid and the backend argument a 16-bit id.
+    assume={"cmd": MAX_CMD, "arg": 1 << 16},
+    bench={"capacity": 16, "timeout": 50, "table_size": 13, "max_backends": 4},
+    secret_sets=(
+        SecretClassSet(
+            "connection affinity",
+            ("new_flow", "existing_flow"),
+            "whether a flow already has backend affinity (connection-table oracle)",
+            LEAK,
+        ),
+    ),
+)
+
+
 def generate_lb_contract(
     capacity: int = 64,
     timeout: int = 300,
     *,
     table_size: int = 13,
     max_backends: int = 4,
-    config: Optional[BoltConfig] = None,
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the load balancer and return its contract."""
-    module = build_lb_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_lb_path)
-    elif config.classifier is None:
-        config.classifier = classify_lb_path
-    model = StructureModel(
-        *make_lb_state(capacity, timeout, table_size=table_size, max_backends=max_backends)
+    return LB.contract(
+        capacity=capacity, timeout=timeout, table_size=table_size, max_backends=max_backends
     )
-    bolt = Bolt(
-        module,
-        LB_FUNCTION,
-        model=model,
-        registry=model.registry(),
-        config=config,
-    )
-    args, memory, constraints = lb_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def lb_replay_env(
-    packet: bytes,
-    length: int,
-    cmd: int,
-    arg: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete LB execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, cmd=cmd, arg=arg, time=time)

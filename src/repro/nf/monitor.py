@@ -34,21 +34,16 @@ saturates the sketch's counters (pinning every estimate to the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from repro.core.bolt import Bolt, BoltConfig
+from repro.audit.ct import CONSTANT_TIME, SecretClassSet
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import CountMinSketch, StructureModel
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import CountMinSketch
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
     "FLAG_COLD",
@@ -60,6 +55,7 @@ __all__ = [
     "MON_DEPTH",
     "MON_THRESHOLD",
     "MON_WIDTH",
+    "MONITOR",
     "MONITOR_FUNCTION",
     "PKT_BASE",
     "SKETCH_NAME",
@@ -67,9 +63,6 @@ __all__ = [
     "classify_monitor_path",
     "generate_monitor_contract",
     "make_sketch",
-    "monitor_registry",
-    "monitor_replay_env",
-    "monitor_symbolic_inputs",
 ]
 
 #: Entry function of the monitor.
@@ -112,11 +105,6 @@ def make_sketch(
 ) -> CountMinSketch:
     """Build the monitor's heavy-hitter sketch."""
     return CountMinSketch(SKETCH_NAME, depth=depth, width=width, counter_max=counter_max)
-
-
-def monitor_registry() -> PCVRegistry:
-    """PCVs of the monitor contract: the empty registry, by design."""
-    return make_sketch().registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -176,16 +164,8 @@ def build_monitor_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# The descriptor: everything the shared pipeline needs to know
 # --------------------------------------------------------------------------- #
-def monitor_symbolic_inputs() -> Tuple[list, SymbolicMemory, list]:
-    """Symbolic initial state of one monitor invocation."""
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    args: list = [Const(PKT_BASE, 64), Sym("len", 64)]
-    return args, memory, []
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -208,29 +188,32 @@ def classify_monitor_path(path: Path) -> InputClass:
     return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
 
 
-def generate_monitor_contract(
-    *, config: Optional[BoltConfig] = None
-) -> PerformanceContract:
+MONITOR = NFSpec(
+    name="monitor",
+    title="NF: heavy-hitter monitor",
+    function=MONITOR_FUNCTION,
+    build_module=build_monitor_module,
+    make_state=make_sketch,
+    classify=classify_monitor_path,
+    classes=_CLASS_DESCRIPTIONS,
+    pkt_base=PKT_BASE,
+    sym_bytes=PKT_SYM_BYTES,
+    secret_sets=(
+        # The count-min sketch is constant-time by construction (no PCVs)
+        # and the hot/cold verdict blocks are shape-identical, so the
+        # cycle-delta polynomial is literally zero: timing reveals nothing
+        # about which flows the monitor considers heavy hitters.
+        SecretClassSet(
+            "heavy-hitter status",
+            ("hot_flow", "cold_flow"),
+            "whether a flow is flagged as a heavy hitter (detection-threshold "
+            "probing by an attacker pacing their own flows)",
+            CONSTANT_TIME,
+        ),
+    ),
+)
+
+
+def generate_monitor_contract() -> PerformanceContract:
     """Run BOLT end-to-end on the monitor and return its contract."""
-    module = build_monitor_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_monitor_path)
-    elif config.classifier is None:
-        config.classifier = classify_monitor_path
-    sketch = make_sketch()
-    bolt = Bolt(
-        module,
-        MONITOR_FUNCTION,
-        model=StructureModel(sketch),
-        registry=sketch.registry(),
-        config=config,
-    )
-    args, memory, constraints = monitor_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def monitor_replay_env(
-    packet: bytes, length: int, trace: ExecutionTrace
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete monitor execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length)
+    return MONITOR.contract()

@@ -56,22 +56,18 @@ a maximal ``fwd`` chain, a crafted (colliding) port pool builds a maximal
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from repro.core.bolt import Bolt, BoltConfig
+from repro.audit.ct import LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
     "DROP_NO_PORTS",
@@ -82,6 +78,7 @@ __all__ = [
     "LAN_PORT",
     "MAX_PORTS",
     "MIN_NAT_FRAME",
+    "NAT",
     "NAT_FUNCTION",
     "NOT_FOUND",
     "PKT_BASE",
@@ -92,9 +89,6 @@ __all__ = [
     "classify_nat_path",
     "generate_nat_contract",
     "make_nat_tables",
-    "nat_registry",
-    "nat_replay_env",
-    "nat_symbolic_inputs",
 ]
 
 #: Entry function of the NAT.
@@ -154,11 +148,6 @@ def make_nat_tables(
         pool = range(PORT_BASE, PORT_BASE + capacity)
     ports = PortAllocator(PORTS_NAME, pool=pool)
     return fwd, rev, ports
-
-
-def nat_registry(capacity: int = 64, timeout: int = 300) -> PCVRegistry:
-    """PCVs of the NAT contract: both tables' namespaced registries."""
-    return StructureModel(*make_nat_tables(capacity, timeout)).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -257,28 +246,8 @@ def build_nat_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# The descriptor: everything the shared pipeline needs to know
 # --------------------------------------------------------------------------- #
-def nat_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one NAT invocation.
-
-    The packet bytes are fresh symbols at :data:`PKT_BASE`, the scalars
-    are ``len`` / ``in_port`` / ``time``, and the ingress device id is
-    assumed valid.
-    """
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    in_port = Sym("in_port", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        in_port,
-        Sym("time", 64),
-    ]
-    constraints = [E.ult(in_port, Const(MAX_PORTS, 64))]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -312,36 +281,35 @@ def classify_nat_path(path: Path) -> InputClass:
     return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
 
 
-def generate_nat_contract(
-    capacity: int = 64,
-    timeout: int = 300,
-    *,
-    config: Optional[BoltConfig] = None,
-) -> PerformanceContract:
+NAT = NFSpec(
+    name="nat",
+    title="NF: VigNAT-style NAT",
+    function=NAT_FUNCTION,
+    build_module=build_nat_module,
+    make_state=make_nat_tables,
+    classify=classify_nat_path,
+    classes=_CLASS_DESCRIPTIONS,
+    pkt_base=PKT_BASE,
+    sym_bytes=PKT_SYM_BYTES,
+    assume={"in_port": MAX_PORTS},
+    bench={"capacity": 16, "timeout": 50},
+    secret_sets=(
+        SecretClassSet(
+            "external port scan",
+            ("external_hit", "external_miss"),
+            "whether an external port maps to an internal host (NAT state oracle)",
+            LEAK,
+        ),
+        SecretClassSet(
+            "internal flow novelty",
+            ("internal_new", "internal_existing"),
+            "whether an internal flow was already active (traffic-pattern recovery)",
+            LEAK,
+        ),
+    ),
+)
+
+
+def generate_nat_contract(capacity: int = 64, timeout: int = 300) -> PerformanceContract:
     """Run BOLT end-to-end on the NAT and return its contract."""
-    module = build_nat_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_nat_path)
-    elif config.classifier is None:
-        config.classifier = classify_nat_path
-    model = StructureModel(*make_nat_tables(capacity, timeout))
-    bolt = Bolt(
-        module,
-        NAT_FUNCTION,
-        model=model,
-        registry=model.registry(),
-        config=config,
-    )
-    args, memory, constraints = nat_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def nat_replay_env(
-    packet: bytes,
-    length: int,
-    in_port: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete NAT execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
+    return NAT.contract(capacity=capacity, timeout=timeout)

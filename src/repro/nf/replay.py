@@ -1,11 +1,18 @@
-"""Shared glue for replaying concrete executions against contracts.
+"""One pipeline for every NF: its descriptor, contract and replay harness.
+
+The paper runs the same steps on every NF: symbolically execute the
+stateless code over the data-structure models, classify the paths into
+input classes, then check traced executions against the result.  An NF
+therefore declares only what it knows — an :class:`NFSpec` — and the
+descriptor's generic methods do the rest: :meth:`NFSpec.contract` runs
+Bolt, :meth:`NFSpec.harness` wires a fresh instance for replay.
 
 Every NF replays the same way: the packet bytes map onto the ``pkt[i]``
 byte symbols of the symbolic initial state, the scalar inputs map onto
 their parameter symbols, and each value-returning extern call maps onto
 the model-output symbol ``"{extern}#{index}"`` (the symbolic engine and
-the concrete tracer number extern calls identically).  NFs wrap this in a
-thin, NF-specific function naming their scalars.
+the concrete tracer number extern calls identically); see
+:func:`replay_env`.
 
 :class:`NFHarness` packages the replay convention into the object the
 :class:`repro.traffic.replayer.Replayer` drives: it owns the interpreter,
@@ -16,15 +23,26 @@ that matches the execution back to a symbolic path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.core.bolt import Bolt, BoltConfig
+from repro.core.contract import PerformanceContract
+from repro.core.input_class import InputClass
 from repro.nfil.interpreter import ExternHandler, Interpreter, Memory
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
-from repro.structures.base import Structure, check_extern_collisions
+from repro.structures.base import Structure, StructureModel, check_extern_collisions
+from repro.sym import expr as E
+from repro.sym.expr import BV, Const, Sym
+from repro.sym.paths import Path
+from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 
-__all__ = ["NFHarness", "replay_env"]
+if TYPE_CHECKING:
+    from repro.audit.ct import SecretClassSet
+
+__all__ = ["NFHarness", "NFSpec", "replay_env"]
 
 # The ``pkt[i]`` symbol names, interned once: replay builds one env per
 # packet, and formatting the same key strings 10^4+ times per workload is
@@ -163,3 +181,105 @@ class NFHarness:
         """Build the replay environment of one executed stimulus."""
         scalars = self.scalars_for(stimulus)
         return replay_env(stimulus.packet, self.sym_bytes, trace, **scalars)
+
+
+@dataclass(frozen=True)
+class NFSpec:
+    """Everything one NF declares; contracts and harnesses derive from it.
+
+    Attributes:
+        name: short NF name (harness name, bench report key, CLI row).
+        title: section title the smoke and bench runs print.
+        function: the NFIL entry function; its params are ``pkt`` followed
+            by the NF's scalar inputs, in call order.
+        build_module: builds (and validates) the NF's NFIL module.
+        make_state: builds the NF's structure instances — one structure
+            or a tuple of them — from keyword geometry (``capacity``,
+            ``timeout``, ...); keywords it does not take are errors.
+        classify: maps one explored path to its input class.
+        classes: every input class the NF has, with its description; the
+            contract and the bench workloads must keep covering them all.
+        pkt_base: address the packet buffer is written to.
+        sym_bytes: how many leading packet bytes are symbolic during
+            analysis (the replay environment covers exactly those).
+        assume: scalar input -> exclusive upper bound, assumed during
+            analysis (``in_port < MAX_PORTS``), in constraint order.
+        bench: the ``make_state`` keywords of the bench geometry, used by
+            the bench, the regression gates and the service graphs.
+        secret_sets: class sets whose distinction encodes a secret, each
+            with its declared expectation, for ``ct-audit``.
+    """
+
+    name: str
+    title: str
+    function: str
+    build_module: Callable[[], Module]
+    make_state: Callable[..., Union[Structure, Tuple[Structure, ...]]]
+    classify: Callable[[Path], InputClass]
+    classes: Mapping[str, str]
+    pkt_base: int
+    sym_bytes: int
+    assume: Mapping[str, int] = field(default_factory=dict)
+    bench: Mapping[str, object] = field(default_factory=dict)
+    secret_sets: Tuple[SecretClassSet, ...] = ()
+
+    def structures(self, **state: object) -> Tuple[Structure, ...]:
+        """Fresh structure instances, as ``make_state(**state)`` builds them."""
+        made = self.make_state(**state)
+        return made if isinstance(made, tuple) else (made,)
+
+    def _scalars(self, module: Module) -> List[str]:
+        """The entry function's scalar params: everything after ``pkt``."""
+        return module.get_function(self.function).param_names()[1:]
+
+    def symbolic_inputs(self) -> Tuple[List[BV], SymbolicMemory, List[BV]]:
+        """Symbolic initial state of one invocation: ``(args, memory, constraints)``.
+
+        The packet bytes are fresh symbols ``pkt[i]`` at :attr:`pkt_base`,
+        each scalar param is the symbol of its own name, and every
+        :attr:`assume` bound becomes an unsigned ``<`` constraint.
+        """
+        memory = SymbolicMemory()
+        memory.write_symbolic(self.pkt_base, self.sym_bytes, "pkt")
+        scalars = {name: Sym(name, 64) for name in self._scalars(self.build_module())}
+        args: List[BV] = [Const(self.pkt_base, 64), *scalars.values()]
+        constraints = [
+            E.ult(scalars[name], Const(bound, 64)) for name, bound in self.assume.items()
+        ]
+        return args, memory, constraints
+
+    def contract(self, **geometry: object) -> PerformanceContract:
+        """Run Bolt end-to-end on the NF at ``make_state(**geometry)``."""
+        model = StructureModel(*self.structures(**geometry))
+        bolt = Bolt(
+            self.build_module(),
+            self.function,
+            model=model,
+            registry=model.registry(),
+            config=BoltConfig(classifier=self.classify),
+        )
+        args, memory, constraints = self.symbolic_inputs()
+        return bolt.generate(args, memory=memory, constraints=constraints)
+
+    def harness(self, **state: object) -> NFHarness:
+        """A fresh NF over ``make_state(**state)``, wired for replay.
+
+        Every structure's handlers merge into one dispatch table; the
+        merge (and :class:`NFHarness` itself) rejects ambiguous extern
+        manglings.
+        """
+        structures = self.structures(**state)
+        handler = ExternHandler()
+        for structure in structures:
+            handler.merge(structure)
+        module = self.build_module()
+        return NFHarness(
+            self.name,
+            module,
+            self.function,
+            handler=handler,
+            structures=structures,
+            pkt_base=self.pkt_base,
+            sym_bytes=self.sym_bytes,
+            scalar_order=tuple(self._scalars(module)),
+        )

@@ -38,22 +38,19 @@ routing that address pins ``rt.d`` to 33.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Tuple
 
-from repro.core.bolt import Bolt, BoltConfig
+from repro.audit.ct import CONSTANT_TIME, SecretClassSet
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, LpmTrie, StructureModel
+from repro.structures import NOT_FOUND, LpmTrie
 from repro.traffic.packets import ipv4_frame
-from repro.sym.expr import BV, Const, Sym
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
     "DROP_NO_ROUTE",
@@ -64,15 +61,13 @@ __all__ = [
     "MIN_IPV4_FRAME",
     "NOT_FOUND",
     "PKT_BASE",
+    "ROUTER",
     "ROUTER_FUNCTION",
     "build_router_module",
     "ipv4_packet",
     "classify_router_path",
     "generate_router_contract",
     "make_routing_table",
-    "router_registry",
-    "router_replay_env",
-    "router_symbolic_inputs",
 ]
 
 #: Entry function of the router.
@@ -98,14 +93,16 @@ DROP_TTL = 0xFFF2
 DROP_NO_ROUTE = 0xFFF3
 
 
-def make_routing_table() -> LpmTrie:
-    """Build the router's FIB: an LPM trie storing egress ports."""
-    return LpmTrie("rt", value_bound=MAX_PORTS)
+def make_routing_table(routes: Iterable[Tuple[int, int, int]] = ()) -> LpmTrie:
+    """Build the router's FIB: an LPM trie storing egress ports.
 
-
-def router_registry() -> PCVRegistry:
-    """PCVs of the router contract (from the trie's structure contract)."""
-    return make_routing_table().registry()
+    ``routes`` are ``(prefix, length, port)`` triples installed host-side
+    (static configuration, before traffic runs).
+    """
+    fib = LpmTrie("rt", value_bound=MAX_PORTS)
+    for prefix, length, port in routes:
+        fib.add_route(prefix, length, port)
+    return fib
 
 
 # --------------------------------------------------------------------------- #
@@ -167,16 +164,8 @@ def build_router_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# The descriptor: everything the shared pipeline needs to know
 # --------------------------------------------------------------------------- #
-def router_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one router invocation."""
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    args: List[BV] = [Const(PKT_BASE, 64), Sym("len", 64)]
-    return args, memory, []
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet + IPv4 headers; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -202,32 +191,34 @@ def classify_router_path(path: Path) -> InputClass:
     return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
 
 
-def generate_router_contract(
-    *, config: Optional[BoltConfig] = None
-) -> PerformanceContract:
+ROUTER = NFSpec(
+    name="router",
+    title="NF: static LPM router",
+    function=ROUTER_FUNCTION,
+    build_module=build_router_module,
+    make_state=make_routing_table,
+    classify=classify_router_path,
+    classes=_CLASS_DESCRIPTIONS,
+    pkt_base=PKT_BASE,
+    sym_bytes=PKT_SYM_BYTES,
+    secret_sets=(
+        # Both classes walk the trie to the same depth PCV ``d`` and charge
+        # identical polynomials: timing reveals *how deep* the lookup went,
+        # but not whether a route matched at that depth — the membership
+        # bit itself is constant time, and CI keeps proving it.
+        SecretClassSet(
+            "fib membership at equal depth",
+            ("routed", "no_route"),
+            "whether a destination prefix exists in the FIB (topology probing)",
+            CONSTANT_TIME,
+        ),
+    ),
+)
+
+
+def generate_router_contract() -> PerformanceContract:
     """Run BOLT end-to-end on the router and return its contract."""
-    module = build_router_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_router_path)
-    elif config.classifier is None:
-        config.classifier = classify_router_path
-    table = make_routing_table()
-    bolt = Bolt(
-        module,
-        ROUTER_FUNCTION,
-        model=StructureModel(table),
-        registry=table.registry(),
-        config=config,
-    )
-    args, memory, constraints = router_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def router_replay_env(
-    packet: bytes, length: int, trace: ExecutionTrace
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete router execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length)
+    return ROUTER.contract()
 
 
 def ipv4_packet(

@@ -4,10 +4,10 @@ The generic samplers live in :mod:`repro.traffic.generators`; this module
 supplies what only the NF can know — how to turn sampled keys into frames,
 and which input state drives each performance-critical variable to the
 maximum its registry declares.  Each factory returns a :class:`Workload`
-bundling a *fresh* harness (state is part of the workload: adversarial
-streams prime it deliberately), the stimulus list, and — for adversarial
-streams — the instance-qualified PCV values the replay must observe for
-the worst case to count as *hit*:
+bundling a *fresh* harness from the NF's descriptor (state is part of the
+workload: adversarial streams prime it deliberately), the stimulus list,
+and — for adversarial streams — the instance-qualified PCV values the
+replay must observe for the worst case to count as *hit*:
 
 * **bridge** — the adversarial stream learns ``capacity`` MACs that all
   hash into one bucket of the MAC table (so a tail refresh inspects
@@ -69,41 +69,39 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.nf import bridge as bridge_nf
 from repro.nf import firewall as firewall_nf
 from repro.nf import lb as lb_nf
 from repro.nf import monitor as monitor_nf
 from repro.nf import nat as nat_nf
 from repro.nf import router as router_nf
+from repro.nf.bridge import BRIDGE
+from repro.nf.firewall import FIREWALL
+from repro.nf.lb import LB
+from repro.nf.monitor import MONITOR
+from repro.nf.nat import NAT
 from repro.nf.replay import NFHarness
-from repro.nfil.interpreter import ExternHandler
-from repro.structures import ChainingHashMap, LpmTrie, MaglevTable, max_fill_iterations
+from repro.nf.router import ROUTER
+from repro.structures import ChainingHashMap, MaglevTable, max_fill_iterations
 from repro.structures.lpm import MAX_DEPTH
 from repro.traffic.generators import Stimulus, uniform_indices, zipf_indices
 from repro.traffic.packets import ethernet_frame, ipv4_frame, mac_bytes, nat_frame
 
 __all__ = [
     "Workload",
-    "bridge_harness",
     "bridge_workloads",
     "colliding_backends",
     "colliding_keys",
     "colliding_mac_keys",
     "colliding_ports",
-    "firewall_harness",
     "firewall_workloads",
     "lb_control_stimulus",
     "lb_data_stimulus",
-    "lb_harness",
     "lb_workloads",
-    "monitor_harness",
     "monitor_workloads",
-    "nat_harness",
     "nat_workloads",
     "router_fib_routes",
-    "router_harness",
     "router_workloads",
 ]
 
@@ -122,23 +120,42 @@ class Workload:
 
 
 # --------------------------------------------------------------------------- #
+# Shared by several NFs
+# --------------------------------------------------------------------------- #
+#: Fixed WAN-side endpoints of the bench traffic (TEST-NET addresses).
+WAN_SERVER = 0xC6336401  # 198.51.100.1, the server internal flows talk to
+WAN_CLIENT = 0xCB007163  # 203.0.113.99, the client probing leased ports
+NAT_PUBLIC = 0xCB007101  # 203.0.113.1, the NAT's public address
+
+
+def _scan_sweep(
+    harness: NFHarness,
+    packets: int,
+    frame: Callable[[int], bytes],
+    scalars: Callable[[int], Mapping[str, int]],
+    prefix: Sequence[Stimulus] = (),
+) -> Workload:
+    """A ZMap-style sweep: after ``prefix``, frame ``n`` is ``frame(n)``.
+
+    Every NF's ``scan_sweep`` is this loop; they differ only in the
+    frame, the scalars, and — for the LB — the backend activation that
+    precedes the sweep.
+    """
+    stimuli = list(prefix)
+    stimuli += [
+        Stimulus(packet=frame(n), scalars=scalars(n), note="scan") for n in range(packets)
+    ]
+    return Workload("scan_sweep", harness, tuple(stimuli))
+
+
+def _inside_source(n: int) -> bytes:
+    """Sweep frame ``n`` from inside: a fresh source endpoint per frame."""
+    return nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80)
+
+
+# --------------------------------------------------------------------------- #
 # Bridge
 # --------------------------------------------------------------------------- #
-def bridge_harness(capacity: int = 16, timeout: int = 50) -> NFHarness:
-    """A fresh MAC-learning bridge wired for replay."""
-    table = bridge_nf.make_bridge_table(capacity, timeout)
-    return NFHarness(
-        "bridge",
-        bridge_nf.build_bridge_module(),
-        bridge_nf.BRIDGE_FUNCTION,
-        handler=table,
-        structures=(table,),
-        pkt_base=bridge_nf.PKT_BASE,
-        sym_bytes=bridge_nf.PKT_SYM_BYTES,
-        scalar_order=("len", "in_port", "time"),
-    )
-
-
 def _bridge_mixed(
     rng: random.Random,
     indices: List[int],
@@ -185,8 +202,8 @@ def bridge_workloads(
         rng, zipf_indices(rng, population, packets), macs, ports=ports, note="zipf"
     )
     return [
-        Workload("uniform", bridge_harness(capacity, timeout), tuple(uniform)),
-        Workload("zipf", bridge_harness(capacity, timeout), tuple(zipf)),
+        Workload("uniform", BRIDGE.harness(capacity=capacity, timeout=timeout), tuple(uniform)),
+        Workload("zipf", BRIDGE.harness(capacity=capacity, timeout=timeout), tuple(zipf)),
         bridge_adversarial(capacity=capacity, timeout=timeout),
         bridge_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
         bridge_header_flood(capacity=capacity, timeout=timeout, packets=packets),
@@ -252,7 +269,7 @@ def bridge_adversarial(*, capacity: int = 16, timeout: int = 50) -> Workload:
        deadline: one sweep advances ``w = wheel_slots`` slots and expires
        all ``e = capacity`` entries.
     """
-    harness = bridge_harness(capacity, timeout)
+    harness = BRIDGE.harness(capacity=capacity, timeout=timeout)
     table = harness.structures[0]
     wheel_slots = table.wheel_slots
     keys = colliding_mac_keys(capacity)
@@ -307,17 +324,13 @@ def bridge_scan_sweep(
     to back and keeps churning it — the learning path under a scanner,
     with none of the hash collisions the adversarial stream crafts.
     """
-    harness = bridge_harness(capacity, timeout)
     target = 0xBADD00C0FFEE  # swept-towards MAC, never a source
-    stimuli = [
-        Stimulus(
-            packet=ethernet_frame(target, 0x2D0000000000 + n),
-            scalars={"in_port": n % 4, "time": n},
-            note="scan",
-        )
-        for n in range(packets)
-    ]
-    return Workload("scan_sweep", harness, tuple(stimuli))
+    return _scan_sweep(
+        BRIDGE.harness(capacity=capacity, timeout=timeout),
+        packets,
+        lambda n: ethernet_frame(target, 0x2D0000000000 + n),
+        lambda n: {"in_port": n % 4, "time": n},
+    )
 
 
 def bridge_header_flood(
@@ -330,7 +343,7 @@ def bridge_header_flood(
     every 13th frame is a runt, and every 29th arrives on the victim's
     own port — the hairpin the bridge must drop.
     """
-    harness = bridge_harness(capacity, timeout)
+    harness = BRIDGE.harness(capacity=capacity, timeout=timeout)
     victim, attacker = 0x00AA00000001, 0x00BB00000002
     stimuli = [
         Stimulus(
@@ -379,23 +392,6 @@ def router_fib_routes() -> List[Tuple[int, int, int]]:
     return routes
 
 
-def router_harness(routes: List[Tuple[int, int, int]] | None = None) -> NFHarness:
-    """A fresh LPM router with the bench FIB installed."""
-    fib: LpmTrie = router_nf.make_routing_table()
-    for prefix, length, port in routes if routes is not None else router_fib_routes():
-        fib.add_route(prefix, length, port)
-    return NFHarness(
-        "router",
-        router_nf.build_router_module(),
-        router_nf.ROUTER_FUNCTION,
-        handler=fib,
-        structures=(fib,),
-        pkt_base=router_nf.PKT_BASE,
-        sym_bytes=router_nf.PKT_SYM_BYTES,
-        scalar_order=("len",),
-    )
-
-
 def _router_destinations() -> List[int]:
     """Candidate destinations touching routed, nested and unrouted space."""
     return [
@@ -436,8 +432,8 @@ def router_workloads(*, seed: int = 2019, packets: int = 150) -> List[Workload]:
     uniform = _router_mixed(rng, uniform_indices(rng, population, packets), note="uniform")
     zipf = _router_mixed(rng, zipf_indices(rng, population, packets), note="zipf")
     return [
-        Workload("uniform", router_harness(), tuple(uniform)),
-        Workload("zipf", router_harness(), tuple(zipf)),
+        Workload("uniform", ROUTER.harness(routes=router_fib_routes()), tuple(uniform)),
+        Workload("zipf", ROUTER.harness(routes=router_fib_routes()), tuple(zipf)),
         router_adversarial(),
         router_scan_sweep(packets=packets),
         router_header_flood(packets=packets),
@@ -458,7 +454,7 @@ def router_adversarial() -> Workload:
         Stimulus(packet=ipv4_frame(CHAIN_ADDRESS, ttl=1), note="ttl"),
         Stimulus(packet=ipv4_frame(CHAIN_ADDRESS)[:10], note="short"),
     ]
-    harness = router_harness()
+    harness = ROUTER.harness(routes=router_fib_routes())
     fib = harness.structures[0]
     return Workload(
         "adversarial",
@@ -476,11 +472,12 @@ def router_scan_sweep(*, packets: int = 150) -> Workload:
     in the routed prefixes — the FIB under a scanner instead of a traffic
     mix.
     """
-    stimuli = [
-        Stimulus(packet=ipv4_frame((0x9E3779B1 * (n + 1)) & 0xFFFFFFFF), note="scan")
-        for n in range(packets)
-    ]
-    return Workload("scan_sweep", router_harness(), tuple(stimuli))
+    return _scan_sweep(
+        ROUTER.harness(routes=router_fib_routes()),
+        packets,
+        lambda n: ipv4_frame((0x9E3779B1 * (n + 1)) & 0xFFFFFFFF),
+        lambda n: {},
+    )
 
 
 def router_header_flood(*, packets: int = 150) -> Workload:
@@ -491,7 +488,7 @@ def router_header_flood(*, packets: int = 150) -> Workload:
     bound by sheer repetition; the rest arrive with ``ttl = 1`` (an
     expiry flood), and every 31st is a runt.
     """
-    harness = router_harness()
+    harness = ROUTER.harness(routes=router_fib_routes())
     fib = harness.structures[0]
     stimuli: List[Stimulus] = []
     for n in range(packets):
@@ -513,38 +510,6 @@ def router_header_flood(*, packets: int = 150) -> Workload:
 # --------------------------------------------------------------------------- #
 # NAT
 # --------------------------------------------------------------------------- #
-#: Fixed WAN-side endpoints of the bench NAT traffic (TEST-NET addresses).
-WAN_SERVER = 0xC6336401  # 198.51.100.1, the server internal flows talk to
-WAN_CLIENT = 0xCB007163  # 203.0.113.99, the client probing leased ports
-NAT_PUBLIC = 0xCB007101  # 203.0.113.1, the NAT's public address
-
-
-def nat_harness(
-    capacity: int = 16,
-    timeout: int = 50,
-    *,
-    pool: Optional[Iterable[int]] = None,
-) -> NFHarness:
-    """A fresh VigNAT-style NAT wired for replay.
-
-    The handler merges the three structure instances (forward table,
-    reverse table, port allocator) into one dispatch table — the merge
-    (and :class:`NFHarness` itself) rejects ambiguous extern manglings.
-    """
-    fwd, rev, ports = nat_nf.make_nat_tables(capacity, timeout, pool=pool)
-    handler = ExternHandler().merge(fwd).merge(rev).merge(ports)
-    return NFHarness(
-        "nat",
-        nat_nf.build_nat_module(),
-        nat_nf.NAT_FUNCTION,
-        handler=handler,
-        structures=(fwd, rev, ports),
-        pkt_base=nat_nf.PKT_BASE,
-        sym_bytes=nat_nf.PKT_SYM_BYTES,
-        scalar_order=("len", "in_port", "time"),
-    )
-
-
 def _nat_mixed(
     rng: random.Random,
     indices: List[int],
@@ -601,6 +566,7 @@ def nat_workloads(
         (rng.randrange(1 << 32), rng.randrange(1024, 1 << 16)) for _ in range(population)
     ]
     pool = list(range(nat_nf.PORT_BASE, nat_nf.PORT_BASE + 4 * capacity))
+    state = dict(capacity=capacity, timeout=timeout)
     uniform = _nat_mixed(
         rng, uniform_indices(rng, population, packets), flows, pool_ports=pool, note="uniform"
     )
@@ -608,8 +574,8 @@ def nat_workloads(
         rng, zipf_indices(rng, population, packets), flows, pool_ports=pool, note="zipf"
     )
     return [
-        Workload("uniform", nat_harness(capacity, timeout, pool=pool), tuple(uniform)),
-        Workload("zipf", nat_harness(capacity, timeout, pool=pool), tuple(zipf)),
+        Workload("uniform", NAT.harness(**state, pool=pool), tuple(uniform)),
+        Workload("zipf", NAT.harness(**state, pool=pool), tuple(zipf)),
         nat_adversarial(capacity=capacity, timeout=timeout),
         nat_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
         nat_header_flood(capacity=capacity, timeout=timeout, packets=packets),
@@ -640,7 +606,7 @@ def nat_adversarial(*, capacity: int = 16, timeout: int = 50) -> Workload:
        unleased port and is dropped (``external_miss``).
     """
     pool = colliding_ports(capacity)
-    harness = nat_harness(capacity, timeout, pool=pool)
+    harness = NAT.harness(capacity=capacity, timeout=timeout, pool=pool)
     fwd, rev, _ = harness.structures
     wheel_slots = fwd.wheel_slots
     flows = colliding_keys(capacity, buckets=capacity)
@@ -715,16 +681,12 @@ def nat_scan_sweep(
     realistic scanner, not a crafted collision.
     """
     pool = list(range(nat_nf.PORT_BASE, nat_nf.PORT_BASE + 4 * capacity))
-    harness = nat_harness(capacity, timeout, pool=pool)
-    stimuli = [
-        Stimulus(
-            packet=nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80),
-            scalars={"in_port": nat_nf.LAN_PORT, "time": n},
-            note="scan",
-        )
-        for n in range(packets)
-    ]
-    return Workload("scan_sweep", harness, tuple(stimuli))
+    return _scan_sweep(
+        NAT.harness(capacity=capacity, timeout=timeout, pool=pool),
+        packets,
+        _inside_source,
+        lambda n: {"in_port": nat_nf.LAN_PORT, "time": n},
+    )
 
 
 def nat_header_flood(
@@ -738,7 +700,7 @@ def nat_header_flood(
     dropped; every 17th frame is a runt.
     """
     pool = list(range(nat_nf.PORT_BASE, nat_nf.PORT_BASE + 4 * capacity))
-    harness = nat_harness(capacity, timeout, pool=pool)
+    harness = NAT.harness(capacity=capacity, timeout=timeout, pool=pool)
     inside_ip, inside_port = 0x0A000063, 40000  # 10.0.0.99, the one real flow
     stimuli = [
         Stimulus(
@@ -784,40 +746,14 @@ def colliding_backends(count: int, *, table_size: int) -> List[int]:
     return ids
 
 
-def lb_harness(
-    capacity: int = 16,
-    timeout: int = 50,
-    *,
-    table_size: int = 13,
-    max_backends: int = 4,
-) -> NFHarness:
-    """A fresh Maglev-style load balancer wired for replay.
-
-    Backends arrive through the replayed control frames, never host-side:
-    the repopulation cost (``lb_tbl.f``) must land in traces for the
-    adversarial bound check to observe it.
-    """
-    tbl, conn = lb_nf.make_lb_state(
-        capacity, timeout, table_size=table_size, max_backends=max_backends
-    )
-    handler = ExternHandler().merge(tbl).merge(conn)
-    return NFHarness(
-        "lb",
-        lb_nf.build_lb_module(),
-        lb_nf.LB_FUNCTION,
-        handler=handler,
-        structures=(tbl, conn),
-        pkt_base=lb_nf.PKT_BASE,
-        sym_bytes=lb_nf.PKT_SYM_BYTES,
-        scalar_order=("len", "cmd", "arg", "time"),
-    )
-
-
 def lb_control_stimulus(cmd: int, backend: int, time: int, note: str = "ctrl") -> Stimulus:
     """A control frame: no packet bytes, the command in the scalars.
 
-    Public because the service-graph churn events
-    (:mod:`repro.net.churn`) inject exactly these frames mid-stream.
+    Backends arrive through replayed control frames, never host-side: the
+    repopulation cost (``lb_tbl.f``) must land in traces for the
+    adversarial bound check to observe it.  Public because the
+    service-graph churn events (:mod:`repro.net.churn`) inject exactly
+    these frames mid-stream.
     """
     return Stimulus(
         packet=b"", scalars={"cmd": cmd, "arg": backend, "time": time}, note=note
@@ -895,9 +831,10 @@ def lb_workloads(
         rng, zipf_indices(rng, population, packets), flows, backends, note="zipf"
     )
     geometry = dict(table_size=table_size, max_backends=max_backends)
+    state = dict(capacity=capacity, timeout=timeout, **geometry)
     return [
-        Workload("uniform", lb_harness(capacity, timeout, **geometry), tuple(uniform)),
-        Workload("zipf", lb_harness(capacity, timeout, **geometry), tuple(zipf)),
+        Workload("uniform", LB.harness(**state), tuple(uniform)),
+        Workload("zipf", LB.harness(**state), tuple(zipf)),
         lb_adversarial(capacity=capacity, timeout=timeout, **geometry),
         lb_scan_sweep(capacity=capacity, timeout=timeout, packets=packets, **geometry),
         lb_header_flood(capacity=capacity, timeout=timeout, packets=packets, **geometry),
@@ -934,8 +871,8 @@ def lb_adversarial(
        deadline: one sweep advances ``conn.w = wheel_slots`` slots and
        expires all ``conn.e = capacity`` affinity entries.
     """
-    harness = lb_harness(
-        capacity, timeout, table_size=table_size, max_backends=max_backends
+    harness = LB.harness(
+        capacity=capacity, timeout=timeout, table_size=table_size, max_backends=max_backends
     )
     tbl, conn = harness.structures
     wheel_slots = conn.wheel_slots
@@ -1009,17 +946,18 @@ def lb_scan_sweep(
     path, back to back), churning the connection table without a single
     repeat — affinity buys nothing under a scanner.
     """
-    harness = lb_harness(
-        capacity, timeout, table_size=table_size, max_backends=max_backends
+    return _scan_sweep(
+        LB.harness(
+            capacity=capacity, timeout=timeout, table_size=table_size, max_backends=max_backends
+        ),
+        packets,
+        _inside_source,
+        lambda n: {"cmd": lb_nf.CMD_DATA, "arg": 0, "time": n},
+        prefix=[
+            lb_control_stimulus(lb_nf.CMD_ADD, backend, 0, "ctrl")
+            for backend in _lb_scan_backends(max_backends)
+        ],
     )
-    stimuli: List[Stimulus] = [
-        lb_control_stimulus(lb_nf.CMD_ADD, backend, 0, "ctrl")
-        for backend in _lb_scan_backends(max_backends)
-    ]
-    for n in range(packets):
-        packet = nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80)
-        stimuli.append(lb_data_stimulus(packet, n, "scan"))
-    return Workload("scan_sweep", harness, tuple(stimuli))
 
 
 def lb_header_flood(
@@ -1036,8 +974,8 @@ def lb_header_flood(
     affinity fast path (``existing_flow``), refreshed far faster than it
     can expire; every 17th frame is a runt.
     """
-    harness = lb_harness(
-        capacity, timeout, table_size=table_size, max_backends=max_backends
+    harness = LB.harness(
+        capacity=capacity, timeout=timeout, table_size=table_size, max_backends=max_backends
     )
     stimuli: List[Stimulus] = [
         lb_control_stimulus(lb_nf.CMD_ADD, backend, 0, "ctrl")
@@ -1055,31 +993,6 @@ def lb_header_flood(
 # --------------------------------------------------------------------------- #
 # Firewall
 # --------------------------------------------------------------------------- #
-def firewall_harness(
-    capacity: int = 16,
-    timeout: int = 50,
-    *,
-    slots: Optional[Iterable[int]] = None,
-) -> NFHarness:
-    """A fresh connection-tracking firewall wired for replay.
-
-    The handler merges the connection table and the slot allocator into
-    one dispatch table, exactly like the NAT's three-instance merge.
-    """
-    conn, pool = firewall_nf.make_firewall_state(capacity, timeout, slots=slots)
-    handler = ExternHandler().merge(conn).merge(pool)
-    return NFHarness(
-        "firewall",
-        firewall_nf.build_firewall_module(),
-        firewall_nf.FIREWALL_FUNCTION,
-        handler=handler,
-        structures=(conn, pool),
-        pkt_base=firewall_nf.PKT_BASE,
-        sym_bytes=firewall_nf.PKT_SYM_BYTES,
-        scalar_order=("len", "in_port", "time"),
-    )
-
-
 def _firewall_mixed(
     rng: random.Random,
     indices: List[int],
@@ -1141,11 +1054,10 @@ def firewall_workloads(
     zipf = _firewall_mixed(
         rng, zipf_indices(rng, population, packets), flows, note="zipf"
     )
+    state = dict(capacity=capacity, timeout=timeout, slots=slots)
     return [
-        Workload(
-            "uniform", firewall_harness(capacity, timeout, slots=slots), tuple(uniform)
-        ),
-        Workload("zipf", firewall_harness(capacity, timeout, slots=slots), tuple(zipf)),
+        Workload("uniform", FIREWALL.harness(**state), tuple(uniform)),
+        Workload("zipf", FIREWALL.harness(**state), tuple(zipf)),
         firewall_adversarial(capacity=capacity, timeout=timeout),
         firewall_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
         firewall_header_flood(capacity=capacity, timeout=timeout, packets=packets),
@@ -1172,7 +1084,7 @@ def firewall_adversarial(*, capacity: int = 16, timeout: int = 50) -> Workload:
        deadline: one sweep advances ``fw_conn.w = wheel_slots`` slots and
        expires all ``fw_conn.e = capacity`` connections.
     """
-    harness = firewall_harness(capacity, timeout)
+    harness = FIREWALL.harness(capacity=capacity, timeout=timeout)
     conn = harness.structures[0]
     wheel_slots = conn.wheel_slots
     flows = colliding_keys(capacity, buckets=capacity)
@@ -1256,16 +1168,12 @@ def firewall_scan_sweep(
     every admission after that is ``conn_full`` — connection-table
     exhaustion under a realistic scanner, not a crafted collision.
     """
-    harness = firewall_harness(capacity, timeout)
-    stimuli = [
-        Stimulus(
-            packet=nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80),
-            scalars={"in_port": firewall_nf.LAN_PORT, "time": n},
-            note="scan",
-        )
-        for n in range(packets)
-    ]
-    return Workload("scan_sweep", harness, tuple(stimuli))
+    return _scan_sweep(
+        FIREWALL.harness(capacity=capacity, timeout=timeout),
+        packets,
+        _inside_source,
+        lambda n: {"in_port": firewall_nf.LAN_PORT, "time": n},
+    )
 
 
 def firewall_header_flood(
@@ -1278,7 +1186,7 @@ def firewall_header_flood(
     the filtered port (the egress rule running hot), and every 17th is a
     runt.
     """
-    harness = firewall_harness(capacity, timeout)
+    harness = FIREWALL.harness(capacity=capacity, timeout=timeout)
     victim_ip, victim_port = 0x0A00002A, 8080  # the probed LAN endpoint
     stimuli: List[Stimulus] = []
     for n in range(packets):
@@ -1298,26 +1206,6 @@ def firewall_header_flood(
 # --------------------------------------------------------------------------- #
 # Monitor
 # --------------------------------------------------------------------------- #
-def monitor_harness() -> NFHarness:
-    """A fresh heavy-hitter monitor wired for replay.
-
-    The sketch's geometry is fixed by :mod:`repro.nf.monitor` (the module
-    and the contract bake in the default depth), so the harness takes no
-    geometry knobs.
-    """
-    sketch = monitor_nf.make_sketch()
-    return NFHarness(
-        "monitor",
-        monitor_nf.build_monitor_module(),
-        monitor_nf.MONITOR_FUNCTION,
-        handler=sketch,
-        structures=(sketch,),
-        pkt_base=monitor_nf.PKT_BASE,
-        sym_bytes=monitor_nf.PKT_SYM_BYTES,
-        scalar_order=("len",),
-    )
-
-
 def _monitor_mixed(
     rng: random.Random,
     indices: List[int],
@@ -1360,8 +1248,8 @@ def monitor_workloads(
         rng, zipf_indices(rng, population, packets), flows, note="zipf"
     )
     return [
-        Workload("uniform", monitor_harness(), tuple(uniform)),
-        Workload("zipf", monitor_harness(), tuple(zipf)),
+        Workload("uniform", MONITOR.harness(), tuple(uniform)),
+        Workload("zipf", MONITOR.harness(), tuple(zipf)),
         monitor_adversarial(),
         monitor_scan_sweep(packets=packets),
         monitor_header_flood(packets=packets),
@@ -1378,7 +1266,7 @@ def monitor_adversarial() -> Workload:
     the final update takes the saturated path — then a fresh flow passes
     cold, a runt and a non-IPv4 frame cover the drop classes.
     """
-    harness = monitor_harness()
+    harness = MONITOR.harness()
     hot_ip, hot_port = 0xC0A80001, 40001  # 192.168.0.1, the heavy hitter
     hot_frame = nat_frame(hot_ip, hot_port, WAN_SERVER, 80)
     stimuli: List[Stimulus] = [
@@ -1406,11 +1294,7 @@ def monitor_scan_sweep(*, packets: int = 150) -> Workload:
     false-positive behaviour a count-min sketch trades for its constant
     cost.
     """
-    stimuli = [
-        Stimulus(packet=nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80), note="scan")
-        for n in range(packets)
-    ]
-    return Workload("scan_sweep", monitor_harness(), tuple(stimuli))
+    return _scan_sweep(MONITOR.harness(), packets, _inside_source, lambda n: {})
 
 
 def monitor_header_flood(*, packets: int = 150) -> Workload:
@@ -1421,7 +1305,7 @@ def monitor_header_flood(*, packets: int = 150) -> Workload:
     of its row counters to the ceiling, after which updates ride the
     saturated fast path; every 31st frame is a runt.
     """
-    harness = monitor_harness()
+    harness = MONITOR.harness()
     frame = nat_frame(0xC6336417, 6667, WAN_SERVER, 80)  # the flooding source
     stimuli: List[Stimulus] = []
     for n in range(packets):

@@ -324,6 +324,9 @@ class Replayer:
             for model in self.models
         }
         bounds = contract.registry.default_bounds()
+        #: Every PCV's declared bound: an observation above it is a
+        #: violation even when the class bound evaluated at it holds.
+        self._pcv_bounds = bounds
         self._envelopes: Dict[str, Fraction] = {
             name: max([Fraction(0), *(expr.upper_bound(bounds) for expr in exprs.values())])
             for name, exprs in cycle_exprs.items()
@@ -399,6 +402,13 @@ class Replayer:
             class_name = None
         else:
             class_name, count_programs, cycle_programs = program
+            pcv_bounds = self._pcv_bounds
+            for name, value in observed.items():
+                if name in pcv_bounds and value > pcv_bounds[name]:
+                    violations.append(
+                        f"packet {index} ({class_name}): PCV {name} observed at "
+                        f"{value} exceeds its declared bound {pcv_bounds[name]}"
+                    )
             bindings = dict(self._zero_pcvs)
             bindings.update(observed)
             for metric, evaluate_count in count_programs:

@@ -10,6 +10,7 @@ contracts plus the composed graph contract.
 import pytest
 
 from repro import cli
+from repro.nf import NF_MATRIX
 
 
 @pytest.fixture(scope="session")
@@ -28,5 +29,5 @@ def gate_targets():
 
 @pytest.fixture(scope="session")
 def nf_specs():
-    """``name -> NFSpec`` for the registered NF matrix."""
-    return {spec.name: spec for spec in cli.NF_MATRIX}
+    """``name -> (NFSpec, workloads factory)`` for the registered NF matrix."""
+    return {row[0].name: row for row in NF_MATRIX}

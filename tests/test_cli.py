@@ -15,7 +15,8 @@ import pytest
 
 from repro import cli
 from repro.core import Metric, PerfExpr
-from repro.nf.workloads import bridge_adversarial
+from repro.nf import BRIDGE, bridge_workloads
+from repro.nf.workloads import Workload, bridge_adversarial
 from repro.structures import ChainingHashMap, OpSpec
 from repro.sym.solver import Solver
 
@@ -88,15 +89,7 @@ def test_smoke_exit_code_reflects_seeded_failures(monkeypatch, capsys, quiet_nf_
 
 
 def test_nf_contracts_flag_a_lost_input_class(monkeypatch, capsys):
-    bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
-    doctored = cli.NFSpec(
-        bridge.name,
-        bridge.title,
-        bridge.smoke_contract,
-        bridge.bench_contract,
-        bridge.bench_workloads,
-        bridge.expected_classes | {"jumbo"},
-    )
+    doctored = replace(BRIDGE, classes={**BRIDGE.classes, "jumbo": "an oversized frame"})
     failures = cli.run_nf_contracts([doctored])
     printed = capsys.readouterr().out
     assert failures == 1
@@ -107,8 +100,7 @@ def test_nf_contract_generation_hits_the_solver_cache(capsys):
     """The acceptance bar for the memoisation layer: nonzero hit counters
     while the smoke contracts generate, and the summary line in the log."""
     before = replace(Solver.TOTALS)
-    bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
-    assert cli.run_nf_contracts([bridge]) == 0
+    assert cli.run_nf_contracts([BRIDGE]) == 0
     printed = capsys.readouterr().out
     assert "solver cache across contract generation" in printed
     assert Solver.TOTALS.cache_hits - before.cache_hits > 0
@@ -117,26 +109,15 @@ def test_nf_contract_generation_hits_the_solver_cache(capsys):
 
 def test_bench_exits_nonzero_when_a_worst_case_is_missed(monkeypatch, capsys, tmp_path):
     """Seed an unreachable adversarial bound: the bench must go red."""
-    bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
 
-    def sabotaged_workloads(seed, packets):
-        workload = bridge_adversarial(capacity=cli.BENCH_CAPACITY, timeout=cli.BENCH_TIMEOUT)
+    def sabotaged_workloads(*, seed, packets, capacity, timeout):
+        workload = bridge_adversarial(capacity=capacity, timeout=timeout)
         impossible = {pcv: bound + 1 for pcv, bound in workload.expected_worst.items()}
-        from repro.nf.workloads import Workload
-
         return [
             Workload(workload.name, workload.harness, workload.stimuli, impossible)
         ]
 
-    doctored = cli.NFSpec(
-        bridge.name,
-        bridge.title,
-        bridge.smoke_contract,
-        bridge.bench_contract,
-        sabotaged_workloads,
-        frozenset(),
-    )
-    monkeypatch.setattr(cli, "NF_MATRIX", (doctored,))
+    monkeypatch.setattr(cli, "NF_MATRIX", ((replace(BRIDGE, classes={}), sabotaged_workloads),))
     monkeypatch.setattr(cli, "GRAPH_MATRIX", ())  # keep the red-path run fast
     output = tmp_path / "BENCH_eval.json"
     assert cli.main(["bench", "--output", str(output)]) == 1
@@ -168,9 +149,9 @@ def test_bench_writes_a_well_formed_report(monkeypatch, tmp_path):
     assert report["schema"] == "repro-bench/1"
     assert report["ok"] is True
     assert report["packets_per_workload"] == 60
-    assert set(report["nfs"]) == {spec.name for spec in cli.NF_MATRIX}
+    assert set(report["nfs"]) == {spec.name for spec, _ in cli.NF_MATRIX}
     assert set(report["hw_models"]) == {"conservative", "realistic", "simulated"}
-    for spec in cli.NF_MATRIX:
+    for spec, _ in cli.NF_MATRIX:
         record = report["nfs"][spec.name]
         assert record["failures"] == 0
         assert set(record["workloads"]) == {
@@ -180,7 +161,7 @@ def test_bench_writes_a_well_formed_report(monkeypatch, tmp_path):
             "scan_sweep",
             "header_flood",
         }
-        assert spec.expected_classes <= set(record["classes_seen"])
+        assert set(spec.classes) <= set(record["classes_seen"])
         for workload in record["workloads"].values():
             assert workload["ok"] is True
             assert {
@@ -270,15 +251,12 @@ def test_ct_audit_strict_fails_on_declared_leaks(capsys):
 
 
 def test_ct_audit_flags_an_expectation_mismatch(monkeypatch, capsys):
-    from repro import audit
+    from repro.audit import SecretClassSet
 
-    doctored = dict(audit.SECRET_CLASS_SETS)
-    doctored["bridge"] = (
-        audit.SecretClassSet(
-            "mac-table membership", ("hit", "miss"), "secret", "constant_time"
-        ),
+    wrong = SecretClassSet("mac-table membership", ("hit", "miss"), "secret", "constant_time")
+    monkeypatch.setattr(
+        cli, "NF_MATRIX", ((replace(BRIDGE, secret_sets=(wrong,)), bridge_workloads),)
     )
-    monkeypatch.setattr(cli, "SECRET_CLASS_SETS", doctored)
     assert cli.main(["ct-audit", "--nf", "bridge"]) == 1
     printed = capsys.readouterr().out
     assert "** UNEXPECTED **" in printed

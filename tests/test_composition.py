@@ -20,20 +20,21 @@ from repro.core import (
     route_class_name,
 )
 from repro.nf.bridge import (
+    BRIDGE,
     BRIDGE_FUNCTION,
     PKT_BASE,
-    bridge_replay_env,
     build_bridge_module,
     generate_bridge_contract,
     make_bridge_table,
 )
+from repro.nf.replay import replay_env
 from repro.nf.router import (
+    ROUTER,
     ROUTER_FUNCTION,
     build_router_module,
     generate_router_contract,
     ipv4_packet,
     make_routing_table,
-    router_replay_env,
 )
 from repro.nfil import Interpreter, Memory
 
@@ -174,10 +175,12 @@ def test_chain_of_real_nf_contracts_bounds_chained_execution():
         _, router_trace = router.run(ROUTER_FUNCTION, [PKT_BASE, len(packet)], memory=memory)
 
         bridge_entry = bridge_contract.classify(
-            bridge_replay_env(frame, len(frame), port, n * 2, bridge_trace)
+            replay_env(
+                frame, BRIDGE.sym_bytes, bridge_trace, len=len(frame), in_port=port, time=n * 2
+            )
         )
         router_entry = router_contract.classify(
-            router_replay_env(packet, len(packet), router_trace)
+            replay_env(packet, ROUTER.sym_bytes, router_trace, len=len(packet))
         )
         assert bridge_entry is not None and router_entry is not None
         pair = route_class_name(

@@ -29,8 +29,9 @@ from repro.core import (
     load_contract,
 )
 from repro.core.diff import SCHEMA
+from repro.nf import NF_MATRIX
 
-GATE_NAMES = [spec.name for spec in cli.NF_MATRIX] + [
+GATE_NAMES = [spec.name for spec, _ in NF_MATRIX] + [
     spec.name for spec in cli.GRAPH_MATRIX
 ]
 

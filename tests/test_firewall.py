@@ -20,20 +20,20 @@ from repro.nf.firewall import (
     DROP_NON_IP,
     DROP_SHORT,
     DROP_UNSOLICITED,
+    FIREWALL,
     FIREWALL_FUNCTION,
     LAN_PORT,
     MIN_FW_FRAME,
     PKT_BASE,
     build_firewall_module,
-    firewall_replay_env,
     generate_firewall_contract,
     make_firewall_state,
 )
+from repro.nf.replay import replay_env
 from repro.nf.workloads import (
     WAN_CLIENT,
     WAN_SERVER,
     firewall_adversarial,
-    firewall_harness,
     firewall_header_flood,
     firewall_scan_sweep,
     firewall_workloads,
@@ -181,7 +181,9 @@ def test_contract_bounds_150_replayed_packets(contract):
         time = n * 3
         _, trace = _run(interp, packet, in_port=in_port, time=time)
 
-        env = firewall_replay_env(packet, len(packet), in_port, time, trace)
+        env = replay_env(
+            packet, FIREWALL.sym_bytes, trace, len=len(packet), in_port=in_port, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
@@ -275,7 +277,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = firewall_harness(CAPACITY, TIMEOUT)
+    harness = FIREWALL.harness(capacity=CAPACITY, timeout=TIMEOUT)
     assert harness.scalar_order == ("len", "in_port", "time")
     stimulus = Stimulus(
         packet=nat_frame(LAN_HOST, 40000, WAN_SERVER, 80),

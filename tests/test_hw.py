@@ -7,8 +7,8 @@ import pytest
 from repro.core import ContractEntry, InputClass, Metric, PerfExpr, PerformanceContract
 from repro.core.pcv import PCV, PCVRegistry
 from repro.hw import ConservativeModel, HwSpec, RealisticModel
-from repro.nf.workloads import bridge_harness, bridge_workloads
-from repro.nf.bridge import generate_bridge_contract
+from repro.nf.workloads import bridge_workloads
+from repro.nf.bridge import BRIDGE, generate_bridge_contract
 from repro.nfil.tracer import ExecutionTrace
 from repro.structures import ChainingHashMap
 from repro.traffic import Replayer
@@ -159,7 +159,7 @@ def test_bridge_replay_measured_within_predicted_for_both_models():
 
 
 def test_conservative_never_cheaper_than_realistic_on_a_trace():
-    harness = bridge_harness(16, 50)
+    harness = BRIDGE.harness(capacity=16, timeout=50)
     contract = generate_bridge_contract(16, 50)
     conservative, realistic = ConservativeModel(SPEC), RealisticModel(SPEC)
     workload = bridge_workloads(packets=40)[0]

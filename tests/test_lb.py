@@ -20,15 +20,16 @@ from repro.nf.lb import (
     DROP_NO_BACKENDS,
     DROP_NON_IP,
     DROP_SHORT,
+    LB,
     LB_FUNCTION,
     MIN_LB_FRAME,
     PKT_BASE,
     build_lb_module,
     generate_lb_contract,
-    lb_replay_env,
     make_lb_state,
 )
-from repro.nf.workloads import lb_adversarial, lb_harness, lb_workloads
+from repro.nf.replay import replay_env
+from repro.nf.workloads import lb_adversarial, lb_workloads
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.structures import max_fill_iterations
 from repro.traffic import Replayer, Stimulus, nat_frame
@@ -189,7 +190,9 @@ def test_contract_bounds_100_replayed_packets(contract):
         time = n * 2
         _, trace = _run(interp, packet, cmd=cmd, arg=arg, time=time)
 
-        env = lb_replay_env(packet, len(packet), cmd, arg, time, trace)
+        env = replay_env(
+            packet, LB.sym_bytes, trace, len=len(packet), cmd=cmd, arg=arg, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
@@ -254,7 +257,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = lb_harness(CAPACITY, TIMEOUT)
+    harness = LB.harness(capacity=CAPACITY, timeout=TIMEOUT)
     assert harness.scalar_order == ("len", "cmd", "arg", "time")
     stimulus = Stimulus(
         packet=nat_frame(LAN_HOST, 40000, VIP, 80),

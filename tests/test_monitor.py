@@ -21,17 +21,17 @@ from repro.nf.monitor import (
     MIN_MON_FRAME,
     MON_COUNTER_MAX,
     MON_THRESHOLD,
+    MONITOR,
     MONITOR_FUNCTION,
     PKT_BASE,
     build_monitor_module,
     generate_monitor_contract,
     make_sketch,
-    monitor_replay_env,
 )
+from repro.nf.replay import replay_env
 from repro.nf.workloads import (
     WAN_SERVER,
     monitor_adversarial,
-    monitor_harness,
     monitor_header_flood,
     monitor_scan_sweep,
     monitor_workloads,
@@ -127,7 +127,7 @@ def test_contract_bounds_150_replayed_packets(contract):
             packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
         _, trace = _run(interp, packet)
 
-        env = monitor_replay_env(packet, len(packet), trace)
+        env = replay_env(packet, MONITOR.sym_bytes, trace, len=len(packet))
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
@@ -201,7 +201,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = monitor_harness()
+    harness = MONITOR.harness()
     assert harness.scalar_order == ("len",)
     stimulus = Stimulus(packet=nat_frame(0xC0A80001, 40001, WAN_SERVER, 80))
     assert harness.scalars_for(stimulus) == {"len": MIN_MON_FRAME + 12}

@@ -18,15 +18,16 @@ from repro.nf.nat import (
     DROP_UNKNOWN_FLOW,
     LAN_PORT,
     MIN_NAT_FRAME,
+    NAT,
     NAT_FUNCTION,
     PKT_BASE,
     PORT_BASE,
     build_nat_module,
     generate_nat_contract,
     make_nat_tables,
-    nat_replay_env,
 )
-from repro.nf.workloads import nat_adversarial, nat_harness, nat_workloads
+from repro.nf.replay import replay_env
+from repro.nf.workloads import nat_adversarial, nat_workloads
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.traffic import Replayer, nat_frame
 
@@ -188,7 +189,9 @@ def test_contract_bounds_100_replayed_packets(contract):
         time = n * 2
         _, trace = _run(interp, packet, in_port, time)
 
-        env = nat_replay_env(packet, len(packet), in_port, time, trace)
+        env = replay_env(
+            packet, NAT.sym_bytes, trace, len=len(packet), in_port=in_port, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
@@ -245,7 +248,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = nat_harness(CAPACITY, TIMEOUT)
+    harness = NAT.harness(capacity=CAPACITY, timeout=TIMEOUT)
     assert harness.scalar_order == ("len", "in_port", "time")
     from repro.traffic import Stimulus
 

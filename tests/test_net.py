@@ -19,8 +19,8 @@ from repro.net import (
     route_update,
 )
 from repro.net.workloads import lb_nat_fw_router_workloads
-from repro.nf.router import generate_router_contract
-from repro.nf.workloads import router_harness
+from repro.nf.router import ROUTER, generate_router_contract
+from repro.nf.workloads import router_fib_routes
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def router_contract():
 
 
 def _router_node(name, contract):
-    return Node(name=name, harness=router_harness(), contract=contract)
+    return Node(name=name, harness=ROUTER.harness(routes=router_fib_routes()), contract=contract)
 
 
 # --------------------------------------------------------------------------- #
@@ -239,7 +239,7 @@ def test_unclassified_hops_terminate_the_route(router_contract):
             if entry.input_class.name != "short"
         ],
     )
-    node = Node(name="r", harness=router_harness(), contract=doctored)
+    node = Node(name="r", harness=ROUTER.harness(routes=router_fib_routes()), contract=doctored)
     graph = Graph("solo", [node], (), entry="r")
     result = GraphReplayer(graph).replay([GraphFrame(packet=b"", time=0)])
     outcome = result.outcomes[0]

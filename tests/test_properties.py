@@ -16,6 +16,7 @@ import pytest
 
 from repro import cli
 from repro.core import Metric
+from repro.nf import NF_MATRIX
 from repro.nfil import ExecutionTrace, Interpreter
 from repro.structures import (
     NOT_FOUND,
@@ -195,16 +196,16 @@ def test_sketch_random_sequences_stay_bounded(seed):
 # --------------------------------------------------------------------------- #
 # NFs: random packet streams never violate the generated contract
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("nf_name", [spec.name for spec in cli.NF_MATRIX])
+@pytest.mark.parametrize("nf_name", [spec.name for spec, _ in NF_MATRIX])
 @pytest.mark.parametrize("seed", (3, 404))
 def test_random_streams_never_violate_nf_contracts(nf_name, seed, nf_specs, gate_targets):
     """Replay every bench workload family at a fresh seed: zero violations
     under both hardware models — the statement the bench samples, asserted
     at seeds the bench never ran."""
-    spec = nf_specs[nf_name]
+    spec, workloads = nf_specs[nf_name]
     contract, _ = gate_targets[nf_name]
     models = cli._bench_models()
-    for workload in spec.bench_workloads(seed, 250):
+    for workload in workloads(seed=seed, packets=250, **spec.bench):
         result = Replayer(workload.harness, contract, models=models).replay(
             workload.stimuli, workload=workload.name
         )

@@ -214,6 +214,33 @@ def test_a_bound_one_third_below_the_measured_count_turns_replay_red():
     )
 
 
+def test_a_pcv_observed_above_its_declared_bound_turns_replay_red():
+    """The class bound evaluated at the observed PCVs is not the whole
+    contract: the adversarial stream walks a ``bridge_map.t = 16`` chain,
+    so a registry declaring at most 15 links must fail the replay by name,
+    even though every count stays under its class bound."""
+    from dataclasses import replace
+
+    from repro.core import PCVRegistry, PerformanceContract
+
+    contract = generate_bridge_contract(16, 50)
+    lowered = PCVRegistry(
+        replace(pcv, max_value=15) if pcv.name == "bridge_map.t" else pcv
+        for pcv in contract.registry
+    )
+    doctored = PerformanceContract(
+        contract.nf_name, registry=lowered, entries=contract.entries
+    )
+    workload = bridge_adversarial(capacity=16, timeout=50)
+    result = Replayer(workload.harness, doctored).replay(workload.stimuli)
+    assert not result.ok
+    assert result.violations
+    assert all(
+        "PCV bridge_map.t observed at 16 exceeds its declared bound 15" in message
+        for message in result.violations
+    )
+
+
 def test_stimulus_defaults_len_to_packet_length():
     workload = bridge_workloads(packets=10)[0]
     stimulus = Stimulus(packet=b"\x01\x02\x03", scalars={"in_port": 0, "time": 0})

@@ -4,7 +4,7 @@
 Run by the CI ``docs-check`` job (and directly: ``python
 tools/check_docs.py``).  Five guarantees:
 
-1. **Coverage** — every NF in :data:`repro.cli.NF_MATRIX` and every
+1. **Coverage** — every NF in :data:`repro.nf.NF_MATRIX` and every
    structure class in :func:`repro.cli.smoke_structures` (i.e. everything
    the CLI smoke output lists) has a section in ``docs/CONTRACTS.md``,
    and every NF appears in ``docs/ARCHITECTURE.md``'s module map.
@@ -40,11 +40,11 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.cli import (  # noqa: E402
     GRAPH_MATRIX,
-    NF_MATRIX,
     SUBCOMMANDS,
     _bench_models,
     smoke_structures,
 )
+from repro.nf import NF_MATRIX  # noqa: E402
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -62,7 +62,7 @@ def check_contract_docs(failures: list[str]) -> None:
                 f"docs/CONTRACTS.md: no section for structure {cls} "
                 "(smoke validates it; document its cost table)"
             )
-    for spec in NF_MATRIX:
+    for spec, _ in NF_MATRIX:
         # Every NF needs a contract discussion and a module-map presence.
         if not re.search(rf"\b{re.escape(spec.name)}\b", contracts, flags=re.IGNORECASE):
             failures.append(
@@ -76,9 +76,7 @@ def check_contract_docs(failures: list[str]) -> None:
             failures.append(
                 f"docs/ARCHITECTURE.md: NF {spec.name!r} missing from the module map"
             )
-        missing = [
-            name for name in sorted(spec.expected_classes) if f"`{name}`" not in contracts
-        ]
+        missing = [name for name in sorted(spec.classes) if f"`{name}`" not in contracts]
         if missing:
             failures.append(
                 f"docs/CONTRACTS.md: NF {spec.name!r} input classes never "
@@ -191,7 +189,7 @@ def main() -> int:
     structures = ", ".join(sorted({type(s).__name__ for s in smoke_structures()}))
     models = ", ".join(model.name for model in _bench_models())
     print(f"checked hardware models: {models}")
-    nfs = ", ".join(spec.name for spec in NF_MATRIX)
+    nfs = ", ".join(spec.name for spec, _ in NF_MATRIX)
     graphs = ", ".join(spec.name for spec in GRAPH_MATRIX)
     subcommands = ", ".join(name for name, _ in SUBCOMMANDS)
     print(f"checked structures: {structures}")
