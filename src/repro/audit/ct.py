@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.contract import PerformanceContract
+from repro.core.contract import PerformanceContract, effective_bounds
 from repro.core.distiller import resolve_pcv
 from repro.core.perfexpr import Number, PerfExpr
 
@@ -142,16 +142,6 @@ class AuditFinding:
         return lines
 
 
-def _effective_bounds(
-    contract: PerformanceContract, bounds: Optional[Mapping[str, Number]]
-) -> Dict[str, Number]:
-    effective: Dict[str, Number] = {name: 1 for name in contract.variables()}
-    effective.update(contract.registry.default_bounds())
-    if bounds:
-        effective.update(bounds)
-    return effective
-
-
 def _witness(
     delta: PerfExpr,
     contract: PerformanceContract,
@@ -212,7 +202,7 @@ def audit_contract(
     Raises:
         KeyError: a secret set names a class the contract does not have.
     """
-    maxima = _effective_bounds(contract, bounds)
+    maxima = effective_bounds(contract, bounds=bounds)
     findings: List[AuditFinding] = []
     for secret_set in secret_sets:
         entries = {name: contract.entry_for(name) for name in secret_set.classes}

@@ -136,7 +136,11 @@ SUBCOMMANDS: Tuple[Tuple[str, str], ...] = (
         "0 = measured <= predicted everywhere and every bound hit; "
         "1 = violation or missed worst case; 2 = unknown --nf/--graph row",
     ),
-    ("graph", "0 = clean end-to-end replay; 1 = violation or missing coverage; 2 = unknown graph"),
+    (
+        "graph",
+        "0 = measured <= predicted at every hop and every journey a composed route; "
+        "1 = violation or missing coverage; 2 = unknown graph",
+    ),
     (
         "contract-diff",
         "0 = no drift against the goldens; 1 = any bound drift; "
@@ -639,7 +643,7 @@ def run_graph(
     print(
         "GRAPH FAILED"
         if failures
-        else "GRAPH OK: measured <= predicted at every hop and end to end"
+        else "GRAPH OK: measured <= predicted at every hop; every journey is a composed route"
     )
     return 1 if failures else 0
 

@@ -19,6 +19,7 @@ from repro.core.contract import (
     ContractEntry,
     Metric,
     PerformanceContract,
+    effective_bounds,
     upper_envelope,
 )
 from repro.core.input_class import InputClass
@@ -57,6 +58,7 @@ __all__ = [
     "contract_to_json",
     "diff_contracts",
     "dump_contract",
+    "effective_bounds",
     "explain_term",
     "format_contract",
     "format_table",
@@ -64,6 +66,7 @@ __all__ = [
     "naive_add_contracts",
     "resolve_pcv",
     "qualify_name",
+    "route_class_name",
     "split_name",
     "upper_envelope",
 ]

@@ -24,6 +24,7 @@ __all__ = [
     "ContractEntry",
     "Metric",
     "PerformanceContract",
+    "effective_bounds",
     "upper_envelope",
 ]
 
@@ -218,3 +219,22 @@ class PerformanceContract:
             f"<PerformanceContract {self.nf_name!r} "
             f"classes={self.class_names()!r}>"
         )
+
+
+def effective_bounds(
+    *contracts: PerformanceContract, bounds: Optional[Mapping[str, Number]] = None
+) -> Dict[str, Number]:
+    """PCV maxima for judging ``contracts``' worst cases.
+
+    1 for every variable the contracts use (so an unbounded term counts by
+    its coefficient), then each registry's declared bounds in order, then
+    the caller's ``bounds``.
+    """
+    effective: Dict[str, Number] = {
+        name: 1 for contract in contracts for name in contract.variables()
+    }
+    for contract in contracts:
+        effective.update(contract.registry.default_bounds())
+    if bounds:
+        effective.update(bounds)
+    return effective

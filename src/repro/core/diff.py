@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.contract import ContractEntry, Metric, PerformanceContract
+from repro.core.contract import ContractEntry, Metric, PerformanceContract, effective_bounds
 from repro.core.distiller import resolve_pcv
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCV, PCVRegistry
@@ -265,23 +265,6 @@ class ContractDiff:
         return self.render()
 
 
-def _effective_bounds(
-    golden: PerformanceContract,
-    current: PerformanceContract,
-    bounds: Optional[Mapping[str, Number]],
-) -> Dict[str, Number]:
-    """PCV maxima for cycle-delta evaluation: 1 for unbounded, registry
-    bounds where declared, caller overrides last (Distiller convention)."""
-    effective: Dict[str, Number] = {
-        name: 1 for name in golden.variables() | current.variables()
-    }
-    effective.update(golden.registry.default_bounds())
-    effective.update(current.registry.default_bounds())
-    if bounds:
-        effective.update(bounds)
-    return effective
-
-
 def diff_contracts(
     golden: PerformanceContract,
     current: PerformanceContract,
@@ -312,7 +295,7 @@ def diff_contracts(
     added = tuple(sorted(current_classes - golden_classes))
     removed = tuple(sorted(golden_classes - current_classes))
 
-    effective = _effective_bounds(golden, current, bounds)
+    effective = effective_bounds(golden, current, bounds=bounds)
     drifted: List[ClassDrift] = []
     for class_name in current.class_names():
         if class_name not in golden_classes:

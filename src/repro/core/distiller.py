@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.contract import Metric, PerformanceContract
+from repro.core.contract import Metric, PerformanceContract, effective_bounds
 from repro.core.pcv import PCVRegistry, split_name
 from repro.core.perfexpr import Number, PerfExpr
 
@@ -161,7 +161,7 @@ class Distiller:
         """
         if not 0 <= relative_threshold < 1:
             raise ValueError("relative_threshold must be in [0, 1)")
-        effective = self._effective_bounds(bounds)
+        effective = effective_bounds(self.contract, bounds=bounds)
         entries: List[DistilledEntry] = []
         for entry in self.contract.entries:
             expr = entry.expr(metric)
@@ -214,7 +214,7 @@ class Distiller:
         report.
         """
         report = self.distill(metric, relative_threshold=relative_threshold, bounds=bounds)
-        effective = self._effective_bounds(bounds)
+        effective = effective_bounds(self.contract, bounds=bounds)
         registry = self.contract.registry
         lines = [f"distilled terms for {self.contract.nf_name} ({metric}):"]
         for entry in report.entries:
@@ -246,15 +246,6 @@ class Distiller:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _effective_bounds(
-        self, bounds: Optional[Mapping[str, Number]]
-    ) -> Dict[str, Number]:
-        effective: Dict[str, Number] = {name: 1 for name in self.contract.variables()}
-        effective.update(self.contract.registry.default_bounds())
-        if bounds:
-            effective.update(bounds)
-        return effective
-
     @staticmethod
     def _simplify(
         expr: PerfExpr,

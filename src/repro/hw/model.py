@@ -24,18 +24,19 @@ provides the three models the reproduction's evaluation loop uses:
   keeps measured ≤ predicted sound; the observed per-packet costs are
   what the bench's report-only p50/p95/p99 tails summarise.
 
-All three models expose the same three-sided API:
+All three models expose the same two sides:
 
 * **predict** — :meth:`CycleModel.cycles_expr` turns one contract entry's
   instruction/memory expressions into a cycle :class:`PerfExpr` over the
   same PCVs; :meth:`CycleModel.derive` does it for a whole contract,
   producing a new :class:`PerformanceContract` with a ``cycles`` column
-  that renders and distils like any other.
+  that renders and distils like any other.  Evaluating that expression
+  at the PCV upper bounds gives the worst-case cycle envelope.
 * **measure** — :meth:`CycleModel.measure` prices one traced concrete
   execution (an :class:`~repro.nfil.tracer.ExecutionTrace`) under the same
-  assumptions, attributing each extern call's accesses to its structure.
-* **bound** — :meth:`CycleModel.envelope` evaluates the derived cycle
-  expressions at the PCV upper bounds: the worst-case cycle envelope.
+  assumptions, attributing each extern call's accesses to its structure;
+  :meth:`CycleModel.compile_measure` is its integer-arithmetic form for
+  the replay hot loop.
 
 Soundness of measured ≤ predicted: every per-unit price is non-negative
 and *predict* prices each memory term at the **maximum** latency of any
@@ -205,16 +206,6 @@ class CycleModel:
             expr += PerfExpr({monomial: coeff * price})
         return expr
 
-    def predict(
-        self,
-        entry: ContractEntry,
-        bindings: Mapping[str, Number],
-        *,
-        structures: Sequence[Structure] = (),
-    ) -> Fraction:
-        """Predicted cycles of one entry at concrete PCV bindings."""
-        return self.cycles_expr(entry, structures=structures).evaluate(bindings)
-
     def derive(
         self, contract: PerformanceContract, *, structures: Sequence[Structure] = ()
     ) -> PerformanceContract:
@@ -234,21 +225,6 @@ class CycleModel:
                 ContractEntry(input_class=entry.input_class, exprs=exprs, paths=entry.paths)
             )
         return derived
-
-    def envelope(
-        self,
-        contract: PerformanceContract,
-        *,
-        structures: Sequence[Structure] = (),
-        bounds: Optional[Mapping[str, Number]] = None,
-    ) -> Fraction:
-        """Worst-case cycle bound over all entries at the PCV upper bounds."""
-        if bounds is None:
-            bounds = contract.registry.default_bounds()
-        worst = Fraction(0)
-        for entry in contract.entries:
-            worst = max(worst, self.cycles_expr(entry, structures=structures).upper_bound(bounds))
-        return worst
 
     # -- measurement side ------------------------------------------------ #
     @staticmethod
@@ -299,6 +275,20 @@ class CycleModel:
             value = math.lcm(value, self.structure_access_cycles(structure).denominator)
         return value
 
+    def _pricer(self, structures: Sequence[Structure], scale: int) -> Callable[[Fraction], int]:
+        """``price -> price * scale`` as an exact int; ValueError if a fraction remains."""
+
+        def price(value: Fraction) -> int:
+            scaled = value * scale
+            if scaled.denominator != 1:
+                raise ValueError(
+                    f"scale {scale} does not clear price {value} (need a "
+                    f"multiple of {self.price_denominator(structures)})"
+                )
+            return scaled.numerator
+
+        return price
+
     def compile_measure(
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
@@ -311,16 +301,7 @@ class CycleModel:
         must be a multiple of :meth:`price_denominator` (``ValueError``
         otherwise).
         """
-
-        def price(value: Fraction) -> int:
-            scaled = value * scale
-            if scaled.denominator != 1:
-                raise ValueError(
-                    f"scale {scale} does not clear price {value} (need a "
-                    f"multiple of {self.price_denominator(structures)})"
-                )
-            return scaled.numerator
-
+        price = self._pricer(structures, scale)
         instruction = price(self.instruction_cycles())
         stateless = price(self.stateless_access_cycles())
         unknown = price(self.structure_access_cycles(None))
@@ -516,16 +497,7 @@ class SimulatedModel(CycleModel):
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
         """Integer-arithmetic :meth:`measure` (same statefulness caveat)."""
-
-        def price(value: Fraction) -> int:
-            scaled = value * scale
-            if scaled.denominator != 1:
-                raise ValueError(
-                    f"scale {scale} does not clear price {value} (need a "
-                    f"multiple of {self.price_denominator(structures)})"
-                )
-            return scaled.numerator
-
+        price = self._pricer(structures, scale)
         instruction = price(self.instruction_cycles())
         levels = {name: price(value) for name, value in self._level_prices().items()}
         dram = levels["dram"]

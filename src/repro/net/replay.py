@@ -43,6 +43,7 @@ from repro.traffic.replayer import ClassSummary, PacketOutcome, Replayer
 
 __all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer", "RouteSummary"]
 
+
 @dataclass(frozen=True)
 class GraphFrame:
     """One stream packet entering the graph: bytes plus stream metadata."""

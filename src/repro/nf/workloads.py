@@ -767,7 +767,6 @@ def lb_data_stimulus(packet: bytes, time: int, note: str = "data") -> Stimulus:
     )
 
 
-
 def _lb_mixed(
     rng: random.Random,
     indices: List[int],
@@ -886,7 +885,8 @@ def lb_adversarial(
     stimuli.append(lb_control_stimulus(lb_nf.CMD_REMOVE, backends[0], 0, "churn"))
     stimuli.append(lb_control_stimulus(lb_nf.CMD_ADD, backends[0], 0, "churn"))
     for i, key in enumerate(flows, start=1):
-        stimuli.append(lb_data_stimulus(nat_frame(key >> 16, key & 0xFFFF, WAN_SERVER, 80), i, "fill"))
+        frame = nat_frame(key >> 16, key & 0xFFFF, WAN_SERVER, 80)
+        stimuli.append(lb_data_stimulus(frame, i, "fill"))
     tail = flows[-1]
     last = len(flows)
     tail_frame = nat_frame(tail >> 16, tail & 0xFFFF, WAN_SERVER, 80)
@@ -903,9 +903,8 @@ def lb_adversarial(
         if backend != drained:
             stimuli.append(lb_control_stimulus(lb_nf.CMD_REMOVE, backend, last, "no_backends"))
     fresh = next(k for k in range(1, 1 << 16) if k not in flow_set)
-    stimuli.append(
-        lb_data_stimulus(nat_frame(fresh >> 16, fresh & 0xFFFF, WAN_SERVER, 80), last, "no_backends")
-    )
+    fresh_frame = nat_frame(fresh >> 16, fresh & 0xFFFF, WAN_SERVER, 80)
+    stimuli.append(lb_data_stimulus(fresh_frame, last, "no_backends"))
     stimuli.append(lb_data_stimulus(tail_frame, last, "no_backends"))
     # Latest deadline: the rebind at time `last` plus the timeout.  Jumping
     # past it by a full revolution makes the sweep advance wheel_slots

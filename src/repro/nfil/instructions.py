@@ -6,24 +6,106 @@ or 1 in a 64-bit register; branches test for non-zero.  Keeping a single
 register width keeps both the interpreter and the symbolic engine simple
 without affecting the performance observables BOLT cares about (dynamic
 instruction count, memory access count).
+
+Operators act on unsigned ``w``-bit operands ``a`` and ``b``; ``w`` is 64
+in NFIL registers, and the symbolic layer applies the same operators at
+any width:
+
+* ``add``, ``sub`` and ``mul`` wrap around: the exact sum, difference or
+  product modulo ``2**w``.
+* ``udiv`` and ``urem`` are unsigned floor division and remainder.
+  Division by zero does not trap: ``udiv`` gives ``2**w - 1`` (all ones)
+  and ``urem`` gives the dividend ``a``.
+* ``and``, ``or`` and ``xor`` are bitwise.
+* ``shl`` is ``a * 2**b`` modulo ``2**w`` and ``lshr`` is ``a // 2**b``;
+  a shift by ``w`` or more gives 0.
+* ``eq`` and ``ne`` test equality.  ``ult``, ``ule``, ``ugt`` and ``uge``
+  order the unsigned values.  ``slt``, ``sle``, ``sgt`` and ``sge`` order
+  two's-complement values: an operand ``x >= 2**(w - 1)`` stands for
+  ``x - 2**w``.
+
+:data:`BINARY_OPS` and :data:`CMP_OPS` are the one definition of these
+semantics.  The interpreter, the symbolic expression layer and replay's
+compiled predicates all take their code from :func:`operator_source`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
 
-#: Binary operations supported by :class:`BinOp`.
-BINARY_OPS = ("add", "sub", "mul", "udiv", "urem", "and", "or", "xor", "shl", "lshr")
-
-#: Comparison predicates supported by :class:`Cmp`.
-CMP_OPS = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
-
 #: Legal memory access sizes, in bytes.
 ACCESS_SIZES = (1, 2, 4, 8)
+
+#: What each :class:`BinOp` computes: Python source over the unsigned
+#: ``{w}``-bit operands ``{a}`` and ``{b}``, with ``{m}`` the width's mask.
+BINARY_OPS: Dict[str, str] = {
+    "add": "({a} + {b}) & {m}",
+    "sub": "({a} - {b}) & {m}",
+    "mul": "({a} * {b}) & {m}",
+    "udiv": "({a} // {b} if {b} else {m})",
+    "urem": "({a} % {b} if {b} else {a})",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "(({a} << {b}) & {m} if {b} < {w} else 0)",
+    "lshr": "({a} >> {b} if {b} < {w} else 0)",
+}
+
+
+class Predicate(NamedTuple):
+    """A :class:`Cmp` predicate: ``a <relation> b``, read as two's complement if ``signed``."""
+
+    relation: str
+    signed: bool
+    #: The predicate that holds exactly when this one does not.
+    negation: str
+    #: The predicate that holds on ``(b, a)`` exactly when this one holds on ``(a, b)``.
+    swapped: str
+
+    @property
+    def reflexive(self) -> bool:
+        """Whether the predicate holds when both operands are equal."""
+        return self.relation in ("==", "<=", ">=")
+
+
+#: What each :class:`Cmp` predicate computes.
+CMP_OPS: Dict[str, Predicate] = {
+    "eq": Predicate("==", signed=False, negation="ne", swapped="eq"),
+    "ne": Predicate("!=", signed=False, negation="eq", swapped="ne"),
+    "ult": Predicate("<", signed=False, negation="uge", swapped="ugt"),
+    "ule": Predicate("<=", signed=False, negation="ugt", swapped="uge"),
+    "ugt": Predicate(">", signed=False, negation="ule", swapped="ult"),
+    "uge": Predicate(">=", signed=False, negation="ult", swapped="ule"),
+    "slt": Predicate("<", signed=True, negation="sge", swapped="sgt"),
+    "sle": Predicate("<=", signed=True, negation="sgt", swapped="sge"),
+    "sgt": Predicate(">", signed=True, negation="sle", swapped="slt"),
+    "sge": Predicate(">=", signed=True, negation="slt", swapped="sle"),
+}
+
+
+def operator_source(op: str, a: str, b: str, width: Union[int, str]) -> str:
+    """Python source computing ``a <op> b`` on unsigned ``width``-bit operands.
+
+    ``a`` and ``b`` are source text: names or literals.  ``width`` is a
+    literal, inlined with its mask and sign bit, or the name of a variable
+    holding the width.  A predicate's source gives 1 or 0.
+    """
+    if isinstance(width, int):
+        mask, sign = str((1 << width) - 1), str(1 << (width - 1))
+    else:
+        mask, sign = f"((1 << {width}) - 1)", f"(1 << ({width} - 1))"
+    template = BINARY_OPS.get(op)
+    if template is not None:
+        return template.format(a=a, b=b, w=width, m=mask)
+    predicate = CMP_OPS[op]
+    if predicate.signed:
+        # Flipping the sign bit maps two's-complement order onto unsigned order.
+        a, b = f"({a} ^ {sign})", f"({b} ^ {sign})"
+    return f"(1 if {a} {predicate.relation} {b} else 0)"
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,11 +14,12 @@ the call's value together with the instrumented cost of serving it and the
 PCV values it observed, so the trace carries everything a performance
 contract must bound.
 
-The arithmetic here deliberately mirrors the semantics of
-:mod:`repro.sym.expr` (which the symbolic engine uses) without importing
-it — NFIL is the bottom layer and must stay import-free of ``repro.sym`` —
-and the test suite cross-checks the two by replaying symbolic models
-concretely.
+Each operator is compiled once, at import and at the 64-bit register
+width, from the source :func:`repro.nfil.instructions.operator_source`
+generates for it.  The symbolic layer builds its constant folding, its
+``evaluate`` and replay's compiled predicates from the same table, so the
+concrete and the symbolic semantics cannot drift apart.  The table lives
+in NFIL, the bottom layer, which stays import-free of ``repro.sym``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.nfil.instructions import (
+    BINARY_OPS,
+    CMP_OPS,
     BinOp,
     Br,
     Call,
@@ -44,6 +47,7 @@ from repro.nfil.instructions import (
     Store,
     WORD_BITS,
     WORD_MASK,
+    operator_source,
 )
 from repro.nfil.program import BasicBlock, Function, Module
 from repro.nfil.tracer import ExecutionTrace
@@ -70,37 +74,10 @@ def _truncate(value: int) -> int:
     return value & WORD_MASK
 
 
-def _to_signed(value: int) -> int:
-    value &= WORD_MASK
-    if value >= 1 << (WORD_BITS - 1):
-        value -= 1 << WORD_BITS
-    return value
-
-
-_BINOP_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: _truncate(a + b),
-    "sub": lambda a, b: _truncate(a - b),
-    "mul": lambda a, b: _truncate(a * b),
-    "udiv": lambda a, b: _truncate(a // b) if b != 0 else WORD_MASK,
-    "urem": lambda a, b: _truncate(a % b) if b != 0 else a,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: _truncate(a << b) if b < WORD_BITS else 0,
-    "lshr": lambda a, b: (a >> b) if b < WORD_BITS else 0,
-}
-
-_CMP_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-    "ult": lambda a, b: int(a < b),
-    "ule": lambda a, b: int(a <= b),
-    "ugt": lambda a, b: int(a > b),
-    "uge": lambda a, b: int(a >= b),
-    "slt": lambda a, b: int(_to_signed(a) < _to_signed(b)),
-    "sle": lambda a, b: int(_to_signed(a) <= _to_signed(b)),
-    "sgt": lambda a, b: int(_to_signed(a) > _to_signed(b)),
-    "sge": lambda a, b: int(_to_signed(a) >= _to_signed(b)),
+#: ``fn(a, b)`` for every binary operation and predicate, at 64 bits.
+_OPERATORS: Dict[str, Callable[[int, int], int]] = {
+    op: eval(f"lambda a, b: {operator_source(op, 'a', 'b', WORD_BITS)}")
+    for op in (*BINARY_OPS, *CMP_OPS)
 }
 
 
@@ -550,7 +527,7 @@ class Interpreter:
 
             return const
         if isinstance(instruction, (BinOp, Cmp)):
-            fn = (_BINOP_FUNCS if isinstance(instruction, BinOp) else _CMP_FUNCS)[instruction.op]
+            fn = _OPERATORS[instruction.op]
             return _binary(function, instruction.dest, fn, instruction.a, instruction.b)
         if isinstance(instruction, Select):
             dest = instruction.dest

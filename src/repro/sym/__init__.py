@@ -36,7 +36,6 @@ from repro.sym.expr import (
     ite,
     mul,
     ne,
-    sdiv,
     shl,
     lshr,
     sub,
@@ -89,7 +88,6 @@ __all__ = [
     "ite",
     "mul",
     "ne",
-    "sdiv",
     "shl",
     "lshr",
     "sub",

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
+from repro.nfil.instructions import BINARY_OPS, CMP_OPS, operator_source
+
 __all__ = [
     "BV",
     "BinOp",
@@ -49,7 +51,6 @@ __all__ = [
     "lshr",
     "mul",
     "ne",
-    "sdiv",
     "sge",
     "sgt",
     "shl",
@@ -74,14 +75,6 @@ def mask(width: int) -> int:
 def truncate(value: int, width: int) -> int:
     """Truncate ``value`` to an unsigned ``width``-bit integer."""
     return value & mask(width)
-
-
-def to_signed(value: int, width: int) -> int:
-    """Reinterpret an unsigned ``width``-bit value as two's complement."""
-    value = truncate(value, width)
-    if value >= 1 << (width - 1):
-        value -= 1 << width
-    return value
 
 
 class BV:
@@ -255,41 +248,12 @@ class ZExt(BV):
 # --------------------------------------------------------------------------- #
 # Smart constructors
 # --------------------------------------------------------------------------- #
-def _sdiv(a: int, b: int) -> int:
-    """Signed division truncating toward zero, exact for any width."""
-    if b == 0:
-        return -1
-    quotient = abs(a) // abs(b)
-    return quotient if (a < 0) == (b < 0) else -quotient
-
-
 _COMMUTATIVE = {"add", "mul", "and", "or", "xor"}
 
-_BINOP_FUNCS = {
-    "add": lambda a, b, w: truncate(a + b, w),
-    "sub": lambda a, b, w: truncate(a - b, w),
-    "mul": lambda a, b, w: truncate(a * b, w),
-    "udiv": lambda a, b, w: truncate(a // b, w) if b != 0 else mask(w),
-    "urem": lambda a, b, w: truncate(a % b, w) if b != 0 else a,
-    "sdiv": lambda a, b, w: truncate(_sdiv(to_signed(a, w), to_signed(b, w)), w),
-    "and": lambda a, b, w: a & b,
-    "or": lambda a, b, w: a | b,
-    "xor": lambda a, b, w: a ^ b,
-    "shl": lambda a, b, w: truncate(a << b, w) if b < w else 0,
-    "lshr": lambda a, b, w: (a >> b) if b < w else 0,
-}
-
-_CMP_FUNCS = {
-    "eq": lambda a, b, w: int(a == b),
-    "ne": lambda a, b, w: int(a != b),
-    "ult": lambda a, b, w: int(a < b),
-    "ule": lambda a, b, w: int(a <= b),
-    "ugt": lambda a, b, w: int(a > b),
-    "uge": lambda a, b, w: int(a >= b),
-    "slt": lambda a, b, w: int(to_signed(a, w) < to_signed(b, w)),
-    "sle": lambda a, b, w: int(to_signed(a, w) <= to_signed(b, w)),
-    "sgt": lambda a, b, w: int(to_signed(a, w) > to_signed(b, w)),
-    "sge": lambda a, b, w: int(to_signed(a, w) >= to_signed(b, w)),
+#: ``fn(a, b, width)`` for every binary operation and predicate.
+_OPERATORS = {
+    op: eval(f"lambda a, b, w: {operator_source(op, 'a', 'b', 'w')}")
+    for op in (*BINARY_OPS, *CMP_OPS)
 }
 
 
@@ -306,11 +270,11 @@ def _check_same_width(a: BV, b: BV) -> int:
 
 def binop(op: str, a: BV, b: BV) -> BV:
     """Build a binary operation with constant folding."""
-    if op not in _BINOP_FUNCS:
+    if op not in BINARY_OPS:
         raise ValueError(f"unknown binary op {op!r}")
     width = _check_same_width(a, b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_BINOP_FUNCS[op](a.value, b.value, width), width)
+        return Const(_OPERATORS[op](a.value, b.value, width), width)
     # Canonicalise commutative operations: constant on the right.
     if op in _COMMUTATIVE and isinstance(a, Const) and not isinstance(b, Const):
         a, b = b, a
@@ -328,7 +292,7 @@ def binop(op: str, a: BV, b: BV) -> BV:
                 return Const(0, width)
             if bval == mask(width):
                 return a
-        if op in ("udiv", "sdiv") and bval == 1:
+        if op == "udiv" and bval == 1:
             return a
     if op == "sub" and a is b:
         return Const(0, width)
@@ -339,16 +303,13 @@ def binop(op: str, a: BV, b: BV) -> BV:
 
 def cmp(op: str, a: BV, b: BV) -> BV:
     """Build a comparison with constant folding."""
-    if op not in _CMP_FUNCS:
+    if op not in CMP_OPS:
         raise ValueError(f"unknown comparison {op!r}")
     width = _check_same_width(a, b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_CMP_FUNCS[op](a.value, b.value, width), 1)
+        return Const(_OPERATORS[op](a.value, b.value, width), 1)
     if a == b:
-        if op in ("eq", "ule", "uge", "sle", "sge"):
-            return Const(1, 1)
-        if op in ("ne", "ult", "ugt", "slt", "sgt"):
-            return Const(0, 1)
+        return Const(int(CMP_OPS[op].reflexive), 1)
     return Cmp(op, a, b)
 
 
@@ -370,10 +331,6 @@ def udiv(a: BV, b: BV) -> BV:
 
 def urem(a: BV, b: BV) -> BV:
     return binop("urem", a, b)
-
-
-def sdiv(a: BV, b: BV) -> BV:
-    return binop("sdiv", a, b)
 
 
 def band(a: BV, b: BV) -> BV:
@@ -445,19 +402,7 @@ def bnot(a: BV) -> BV:
     if isinstance(a, Not):
         return a.a
     if isinstance(a, Cmp):
-        negated = {
-            "eq": "ne",
-            "ne": "eq",
-            "ult": "uge",
-            "ule": "ugt",
-            "ugt": "ule",
-            "uge": "ult",
-            "slt": "sge",
-            "sle": "sgt",
-            "sgt": "sle",
-            "sge": "slt",
-        }
-        return Cmp(negated[a.op], a.a, a.b)
+        return Cmp(CMP_OPS[a.op].negation, a.a, a.b)
     return Not(a)
 
 
@@ -601,10 +546,8 @@ def evaluate(expr: BV, env: Mapping[str, int] | None = None) -> int:
             result = node.value
         elif isinstance(node, Sym):
             result = truncate(int(env.get(node.name, 0)), node.width)
-        elif isinstance(node, BinOp):
-            result = _BINOP_FUNCS[node.op](walk(node.a), walk(node.b), node.width)
-        elif isinstance(node, Cmp):
-            result = _CMP_FUNCS[node.op](walk(node.a), walk(node.b), node.a.width)
+        elif isinstance(node, (BinOp, Cmp)):
+            result = _OPERATORS[node.op](walk(node.a), walk(node.b), node.a.width)
         elif isinstance(node, Not):
             result = 1 - walk(node.a)
         elif isinstance(node, BoolOp):
@@ -684,37 +627,11 @@ class _Codegen:
         return name
 
     def _emit(self, node: BV) -> str:
-        w = node.width
-        m = mask(w)
+        m = mask(node.width)
         if isinstance(node, Sym):
             return f"env.get({node.name!r}, 0) & {m}"
-        if isinstance(node, BinOp):
-            a, b = self.walk(node.a), self.walk(node.b)
-            if node.op in ("add", "sub", "mul"):
-                sign = {"add": "+", "sub": "-", "mul": "*"}[node.op]
-                return f"({a} {sign} {b}) & {m}"
-            if node.op in ("and", "or", "xor"):
-                sign = {"and": "&", "or": "|", "xor": "^"}[node.op]
-                return f"{a} {sign} {b}"
-            if node.op == "udiv":
-                return f"({a} // {b} if {b} else {m})"
-            if node.op == "urem":
-                return f"({a} % {b} if {b} else {a})"
-            if node.op == "sdiv":
-                return f"_sdiv(_sgn({a}, {w}), _sgn({b}, {w})) & {m}"
-            if node.op == "shl":
-                return f"(({a} << {b}) & {m} if {b} < {w} else 0)"
-            if node.op == "lshr":
-                return f"({a} >> {b} if {b} < {w} else 0)"
-            raise TypeError(f"cannot compile binop {node.op!r}")  # pragma: no cover
-        if isinstance(node, Cmp):
-            a, b = self.walk(node.a), self.walk(node.b)
-            aw = node.a.width
-            signs = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
-            if node.op in signs:
-                return f"(1 if {a} {signs[node.op]} {b} else 0)"
-            sign = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}[node.op]
-            return f"(1 if _sgn({a}, {aw}) {sign} _sgn({b}, {aw}) else 0)"
+        if isinstance(node, (BinOp, Cmp)):
+            return operator_source(node.op, self.walk(node.a), self.walk(node.b), node.a.width)
         if isinstance(node, Not):
             return f"1 - {self.walk(node.a)}"
         if isinstance(node, BoolOp):
@@ -742,7 +659,7 @@ class _Codegen:
         lines = [f"def {name}(env):"]
         lines += [f"    {line}" for line in self.lines]
         lines += [f"    {line}" for line in body]
-        namespace = {"_sdiv": _sdiv, "_sgn": to_signed}
+        namespace: Dict[str, object] = {}
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
         return namespace[name]
 

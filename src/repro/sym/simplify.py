@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
+from repro.nfil.instructions import CMP_OPS
 from repro.sym import expr as E
 from repro.sym.expr import (
     BV,
@@ -84,7 +85,7 @@ def _post_rules(node: BV) -> BV:
     # constant's sign bit differs between the two widths.
     if (
         isinstance(node, Cmp)
-        and node.op in ("eq", "ne", "ult", "ule", "ugt", "uge")
+        and not CMP_OPS[node.op].signed
         and isinstance(node.b, Const)
         and isinstance(node.a, ZExt)
         and node.b.value <= E.mask(node.a.value.width)

@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.nfil.instructions import CMP_OPS
 from repro.sym import expr as E
 from repro.sym.expr import BV, BinOp, BoolOp, Cmp, Const, Sym, evaluate, free_symbols, render
 from repro.sym.simplify import simplify, substitute
@@ -375,10 +376,7 @@ class Solver:
         if sym is None or sym.name not in intervals:
             return
         interval = intervals[sym.name]
-        op = constraint.op
-        if flipped:
-            flip = {"ult": "ugt", "ule": "uge", "ugt": "ult", "uge": "ule"}
-            op = flip.get(op, op)
+        op = CMP_OPS[constraint.op].swapped if flipped else constraint.op
         if op == "eq":
             interval.lo = max(interval.lo, value)
             interval.hi = min(interval.hi, value)

@@ -468,4 +468,3 @@ class Replayer:
             max_pcvs=max_pcvs,
             envelopes=dict(self._envelopes),
         )
-

@@ -4,12 +4,19 @@ This is the straightforward per-instruction executor that
 :class:`repro.nfil.interpreter.Interpreter` replaced with decoded blocks.
 Nothing in the package selects it; the differential tests run every NF
 workload through both and require identical traces, results and errors.
+
+Its operators come from :data:`ORACLE`, written from the semantics
+documented in :mod:`repro.nfil.instructions` and sharing no code with the
+package's operator table: wraparound is ``% 2**w``, shifts multiply or
+divide by ``2**b``, and a two's-complement value is found by subtracting
+``2**w``.  The differential tests therefore check what each operator
+computes, not only how instructions are decoded and dispatched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.nfil.instructions import (
     BinOp,
@@ -26,18 +33,45 @@ from repro.nfil.instructions import (
     Ret,
     Select,
     Store,
+    WORD_BITS,
 )
-from repro.nfil.interpreter import (
-    _BINOP_FUNCS,
-    _CMP_FUNCS,
-    ExternHandler,
-    InterpreterError,
-    Memory,
-    StepLimitExceeded,
-    _truncate,
-)
+from repro.nfil.interpreter import ExternHandler, InterpreterError, Memory, StepLimitExceeded
 from repro.nfil.program import Function, Module
 from repro.nfil.tracer import ExecutionTrace
+
+
+def _signed(value: int, w: int) -> int:
+    """The two's-complement reading of an unsigned ``w``-bit value."""
+    return value - 2**w if value >= 2 ** (w - 1) else value
+
+
+#: ``fn(a, b, w)`` for every NFIL operator, on unsigned ``w``-bit operands.
+ORACLE: Dict[str, Callable[[int, int, int], int]] = {
+    "add": lambda a, b, w: (a + b) % 2**w,
+    "sub": lambda a, b, w: (a - b) % 2**w,
+    "mul": lambda a, b, w: (a * b) % 2**w,
+    "udiv": lambda a, b, w: a // b if b != 0 else 2**w - 1,
+    "urem": lambda a, b, w: a % b if b != 0 else a,
+    "and": lambda a, b, w: a & b,
+    "or": lambda a, b, w: a | b,
+    "xor": lambda a, b, w: a ^ b,
+    "shl": lambda a, b, w: (a * 2**b) % 2**w if b < w else 0,
+    "lshr": lambda a, b, w: a // 2**b if b < w else 0,
+    "eq": lambda a, b, w: int(a == b),
+    "ne": lambda a, b, w: int(a != b),
+    "ult": lambda a, b, w: int(a < b),
+    "ule": lambda a, b, w: int(a <= b),
+    "ugt": lambda a, b, w: int(a > b),
+    "uge": lambda a, b, w: int(a >= b),
+    "slt": lambda a, b, w: int(_signed(a, w) < _signed(b, w)),
+    "sle": lambda a, b, w: int(_signed(a, w) <= _signed(b, w)),
+    "sgt": lambda a, b, w: int(_signed(a, w) > _signed(b, w)),
+    "sge": lambda a, b, w: int(_signed(a, w) >= _signed(b, w)),
+}
+
+
+def _truncate(value: int) -> int:
+    return value % 2**WORD_BITS
 
 
 @dataclass
@@ -141,14 +175,10 @@ class ReferenceInterpreter:
         regs = frame.registers
         if isinstance(instruction, ConstInstr):
             regs[instruction.dest] = _truncate(instruction.value)
-        elif isinstance(instruction, BinOp):
+        elif isinstance(instruction, (BinOp, Cmp)):
             a = self._value(instruction.a, frame)
             b = self._value(instruction.b, frame)
-            regs[instruction.dest] = _BINOP_FUNCS[instruction.op](a, b)
-        elif isinstance(instruction, Cmp):
-            a = self._value(instruction.a, frame)
-            b = self._value(instruction.b, frame)
-            regs[instruction.dest] = _CMP_FUNCS[instruction.op](a, b)
+            regs[instruction.dest] = ORACLE[instruction.op](a, b, WORD_BITS)
         elif isinstance(instruction, Select):
             cond = self._value(instruction.cond, frame)
             picked = instruction.a if cond != 0 else instruction.b

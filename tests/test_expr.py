@@ -21,16 +21,6 @@ def test_division_by_zero_conventions():
     assert E.urem(a, zero) == Const(7, 16)  # dividend
 
 
-def test_sdiv_is_exact_for_wide_values():
-    # Truncating division toward zero, exact even at 64 bits (a float-based
-    # implementation would lose low bits here).
-    big = (1 << 62) + 3
-    a, b = Const(big, 64), Const(2, 64)
-    assert E.sdiv(a, b) == Const(big // 2, 64)
-    neg = Const((-big) & ((1 << 64) - 1), 64)
-    assert E.sdiv(neg, b) == Const((-(big // 2)) & ((1 << 64) - 1), 64)
-
-
 def test_identity_simplifications():
     x = Sym("x", 32)
     assert E.add(x, Const(0, 32)) is x

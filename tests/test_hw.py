@@ -137,10 +137,11 @@ def test_derive_adds_a_cycles_column():
 
 def test_envelope_bounds_any_binding():
     contract = _toy_contract()
-    model = ConservativeModel(SPEC)
-    envelope = model.envelope(contract)
+    cycles = ConservativeModel(SPEC).cycles_expr(contract.entry_for("all"))
+    envelope = cycles.upper_bound(contract.registry.default_bounds())
     for t in range(9):
-        assert model.predict(contract.entry_for("all"), {T: t}) <= envelope
+        assert cycles.evaluate({T: t}) <= envelope
+    assert cycles.evaluate({T: 8}) == envelope
 
 
 def test_bridge_replay_measured_within_predicted_for_both_models():

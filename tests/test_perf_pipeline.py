@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import Metric, PerfExpr
+from repro.core import PerfExpr
 from repro.hw import ConservativeModel, RealisticModel
 from repro.nf.bridge import generate_bridge_contract
 from repro.nf.lb import generate_lb_contract
@@ -165,9 +165,7 @@ def _random_arith(rng, width, symbols, depth):
             _random_arith(rng, width, symbols, depth - 1),
             _random_arith(rng, width, symbols, depth - 1),
         )
-    op = rng.choice(
-        [E.add, E.sub, E.mul, E.udiv, E.urem, E.sdiv, E.band, E.bor, E.bxor, E.shl, E.lshr]
-    )
+    op = rng.choice([E.add, E.sub, E.mul, E.udiv, E.urem, E.band, E.bor, E.bxor, E.shl, E.lshr])
     return op(
         _random_arith(rng, width, symbols, depth - 1),
         _random_arith(rng, width, symbols, depth - 1),
