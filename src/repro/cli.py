@@ -95,7 +95,7 @@ from repro.hw import (
 )
 from repro.nf import NF_MATRIX
 from repro.nf.replay import NFSpec
-from repro.nf.workloads import worst_case_report
+from repro.nf.workloads import WORKLOAD_NAMES, worst_case_report
 from repro.net.replay import GraphReplayer
 from repro.net.workloads import (
     GraphWorkload,
@@ -164,11 +164,14 @@ class GraphSpec:
         bench_workloads: ``(seed, packets) -> [GraphWorkload]`` factory;
             each workload carries a fresh graph, its stream and its churn
             schedule (see :mod:`repro.net.workloads`).
+        workloads: the names of the workloads ``bench_workloads`` returns,
+            in order; the bench and ``graph`` plan their cells from them.
     """
 
     name: str
     title: str
     bench_workloads: Callable[[int, int], List[GraphWorkload]]
+    workloads: Tuple[str, ...] = ("capture",)
 
 
 GRAPH_MATRIX: Tuple[GraphSpec, ...] = (
@@ -478,25 +481,19 @@ def run_bench(
     graph_selected = [
         spec for spec in GRAPH_MATRIX if not filtered or (graphs and spec.name in set(graphs))
     ]
-    # One cheap factory call per row names its workloads; the real
-    # per-cell streams are built inside the cells themselves.
-    plan = [
-        (spec, factory(seed=_cell_seed(seed, spec.name, "<cells>"), packets=1, **spec.bench))
-        for spec, factory in nf_selected
-    ]
-    graph_plan = [
-        (spec, spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1))
-        for spec in graph_selected
-    ]
+    # Cells are planned from the declared workload names; each cell
+    # builds its own stream.
+    plan = [(spec, WORKLOAD_NAMES) for spec, _ in nf_selected]
+    graph_plan = [(spec, spec.workloads) for spec in graph_selected]
     tasks: List[BenchTask] = [
-        ("nf", spec.name, workload.name, seed, packets, model_names)
-        for spec, workloads in plan
-        for workload in workloads
+        ("nf", spec.name, name, seed, packets, model_names)
+        for spec, names in plan
+        for name in names
     ]
     tasks += [
-        ("graph", spec.name, workload.name, seed, packets, model_names)
-        for spec, workloads in graph_plan
-        for workload in workloads
+        ("graph", spec.name, name, seed, packets, model_names)
+        for spec, names in graph_plan
+        for name in names
     ]
     if not tasks:
         print("FAIL: the --nf/--graph filters selected no bench rows")
@@ -620,11 +617,10 @@ def run_graph(
     report: Dict[str, object] = {}
     for spec in specs:
         _section(spec.title)
-        probe = spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1)
         record: Dict[str, object] = {}
         model_names = tuple(model.name for model in _bench_models())
-        for workload in probe:
-            cell = _graph_cell(("graph", spec.name, workload.name, seed, packets, model_names))
+        for name in spec.workloads:
+            cell = _graph_cell(("graph", spec.name, name, seed, packets, model_names))
             print(cell["text"])
             churn = cell["payload"]["churn"]  # type: ignore[index]
             for line in churn["log"][:8]:
@@ -632,7 +628,7 @@ def run_graph(
             if churn["events"] > 8:
                 print(f"  ... {churn['events'] - 8} more churn events")
             failures += cell["failures"]  # type: ignore[operator]
-            record[workload.name] = cell["payload"]
+            record[name] = cell["payload"]
         report[spec.name] = record
     if output:
         with open(output, "w", encoding="utf-8") as handle:

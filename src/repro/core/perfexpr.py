@@ -40,6 +40,10 @@ def _as_fraction(value: Number) -> Fraction:
     raise TypeError(f"unsupported coefficient type: {type(value).__name__}")
 
 
+def _read_binding(name: str) -> str:
+    return f"b[{name!r}]"
+
+
 def _normalise_monomial(monomial: Iterable[str]) -> Monomial:
     names = tuple(sorted(monomial))
     for name in names:
@@ -212,24 +216,25 @@ class PerfExpr:
         """Return the LCM of all coefficient denominators (1 when empty).
 
         Any multiple of this value is a valid ``scale`` for
-        :meth:`compile_scaled`: it clears every fraction, so the compiled
-        evaluator works in exact integers.
+        :meth:`scaled_source`: it clears every fraction, so the generated
+        source works in exact integers.
         """
         value = 1
         for coeff in self._terms.values():
             value = math.lcm(value, coeff.denominator)
         return value
 
-    def compile_scaled(self, scale: int) -> Callable[[Mapping[str, Number]], int]:
-        """Compile into ``f(bindings) -> int`` returning ``evaluate() * scale``.
+    def scaled_source(self, scale: int, read: Callable[[str], str] = _read_binding) -> str:
+        """Python source of ``evaluate() * scale`` over integer coefficients.
 
-        The replay hot loop calls contract polynomials per packet;
-        :meth:`evaluate` pays Fraction arithmetic and a dict-driven tree
-        walk every time.  The compiled closure is a single generated
-        Python expression over integer coefficients — exact, provided
-        ``scale`` is a multiple of :meth:`denominator_lcm` (a
-        ``ValueError`` guards this).  Divide by ``scale`` (or keep the
-        scaled units) at report time only.
+        The replay hot loop evaluates contract polynomials per packet,
+        where :meth:`evaluate` would pay Fraction arithmetic and a
+        dict-driven walk every time; the replayer compiles this source
+        instead, and divides by ``scale`` at report time only.
+        ``read(name)`` gives the source of PCV ``name``'s value (by
+        default ``b[name]``).  The source is exact, provided ``scale`` is
+        a multiple of :meth:`denominator_lcm` (a ``ValueError`` guards
+        this).
         """
         parts: list[str] = []
         for monomial, coeff in sorted(self._terms.items()):
@@ -239,10 +244,22 @@ class PerfExpr:
                     f"scale {scale} does not clear coefficient {coeff} "
                     f"(need a multiple of {self.denominator_lcm()})"
                 )
-            factors = [str(scaled.numerator)] + [f"b[{name!r}]" for name in monomial]
+            factors = [str(scaled.numerator)] + [read(name) for name in monomial]
             parts.append(" * ".join(factors))
-        source = "lambda b: " + (" + ".join(parts) if parts else "0")
-        return eval(source, {})  # noqa: S307 - generated from our own terms
+        return " + ".join(parts) if parts else "0"
+
+    def floor_source(self, read: Callable[[str], str] = _read_binding) -> str:
+        """Python source of ``floor(evaluate())`` in integer arithmetic.
+
+        The polynomial is rendered at its own clearing scale
+        (:meth:`denominator_lcm`) and floor-divided by it.  An integer
+        ``m`` satisfies ``m ≤ evaluate()`` exactly when
+        ``m ≤ floor(evaluate())``, so this is the bound a measured count
+        compares against exactly; :meth:`compile_int` rounds up instead.
+        """
+        denominator = self.denominator_lcm()
+        source = self.scaled_source(denominator, read)
+        return source if denominator == 1 else f"({source}) // {denominator}"
 
     def compile_int(self) -> Callable[[Mapping[str, Number]], int]:
         """Compile :meth:`evaluate_int` into integer arithmetic.
@@ -253,23 +270,10 @@ class PerfExpr:
         without building a ``Fraction``.
         """
         denominator = self.denominator_lcm()
-        scaled = self.compile_scaled(denominator)
-        if denominator == 1:
-            return scaled
-        return lambda b: -(-scaled(b) // denominator)
-
-    def compile_floor(self) -> Callable[[Mapping[str, Number]], int]:
-        """Compile ``floor(evaluate())`` into integer arithmetic.
-
-        An integer ``m`` satisfies ``m ≤ evaluate()`` exactly when
-        ``m ≤ floor(evaluate())``, so this is the bound a measured count
-        compares against exactly; :meth:`compile_int` rounds up instead.
-        """
-        denominator = self.denominator_lcm()
-        scaled = self.compile_scaled(denominator)
-        if denominator == 1:
-            return scaled
-        return lambda b: scaled(b) // denominator
+        source = self.scaled_source(denominator)
+        if denominator != 1:
+            source = f"-(-({source}) // {denominator})"
+        return eval("lambda b: " + source, {})  # noqa: S307
 
     def rename(self, mapping: Mapping[str, str]) -> "PerfExpr":
         """Return the expression with PCV names replaced per ``mapping``.

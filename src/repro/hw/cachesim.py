@@ -14,6 +14,14 @@ produces a *distribution* of per-packet cycle costs (cold-start packets
 miss, steady-state packets hit, conflict patterns sit in between) — which the
 bench summarises as report-only per-class p50/p95/p99 tails.
 
+Two ways in, one state: :meth:`CacheHierarchy.access` simulates one
+address and names the level that served it — the reference, which
+:meth:`~repro.hw.model.SimulatedModel.measure` prices one access at a time
+— and :meth:`CacheHierarchy.access_stream` walks a trace's whole address
+list in one call and counts the accesses each level served, which is how
+the replayer's compiled measure prices a trace.  Both leave the same
+lines, LRU order and hit/miss counters.
+
 Determinism: the simulator is a pure function of the access stream — no
 randomised replacement, no timestamps — so a bench cell's tail numbers
 are bit-identical for any ``--workers`` value.
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "DEFAULT_L1_GEOMETRY",
@@ -154,6 +162,48 @@ class CacheHierarchy:
         if self.llc.access(addr):
             return "llc"
         return "dram"
+
+    def access_stream(self, addresses: Iterable[int]) -> Tuple[int, int, int]:
+        """Simulate every access of ``addresses`` in order, in one call.
+
+        Returns how many accesses each level served, ``(l1, llc, dram)``.
+        The lines, their LRU order and each level's ``hits``/``misses``
+        end exactly as calling :meth:`access` once per address leaves
+        them.  The L1 lookup is inlined because a traced packet makes
+        dozens of accesses, most of them to the line the access before
+        touched; an L1 miss goes to the LLC's own :meth:`~SetAssociativeCache.access`.
+        """
+        l1, llc_access = self.l1, self.llc.access
+        sets, count, shift, ways = l1._sets, l1._set_count, l1._line_shift, l1._ways
+        l1_hits = llc_hits = dram = 0
+        # The line an access touched is its set's most recent, so the next
+        # access to the same line hits without reordering anything.
+        last = -1
+        for addr in addresses:
+            tag = addr >> shift
+            if tag == last:
+                l1_hits += 1
+                continue
+            last = tag
+            lines = sets[tag % count]
+            if lines and lines[-1] == tag:
+                l1_hits += 1
+                continue
+            if tag in lines:
+                lines.remove(tag)
+                lines.append(tag)
+                l1_hits += 1
+                continue
+            if len(lines) >= ways:
+                del lines[0]
+            lines.append(tag)
+            if llc_access(addr):
+                llc_hits += 1
+            else:
+                dram += 1
+        l1.hits += l1_hits
+        l1.misses += llc_hits + dram
+        return l1_hits, llc_hits, dram
 
     def reset(self) -> None:
         """Cold-start both levels."""

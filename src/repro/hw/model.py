@@ -416,7 +416,9 @@ class SimulatedModel(CycleModel):
     The measurement side replays the trace's recorded address stream
     through a set-associative L1/LLC :class:`~repro.hw.cachesim.CacheHierarchy`
     and prices each access at the latency of the level that served it
-    (l1 / llc / dram).  The hierarchy is **stateful across packets** —
+    (l1 / llc / dram): :meth:`measure` one access at a time, the compiled
+    measure with one walk of the whole stream.  The hierarchy is
+    **stateful across packets** —
     that warm/cold history is precisely what turns a replay into a
     per-packet latency *distribution* rather than one blended number.
 
@@ -493,18 +495,30 @@ class SimulatedModel(CycleModel):
     def compile_measure(
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
-        """Integer-arithmetic :meth:`measure` (same statefulness caveat)."""
+        """Integer-arithmetic :meth:`measure` (same statefulness caveat).
+
+        The trace's whole address list goes through one
+        :meth:`~repro.hw.cachesim.CacheHierarchy.access_stream` call, which
+        counts the accesses each level served; :meth:`measure`, the
+        reference, prices one :meth:`~repro.hw.cachesim.CacheHierarchy.access`
+        at a time.
+        """
         price = self._pricer(structures, scale)
         instruction = price(self.instruction_cycles())
-        levels = {name: price(value) for name, value in self._level_prices().items()}
-        dram = levels["dram"]
-        hierarchy_access = self.hierarchy.access
+        levels = self._level_prices()
+        l1, llc, dram = (price(levels[name]) for name in ("l1", "llc", "dram"))
+        walk = self.hierarchy.access_stream
 
-        def measure(trace: ExecutionTrace, _levels=levels) -> int:
-            cycles = trace.total_instructions() * instruction
-            for addr in trace.accesses:
-                cycles += _levels[hierarchy_access(addr)]
-            shortfall = trace.total_memory_accesses() - len(trace.accesses)
+        def measure(trace: ExecutionTrace) -> int:
+            accesses = trace.accesses
+            served_l1, served_llc, served_dram = walk(accesses)
+            cycles = (
+                trace.total_instructions() * instruction
+                + served_l1 * l1
+                + served_llc * llc
+                + served_dram * dram
+            )
+            shortfall = trace.total_memory_accesses() - len(accesses)
             if shortfall > 0:
                 cycles += shortfall * dram
             return cycles

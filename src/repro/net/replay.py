@@ -39,7 +39,7 @@ from repro.core.report import format_table
 from repro.hw.model import CycleModel
 from repro.net.churn import ChurnSchedule
 from repro.net.graph import Graph
-from repro.traffic.replayer import ClassSummary, PacketOutcome, Replayer
+from repro.traffic.replayer import ClassSummary, Maxima, PacketOutcome, Replayer, Scored
 
 __all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer", "RouteSummary"]
 
@@ -56,12 +56,13 @@ class GraphFrame:
     scalars: Mapping[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class GraphPacketOutcome:
+@dataclass(slots=True)
+class GraphPacketOutcome(Scored):
     """One packet's full journey: its hop outcomes and their sums.
 
-    The summed cycles are exact integers in units of ``1/cycle_scale``;
-    :attr:`cycles` converts them to ``Fraction`` on demand.
+    ``measured_values`` and ``predicted_values`` sum the hops' values (see
+    :class:`~repro.traffic.replayer.Scored`), cycles at the graph-wide
+    ``cycle_scale``; :attr:`cycles` converts them to ``Fraction`` on demand.
     """
 
     index: int
@@ -71,70 +72,29 @@ class GraphPacketOutcome:
     #: Composed-entry name of the traversed route (None when a hop failed
     #: to classify, so the packet took no route).
     route_name: Optional[str]
-    #: Hop counts summed over the journey, measured and predicted.
-    measured: Mapping[Metric, int]
-    predicted: Mapping[Metric, int]
-    #: model name -> (summed measured, summed predicted) hop cycles, scaled.
-    cycles_scaled: Mapping[str, Tuple[int, int]]
+    measured_values: Tuple[int, ...]
+    predicted_values: Tuple[int, ...]
+    models: Tuple[str, ...]
     #: Every violation of this packet: per-hop ones prefixed with the node
     #: name, then a route missing from the composed contract.
     violations: Tuple[str, ...]
-    #: The denominator of every ``cycles_scaled`` value.
-    cycle_scale: int = 1
-
-    @property
-    def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
-        scale = self.cycle_scale
-        return {
-            model: (Fraction(measured, scale), Fraction(predicted, scale))
-            for model, (measured, predicted) in self.cycles_scaled.items()
-        }
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    cycle_scale: int
 
     @property
     def hop_count(self) -> int:
         return len(self.hops)
 
 
-@dataclass
-class RouteSummary:
+class RouteSummary(Maxima):
     """Aggregate over every packet that traversed one route.
 
     Cycle maxima stay scaled integers (units of ``1/cycle_scale``) until a
     report converts them through :attr:`max_cycles`.
     """
 
-    route_name: str
-    packets: int = 0
-    max_measured: Dict[Metric, int] = field(default_factory=dict)
-    max_predicted: Dict[Metric, int] = field(default_factory=dict)
-    max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    cycle_scale: int = 1
-    violations: int = 0
-
-    @property
-    def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
-        scale = self.cycle_scale
-        return {
-            model: (Fraction(measured, scale), Fraction(predicted, scale))
-            for model, (measured, predicted) in self.max_cycles_scaled.items()
-        }
-
-    def absorb(self, outcome: GraphPacketOutcome) -> None:
-        self.packets += 1
-        if outcome.violations:
-            self.violations += 1
-        self.cycle_scale = outcome.cycle_scale
-        for metric, value in outcome.measured.items():
-            self.max_measured[metric] = max(self.max_measured.get(metric, 0), value)
-        for metric, value in outcome.predicted.items():
-            self.max_predicted[metric] = max(self.max_predicted.get(metric, 0), value)
-        for model, (measured, predicted) in outcome.cycles_scaled.items():
-            prev = self.max_cycles_scaled.get(model, (0, 0))
-            self.max_cycles_scaled[model] = (max(prev[0], measured), max(prev[1], predicted))
+    def __init__(self, route_name: str) -> None:
+        super().__init__()
+        self.route_name = route_name
 
 
 @dataclass
@@ -273,8 +233,10 @@ class GraphReplayer:
         #: The scale hop cycles are summed at: the LCM of the hop replayers'
         #: scales, so each hop's scaled cycles convert by an integer factor.
         self.cycle_scale = math.lcm(1, *(r.cycle_scale for r in self.replayers.values()))
+        #: node name -> what each of a hop's ``(instructions, memory
+        #: accesses, *cycles)`` is multiplied by before it joins the sums.
         self._hop_factors = {
-            name: self.cycle_scale // replayer.cycle_scale
+            name: (1, 1, *[self.cycle_scale // replayer.cycle_scale] * len(self.models))
             for name, replayer in self.replayers.items()
         }
 
@@ -302,6 +264,8 @@ class GraphReplayer:
         max_pcvs: Dict[str, int] = dict(self._zero_pcvs)
 
         hop_factors = self._hop_factors
+        model_names = tuple(model.name for model in self.models)
+        width = 2 + len(model_names)
 
         def absorb_hop(node: str, outcome: PacketOutcome) -> None:
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
@@ -350,18 +314,14 @@ class GraphReplayer:
                 packet = node.harness.last_packet
                 node_name = self.graph.next_hop(node_name, outcome.class_name)
 
-            measured = {Metric.INSTRUCTIONS: 0, Metric.MEMORY_ACCESSES: 0}
-            predicted = dict(measured)
-            cycles: Dict[str, Tuple[int, int]] = {model.name: (0, 0) for model in self.models}
+            measured = [0] * width
+            predicted = [0] * width
             for node_name, hop_outcome in hops:
-                for metric, value in hop_outcome.measured.items():
-                    measured[metric] += value
-                for metric, value in hop_outcome.predicted.items():
-                    predicted[metric] += value
-                factor = hop_factors[node_name]
-                for model_name, (meas, pred) in hop_outcome.cycles_scaled.items():
-                    total_meas, total_pred = cycles[model_name]
-                    cycles[model_name] = (total_meas + meas * factor, total_pred + pred * factor)
+                factors = hop_factors[node_name]
+                for k, value in enumerate(hop_outcome.measured_values):
+                    measured[k] += value * factors[k]
+                for k, value in enumerate(hop_outcome.predicted_values):
+                    predicted[k] += value * factors[k]
 
             route_name: Optional[str] = None
             if classified:
@@ -373,21 +333,22 @@ class GraphReplayer:
                     )
 
             graph_outcome = GraphPacketOutcome(
-                index=index,
-                note=frame.note,
-                hops=tuple(hops),
-                route_name=route_name,
-                measured=measured,
-                predicted=predicted,
-                cycles_scaled=cycles,
-                violations=tuple(violations),
-                cycle_scale=self.cycle_scale,
+                index,
+                frame.note,
+                tuple(hops),
+                route_name,
+                tuple(measured),
+                tuple(predicted),
+                model_names,
+                tuple(violations),
+                self.cycle_scale,
             )
             outcomes.append(graph_outcome)
             if route_name is not None:
-                route_summaries.setdefault(route_name, RouteSummary(route_name)).absorb(
-                    graph_outcome
-                )
+                summary = route_summaries.get(route_name)
+                if summary is None:
+                    summary = route_summaries[route_name] = RouteSummary(route_name)
+                summary.absorb(graph_outcome)
 
         return GraphReplayResult(
             graph_name=self.graph.name,

@@ -16,9 +16,12 @@ the concrete tracer number extern calls identically); see
 
 :class:`NFHarness` packages the replay convention into the object the
 :class:`repro.traffic.replayer.Replayer` drives: it owns the interpreter,
-writes each stimulus packet into NF memory, builds the argument list from
-the NF's declared scalar order, and reconstructs the replay environment
-that matches the execution back to a symbolic path.
+writes each stimulus packet into NF memory and builds the argument list
+from the NF's declared scalar order.  :func:`replay_env` (and
+:meth:`NFHarness.env`) remain the definition of the environment that
+matches an execution back to a symbolic path, and the tests' oracle; the
+replayer's compiled classifier reads the same values in place instead of
+building the dict per packet.
 """
 
 from __future__ import annotations
@@ -44,18 +47,6 @@ if TYPE_CHECKING:
 
 __all__ = ["NFHarness", "NFSpec", "replay_env"]
 
-# The ``pkt[i]`` symbol names, interned once: replay builds one env per
-# packet, and formatting the same key strings 10^4+ times per workload is
-# measurable.  The list only ever grows.
-_PKT_KEYS: List[str] = []
-
-
-def _pkt_keys(count: int) -> List[str]:
-    while len(_PKT_KEYS) < count:
-        _PKT_KEYS.append(f"pkt[{len(_PKT_KEYS)}]")
-    return _PKT_KEYS
-
-
 def replay_env(
     packet: bytes,
     sym_bytes: int,
@@ -73,7 +64,7 @@ def replay_env(
         **scalars: concrete values of the NF's scalar inputs, keyed by
             their symbol names (e.g. ``len=60, in_port=3``).
     """
-    env: Dict[str, int] = dict(zip(_pkt_keys(sym_bytes), packet[:sym_bytes]))
+    env: Dict[str, int] = {f"pkt[{i}]": byte for i, byte in enumerate(packet[:sym_bytes])}
     env.update(scalars)
     for call in trace.extern_calls:
         if call.result is not None:
@@ -148,8 +139,8 @@ class NFHarness:
         """Resolve the stimulus scalars, defaulting ``len`` to the buffer.
 
         The replayer resolves the same stimulus twice per packet (once to
-        run it, once to build its replay environment), so the last
-        resolution is memoised by stimulus identity.
+        run it, once to classify the execution), so the last resolution
+        is memoised by stimulus identity.
         """
         memo = self._scalar_memo
         if memo is not None and memo[0] is stimulus:

@@ -91,6 +91,7 @@ from repro.traffic.generators import Stimulus, uniform_indices, zipf_indices
 from repro.traffic.packets import ethernet_frame, ipv4_frame, mac_bytes, nat_frame
 
 __all__ = [
+    "WORKLOAD_NAMES",
     "Workload",
     "bridge_workloads",
     "colliding_backends",
@@ -106,6 +107,10 @@ __all__ = [
     "router_fib_routes",
     "router_workloads",
 ]
+
+
+#: The names of the workloads every NF's factory returns, in that order.
+WORKLOAD_NAMES = ("uniform", "zipf", "adversarial", "scan_sweep", "header_flood")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import struct
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.nfil.instructions import (
@@ -146,8 +146,12 @@ class Memory:
                 self._bytes[at] = byte
 
 
-@dataclass(frozen=True)
-class ExternResult:
+#: The ``pcvs`` of a result that observed none: a read-only mapping, so every
+#: such result can share it.
+_NO_PCVS: Mapping[str, int] = MappingProxyType({})
+
+
+class ExternResult(NamedTuple):
     """What an extern handler returns for one call.
 
     ``accesses`` optionally carries the concrete addresses the structure
@@ -159,7 +163,7 @@ class ExternResult:
     value: Optional[int] = None
     instructions: int = 0
     memory_accesses: int = 0
-    pcvs: Mapping[str, int] = field(default_factory=dict)
+    pcvs: Mapping[str, int] = _NO_PCVS
     accesses: Tuple[int, ...] = ()
 
 
@@ -433,11 +437,7 @@ class _Emitter:
         # ``handle`` is looked up per call: a traced run wraps it on the
         # handler instance after the function was compiled.
         emit(f"res = interp.handler.handle({decl.name!r}, args, memory)")
-        emit(
-            f"trace.record_extern({decl.name!r}, args, res.value, "
-            "instructions=res.instructions, memory_accesses=res.memory_accesses, "
-            "pcvs=res.pcvs, accesses=res.accesses)"
-        )
+        emit(f"trace.record_extern({decl.name!r}, args, res)")
         if dest is not None:
             emit("if res.value is None:")
             self.fail(f"extern {decl.name} returned no value into %{dest}", indent + 1, site)

@@ -6,7 +6,9 @@ concrete :class:`repro.nfil.interpreter.Interpreter` plays that role and
 fills in an :class:`ExecutionTrace`: it adds each segment's instruction
 counts in bulk, appends the address of every memory access to
 :attr:`ExecutionTrace.accesses` when the address stream is recorded, and
-records each extern call.
+records each extern call — one :meth:`ExecutionTrace.record_extern` of the
+handler's :class:`~repro.nfil.interpreter.ExternResult`, kept as an
+:class:`ExternCall` (both are named tuples, cheap to build per call).
 
 Costs split into two layers, mirroring the Vigor-style separation the paper
 relies on:
@@ -26,14 +28,15 @@ are running counters, kept as each call is recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.nfil.interpreter import ExternResult
 
 __all__ = ["ExecutionTrace", "ExternCall"]
 
 
-@dataclass(frozen=True, slots=True)
-class ExternCall:
+class ExternCall(NamedTuple):
     """One call into the stateful library, with its instrumented cost.
 
     Attributes:
@@ -53,9 +56,9 @@ class ExternCall:
     name: str
     args: Tuple[int, ...]
     result: Optional[int]
-    instructions: int = 0
-    memory_accesses: int = 0
-    pcvs: Mapping[str, int] = field(default_factory=dict)
+    instructions: int
+    memory_accesses: int
+    pcvs: Mapping[str, int]
 
 
 class ExecutionTrace:
@@ -91,38 +94,30 @@ class ExecutionTrace:
         if self.record_accesses:
             self.accesses.append(addr)
 
-    def record_extern(
-        self,
-        name: str,
-        args: Tuple[int, ...],
-        result: Optional[int],
-        *,
-        instructions: int = 0,
-        memory_accesses: int = 0,
-        pcvs: Mapping[str, int] | None = None,
-        accesses: Tuple[int, ...] = (),
-    ) -> ExternCall:
-        """Record one extern call and its instrumented cost.
+    def record_extern(self, name: str, args: Tuple[int, ...], result: "ExternResult") -> ExternCall:
+        """Record one extern call: what its handler returned for ``args``.
 
-        When address recording is on, the structure's touched addresses
-        (``accesses``) join :attr:`accesses` in execution order alongside
-        the stateless stream, so a cache simulator replays the packet's
-        full interleaved address trace.
+        The call keeps the handler's ``pcvs`` mapping as it is.  When
+        address recording is on, the structure's touched addresses
+        (``result.accesses``) join :attr:`accesses` in execution order
+        alongside the stateless stream, so a cache simulator replays the
+        packet's full interleaved address trace.
         """
+        calls = self.extern_calls
         call = ExternCall(
-            index=len(self.extern_calls),
-            name=name,
-            args=tuple(args),
-            result=result,
-            instructions=instructions,
-            memory_accesses=memory_accesses,
-            pcvs=dict(pcvs or {}),
+            len(calls),
+            name,
+            args,
+            result.value,
+            result.instructions,
+            result.memory_accesses,
+            result.pcvs,
         )
-        self.extern_calls.append(call)
-        self._extern_instructions += instructions
-        self._extern_memory_accesses += memory_accesses
+        calls.append(call)
+        self._extern_instructions += result.instructions
+        self._extern_memory_accesses += result.memory_accesses
         if self.record_accesses:
-            self.accesses += accesses
+            self.accesses += result.accesses
         return call
 
     # ------------------------------------------------------------------ #

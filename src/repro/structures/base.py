@@ -303,10 +303,10 @@ class Structure(ExternHandler):
             accesses += (self.heap_base,) * (memory_accesses - len(accesses))
         return ExternResult(
             value,
-            instructions=instructions - discount_instructions,
-            memory_accesses=memory_accesses,
-            pcvs={name: pcvs[symbol] for symbol, name in qualified},
-            accesses=accesses,
+            instructions - discount_instructions,
+            memory_accesses,
+            {name: pcvs[symbol] for symbol, name in qualified},
+            accesses,
         )
 
     def _compile_charge(self, method: str) -> "_Charge":

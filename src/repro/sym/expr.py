@@ -16,7 +16,7 @@ deeper rewrites live in :mod:`repro.sym.simplify`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.nfil.instructions import BINARY_OPS, CMP_OPS, operator_source
 
@@ -41,6 +41,7 @@ __all__ = [
     "bxor",
     "compile_conjunction",
     "compile_evaluator",
+    "compile_first_match",
     "concat",
     "const",
     "eq",
@@ -604,12 +605,25 @@ def free_symbols(expr: BV) -> Dict[str, int]:
 # missing symbols defaulting to 0.
 
 
-class _Codegen:
-    """Shared code emitter for :func:`compile_evaluator` and friends."""
+def _read_env(name: str) -> str:
+    return f"env.get({name!r}, 0)"
 
-    def __init__(self) -> None:
+
+class _Codegen:
+    """Shared code emitter for :func:`compile_evaluator` and friends.
+
+    Each symbol is read once, masked to its width as :func:`evaluate`
+    does, by a line of :attr:`reads` that runs before any other:
+    ``read(name)`` gives the source of its value, ``env.get(name, 0)`` by
+    default.
+    """
+
+    def __init__(self, read: Callable[[str], str] = _read_env) -> None:
         self.lines: list[str] = []
         self.names: Dict[int, str] = {}
+        self.read = read
+        self.reads: list[str] = []
+        self.symbols: Dict[Tuple[str, int], str] = {}
 
     def walk(self, node: BV) -> str:
         key = id(node)
@@ -618,18 +632,25 @@ class _Codegen:
             return cached
         if isinstance(node, Const):
             # Literals are inlined; no assignment needed.
-            self.names[key] = str(node.value)
-            return self.names[key]
-        code = self._emit(node)
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"{name} = {code}")
+            name = str(node.value)
+        elif isinstance(node, Sym):
+            name = self.symbol(node)
+        else:
+            code = self._emit(node)
+            name = f"v{len(self.lines)}"
+            self.lines.append(f"{name} = {code}")
         self.names[key] = name
         return name
 
+    def symbol(self, node: Sym) -> str:
+        local = self.symbols.get((node.name, node.width))
+        if local is None:
+            local = self.symbols[node.name, node.width] = f"s{len(self.symbols)}"
+            self.reads.append(f"{local} = ({self.read(node.name)}) & {mask(node.width)}")
+        return local
+
     def _emit(self, node: BV) -> str:
         m = mask(node.width)
-        if isinstance(node, Sym):
-            return f"env.get({node.name!r}, 0) & {m}"
         if isinstance(node, (BinOp, Cmp)):
             return operator_source(node.op, self.walk(node.a), self.walk(node.b), node.a.width)
         if isinstance(node, Not):
@@ -655,10 +676,20 @@ class _Codegen:
             return self.walk(node.value)
         raise TypeError(f"cannot compile {type(node).__name__}")  # pragma: no cover
 
-    def build(self, body: Sequence[str], name: str):
-        lines = [f"def {name}(env):"]
-        lines += [f"    {line}" for line in self.lines]
-        lines += [f"    {line}" for line in body]
+    def conjunction(self, constraints: Sequence[BV], fail: str) -> None:
+        """Check ``constraints`` in order, running ``fail`` at the first that is not 1.
+
+        Each check sits right after the assignments it needs, so later
+        constraints are never computed once one fails.
+        """
+        for constraint in constraints:
+            self.lines.append(f"if {self.walk(constraint)} != 1: {fail}")
+
+    def build(
+        self, body: Sequence[str], name: str, params: str = "env", prologue: Sequence[str] = ()
+    ):
+        lines = [f"def {name}({params}):"]
+        lines += [f"    {line}" for line in (*prologue, *self.reads, *self.lines, *body)]
         namespace: Dict[str, object] = {}
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
         return namespace[name]
@@ -685,13 +716,37 @@ def compile_conjunction(constraints: Sequence[BV]):
     computed once and later constraints skipped after the first failure.
     """
     gen = _Codegen()
-    for constraint in constraints:
-        value = gen.walk(constraint)
-        # Emitted into the shared line stream, so each constraint's check
-        # sits right after its assignments: the generated body evaluates
-        # constraints in order and bails at the first failure.
-        gen.lines.append(f"if {value} != 1: return False")
+    gen.conjunction(constraints, "return False")
     return gen.build(["return True"], "_compiled_conjunction")
+
+
+def compile_first_match(
+    conjunctions: Sequence[Sequence[BV]],
+    *,
+    params: str = "env",
+    read: Callable[[str], str] = _read_env,
+    prologue: Callable[[], Sequence[str]] = tuple,
+):
+    """Compile ``f(params) -> int | None``: the first conjunction that holds.
+
+    The function returns the index of the first conjunction whose
+    constraints all evaluate to 1 — what :func:`compile_conjunction` would
+    find trying each in order — in one call: each conjunction is a block
+    that exits at its first failing constraint, with its shared subtrees
+    computed once.  ``read(name)`` gives the source of symbol ``name``'s
+    value over ``params``; the lines ``prologue()`` returns, asked for once
+    every symbol has been read, run before the reads.
+    """
+    gen = _Codegen(read)
+    for index, constraints in enumerate(conjunctions):
+        # A block's values exist only past its own checks.
+        gen.names = {}
+        start = len(gen.lines)
+        gen.conjunction(constraints, "break")
+        block = gen.lines[start:]
+        gen.lines[start:] = ["while True:", *(f"    {line}" for line in block)]
+        gen.lines.append(f"    return {index}")
+    return gen.build(["return None"], "_compiled_first_match", params, prologue())
 
 
 def render(expr: BV) -> str:

@@ -6,43 +6,58 @@ the contract entry it falls into (§3.2, §5).  :class:`Replayer` automates
 that loop over a stimulus stream:
 
 1. run the stimulus through the NF harness (concrete interpreter + tracer),
-2. match the trace back to a contract entry (via the replay environment),
-3. evaluate the entry at the observed PCVs → predicted instruction and
-   memory counts, and through each :class:`~repro.hw.CycleModel` →
-   predicted cycles,
+2. match the execution to a contract entry: the first entry one of whose
+   path conditions (or, without paths, whose class predicate) holds on the
+   execution's replay environment (:func:`repro.nf.replay.replay_env`),
+3. evaluate the entry at the observed PCVs → the floor of its predicted
+   instruction and memory counts, and through each
+   :class:`~repro.hw.CycleModel` → predicted cycles,
 4. price the trace under the same models → "measured" cycles,
-5. record any violation of measured ≤ predicted.
+5. record any violation: measured > predicted, a PCV observed above its
+   declared bound, or a PCV the contract does not declare.
 
 The result aggregates per input class and renders as the
 measured-vs-predicted table ``python -m repro.cli bench`` prints, and
 serialises to the ``BENCH_*.json`` schema CI archives.
 
 The loop is built for throughput: everything that depends only on the
-(harness, contract, models) triple is resolved at construction time —
-path predicates compile to closures (:func:`repro.sym.expr.
-compile_conjunction`), contract polynomials and cycle pricing compile to
-scaled-integer evaluators (:meth:`repro.core.perfexpr.PerfExpr.
-compile_scaled`, :meth:`repro.hw.model.CycleModel.compile_measure`) — so
-the per-packet work is one interpreter run plus straight-line integer
-arithmetic.  Outcomes and per-class maxima keep cycles as scaled
-integers; they convert to :class:`~fractions.Fraction` only when a report
-is rendered.
+(harness, contract, models) triple is compiled once, at construction,
+into straight-line work over what the run produced.
+
+* Step 2 is one generated function
+  (:func:`repro.sym.expr.compile_first_match`) over the stimulus packet,
+  its resolved scalars and the trace's extern calls: it reads each
+  ``pkt[i]``, scalar and ``{extern}#{i}`` symbol where the environment
+  would have taken it from, so no environment is built per packet.
+* Step 3 is one generated function per entry, returning its two count
+  bounds and every model's scaled cycle prediction from the observed PCVs
+  (:meth:`repro.core.perfexpr.PerfExpr.floor_source` and
+  :meth:`~repro.core.perfexpr.PerfExpr.scaled_source`).
+* Step 4 is each model's :meth:`~repro.hw.model.CycleModel.compile_measure`;
+  the cache-simulating model walks a trace's whole address list in one
+  call.
+
+Outcomes keep their counts and cycles as integer tuples — cycles in units
+of ``1/cycle_scale`` — and show them as read-only mappings on demand;
+``Fraction`` cycles are made only when a report is rendered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
-from repro.core.contract import Metric, PerformanceContract
+from repro.core.contract import ContractEntry, Metric, PerformanceContract
 from repro.core.perfexpr import PerfExpr
 from repro.core.report import format_table
 from repro.hw.model import CycleModel
-from repro.nfil.tracer import ExecutionTrace
+from repro.nfil.tracer import ExecutionTrace, ExternCall
 from repro.structures.base import Structure
-from repro.sym.expr import compile_conjunction
+from repro.sym.expr import BV, compile_first_match
 from repro.traffic.generators import Stimulus
 
 __all__ = [
@@ -56,6 +71,9 @@ __all__ = [
 
 #: The percentiles of the measured per-class cycle tails in the report.
 TAIL_PERCENTILES = (50, 95, 99)
+
+#: The count metrics, in the order outcomes hold them.
+COUNT_METRICS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
 
 
 def _nearest_rank(ordered: Sequence[int], percentile: int) -> int:
@@ -76,41 +94,59 @@ class NFTarget(Protocol):
 
     name: str
     structures: Tuple[Structure, ...]
+    #: How many leading packet bytes were symbolic during analysis.
+    sym_bytes: int
 
     def run(self, stimulus: Stimulus) -> Tuple[Optional[int], ExecutionTrace]:
         """Execute one stimulus; return (NF return value, trace)."""
         ...
 
-    def env(self, stimulus: Stimulus, trace: ExecutionTrace) -> Dict[str, int]:
-        """Build the symbol assignment the execution corresponds to."""
+    def scalars_for(self, stimulus: Stimulus) -> Mapping[str, int]:
+        """The stimulus's scalar inputs by symbol name, as the run used them."""
         ...
 
 
-@dataclass(frozen=True, slots=True)
-class PacketOutcome:
-    """Measured-vs-predicted record of one replayed stimulus.
+# --------------------------------------------------------------------------- #
+# Outcomes and their aggregates
+# --------------------------------------------------------------------------- #
+def _counts(values: Tuple[int, ...]) -> Mapping[Metric, int]:
+    return MappingProxyType(dict(zip(COUNT_METRICS, values)))
 
-    Cycles are stored exactly, as integers in units of ``1/cycle_scale``
-    cycles; :attr:`cycles` turns them into ``Fraction`` pairs on demand,
-    so scoring a packet builds none.
+
+class Scored:
+    """Read-only views of an outcome's ``measured_values`` and ``predicted_values``.
+
+    Both hold ``(instructions, memory accesses, *cycles)``: counts as
+    plain integers, then one cycle value per model of ``models``, an exact
+    integer in units of ``1/cycle_scale`` cycles.  An execution no entry
+    covers has its two measured counts only.
     """
 
-    index: int
-    note: str
-    class_name: Optional[str]
-    pcvs: Mapping[str, int]
-    measured: Mapping[Metric, int]
-    predicted: Mapping[Metric, int]
-    violations: Tuple[str, ...]
-    #: model name -> (measured, predicted) in scaled-integer cycles; the
-    #: measured values are the samples the tail percentiles aggregate over.
-    cycles_scaled: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
-    #: The denominator of every ``cycles_scaled`` value.
-    cycle_scale: int = 1
+    __slots__ = ()
+
+    @property
+    def measured(self) -> Mapping[Metric, int]:
+        """Measured instructions, then memory accesses."""
+        return _counts(self.measured_values)
+
+    @property
+    def predicted(self) -> Mapping[Metric, int]:
+        """Predicted (floored) instructions, then memory accesses; empty if unclassified."""
+        return _counts(self.predicted_values)
+
+    @property
+    def cycles_scaled(self) -> Mapping[str, Tuple[int, int]]:
+        """model name -> (measured, predicted) in scaled-integer cycles, in model order."""
+        measured, predicted = self.measured_values, self.predicted_values
+        if not predicted:
+            return MappingProxyType({})
+        return MappingProxyType(
+            {model: (measured[k], predicted[k]) for k, model in enumerate(self.models, 2)}
+        )
 
     @property
     def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
-        """model name -> (measured cycles, predicted cycles)."""
+        """model name -> (measured cycles, predicted cycles), as ``Fraction`` pairs."""
         scale = self.cycle_scale
         return {
             model: (Fraction(measured, scale), Fraction(predicted, scale))
@@ -122,28 +158,85 @@ class PacketOutcome:
         return not self.violations
 
 
-@dataclass
-class ClassSummary:
-    """Aggregate over every packet that fell into one input class.
+@dataclass(slots=True)
+class PacketOutcome(Scored):
+    """Measured-vs-predicted record of one replayed stimulus (see :class:`Scored`).
 
-    Cycle maxima stay scaled integers (``max_cycles_scaled``, in units of
-    ``1/cycle_scale`` cycles, the scale of the absorbed outcomes);
-    :attr:`max_cycles` converts them when a report is rendered.
+    Scoring a packet builds its value tuples and no mapping or
+    ``Fraction``; the views build them on demand.
     """
 
-    class_name: str
-    packets: int = 0
-    max_measured: Dict[Metric, int] = field(default_factory=dict)
-    max_predicted: Dict[Metric, int] = field(default_factory=dict)
-    #: model name -> (largest measured, largest predicted), scaled.
-    max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    cycle_scale: int = 1
-    violations: int = 0
-    #: model name -> measured per-packet cycle samples (scaled integers).
-    cycle_samples: Dict[str, List[int]] = field(default_factory=dict)
-    #: model name -> {percentile: measured value} (scaled), filled by
-    #: :meth:`compute_tails` once the class population is complete.
-    cycle_tails: Dict[str, Dict[int, int]] = field(default_factory=dict)
+    index: int
+    note: str
+    class_name: Optional[str]
+    pcvs: Mapping[str, int]
+    measured_values: Tuple[int, ...]
+    predicted_values: Tuple[int, ...]
+    models: Tuple[str, ...]
+    violations: Tuple[str, ...]
+    cycle_scale: int
+
+
+class Maxima:
+    """The largest measured and predicted values of the outcomes absorbed.
+
+    Absorbing an outcome keeps it; the maxima are taken column by column,
+    starting from 0, when first asked for after it.  Every outcome one
+    aggregate absorbs comes from one replayer — all classified or all
+    not — so all share its models, scale and value layout.  Maxima stay
+    scaled integers until :attr:`max_cycles` converts them for a report.
+    """
+
+    def __init__(self) -> None:
+        self.outcomes: List[Scored] = []
+        self._maxima: Tuple[int, List[int], List[int]] = (0, [], [])
+
+    def absorb(self, outcome: Scored) -> None:
+        self.outcomes.append(outcome)
+
+    @property
+    def packets(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def violations(self) -> int:
+        """How many absorbed outcomes have a violation."""
+        return sum(1 for outcome in self.outcomes if outcome.violations)
+
+    @property
+    def models(self) -> Tuple[str, ...]:
+        return self.outcomes[-1].models if self.outcomes else ()
+
+    @property
+    def cycle_scale(self) -> int:
+        return self.outcomes[-1].cycle_scale if self.outcomes else 1
+
+    def _columns(self) -> Tuple[List[int], List[int]]:
+        """Column maxima of the measured and the predicted values."""
+        outcomes = self.outcomes
+        if self._maxima[0] != len(outcomes):
+            self._maxima = (
+                len(outcomes),
+                [max(0, *column) for column in zip(*(o.measured_values for o in outcomes))],
+                [max(0, *column) for column in zip(*(o.predicted_values for o in outcomes))],
+            )
+        return self._maxima[1], self._maxima[2]
+
+    @property
+    def max_measured(self) -> Dict[Metric, int]:
+        return dict(zip(COUNT_METRICS, self._columns()[0]))
+
+    @property
+    def max_predicted(self) -> Dict[Metric, int]:
+        return dict(zip(COUNT_METRICS, self._columns()[1]))
+
+    @property
+    def max_cycles_scaled(self) -> Dict[str, Tuple[int, int]]:
+        """model name -> (largest measured, largest predicted), scaled."""
+        measured, predicted = self._columns()
+        if not predicted:
+            return {}
+        return {model: (measured[k], predicted[k]) for k, model in enumerate(self.models, 2)}
 
     @property
     def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
@@ -154,21 +247,26 @@ class ClassSummary:
             for model, (measured, predicted) in self.max_cycles_scaled.items()
         }
 
-    def absorb(self, outcome: PacketOutcome) -> None:
-        self.packets += 1
-        if outcome.violations:
-            self.violations += 1
-        max_measured, max_predicted = self.max_measured, self.max_predicted
-        for metric, value in outcome.measured.items():
-            max_measured[metric] = max(max_measured.get(metric, 0), value)
-        for metric, value in outcome.predicted.items():
-            max_predicted[metric] = max(max_predicted.get(metric, 0), value)
-        self.cycle_scale = outcome.cycle_scale
-        max_cycles, samples = self.max_cycles_scaled, self.cycle_samples
-        for model, (measured, predicted) in outcome.cycles_scaled.items():
-            prev = max_cycles.get(model, (0, 0))
-            max_cycles[model] = (max(prev[0], measured), max(prev[1], predicted))
-            samples.setdefault(model, []).append(measured)
+
+class ClassSummary(Maxima):
+    """Aggregate over every packet that fell into one input class.
+
+    Besides the maxima, it reports each model's measured per-packet cycle
+    tails.
+    """
+
+    def __init__(self, class_name: str) -> None:
+        super().__init__()
+        self.class_name = class_name
+        #: model name -> {percentile: measured value} (scaled), filled by
+        #: :meth:`compute_tails` once the class population is complete.
+        self.cycle_tails: Dict[str, Dict[int, int]] = {}
+
+    @property
+    def cycle_samples(self) -> Dict[str, List[int]]:
+        """model name -> measured per-packet cycle samples (scaled integers)."""
+        columns = list(zip(*(outcome.measured_values for outcome in self.outcomes)))
+        return {model: list(column) for model, column in zip(self.models, columns[2:])}
 
     def compute_tails(self) -> None:
         """Aggregate the measured per-packet samples into report-only tails.
@@ -275,13 +373,88 @@ class ReplayResult:
         }
 
 
-#: A contract entry compiled for scoring: class name, ``(metric, count
-#: program)`` pairs, and one scaled cycle program per model.
-_EntryProgram = Tuple[
-    str,
-    Tuple[Tuple[Metric, Callable[[Mapping[str, int]], int]], ...],
-    Tuple[Callable[[Mapping[str, int]], int], ...],
-]
+_PACKET_BYTE = re.compile(r"pkt\[(0|[1-9][0-9]*)\]")
+_EXTERN_OUTPUT = re.compile(r"(.+)#(0|[1-9][0-9]*)")
+
+
+class _ReplayReads:
+    """The symbol reads of the compiled classifier, in place of the replay environment.
+
+    Each symbol reads what :func:`repro.nf.replay.replay_env` binds it to,
+    straight from the classifier's ``pkt`` (the stimulus packet),
+    ``scalars`` (:meth:`NFTarget.scalars_for`) and ``calls`` (the trace's
+    extern calls):
+
+    * ``pkt[i]`` — byte ``i`` when ``i < min(len(pkt), sym_bytes)``, else 0;
+    * ``{name}#{i}`` — call ``i``'s result when that call exists, is named
+      ``name`` and returned a value, else 0;
+    * any other symbol — its scalar, else 0.
+
+    A packet no longer than the widest byte read is padded with zeros
+    before the reads.
+    """
+
+    def __init__(self, sym_bytes: int) -> None:
+        self.sym_bytes = sym_bytes
+        self.widest = -1
+
+    def __call__(self, name: str) -> str:
+        byte = _PACKET_BYTE.fullmatch(name)
+        if byte is not None:
+            index = int(byte.group(1))
+            if index >= self.sym_bytes:
+                return "0"
+            self.widest = max(self.widest, index)
+            return f"pkt[{index}]"
+        output = _EXTERN_OUTPUT.fullmatch(name)
+        if output is not None:
+            extern, index = output.group(1), int(output.group(2))
+            call = f"calls[{index}]"
+            found = f"len(calls) > {index} and {call}.name == {extern!r}"
+            return f"{call}.result or 0 if {found} else 0"
+        return f"scalars.get({name!r}, 0)"
+
+    def prologue(self) -> List[str]:
+        if self.widest < 0:
+            return []
+        width = self.widest + 1
+        return [f"if len(pkt) < {width}: pkt = pkt.ljust({width}, b'\\0')"]
+
+
+def _entry_program(
+    entry: ContractEntry, cycle_exprs: Sequence[PerfExpr], scale: int
+) -> Callable[[Mapping[str, int]], Tuple[int, ...]]:
+    """Compile ``f(observed PCVs) -> (instructions, memory accesses, *cycles)``.
+
+    The counts are the floors of the entry's expressions and the cycles
+    each model's expression times ``scale``; a PCV the execution did not
+    observe reads 0.
+    """
+    reads: Dict[str, str] = {}
+
+    def read(name: str) -> str:
+        return reads.setdefault(name, f"p{len(reads)}")
+
+    values = [entry.expr(metric).floor_source(read) for metric in COUNT_METRICS]
+    values += [expr.scaled_source(scale, read) for expr in cycle_exprs]
+    lines = ["def program(pcvs):", "    get = pcvs.get"]
+    lines += [f"    {local} = get({name!r}, 0)" for name, local in reads.items()]
+    lines.append(f"    return ({', '.join(values)},)")
+    namespace: Dict[str, object] = {}
+    exec("\n".join(lines), namespace)  # noqa: S102 - generated from the contract's terms
+    return namespace["program"]
+
+
+def _measure_program(
+    measures: Sequence[Callable[[ExecutionTrace], int]]
+) -> Callable[[ExecutionTrace], Tuple[int, ...]]:
+    """Compile ``f(trace) -> (instructions, memory accesses, *each model's cycles)``."""
+    calls = "".join(f"m{k}(trace), " for k in range(len(measures)))
+    source = (
+        "lambda trace: (trace.total_instructions(), trace.total_memory_accesses(), "
+        f"{calls})"
+    )
+    return eval(source, {f"m{k}": measure for k, measure in enumerate(measures)})  # noqa: S307
 
 
 class Replayer:
@@ -310,68 +483,75 @@ class Replayer:
             harness, "record_accesses"
         ):
             harness.record_accesses = True
-        # Entries charge PCVs their path never observed at zero.
+        #: Every PCV the contract uses, at zero: where a replay's maxima start.
         self._zero_pcvs = {name: 0 for name in contract.variables()}
         # Harness, contract and models are fixed here, so derive each
-        # entry's cycle expression once; the worst-case envelopes are the
-        # same expressions at the registry's bounds.
+        # entry's cycle expression once per model; the worst-case envelopes
+        # are the same expressions at the registry's bounds.
         structures = tuple(harness.structures)
-        cycle_exprs: Dict[str, Dict[str, PerfExpr]] = {
-            model.name: {
-                entry.input_class.name: model.cycles_expr(entry, structures=structures)
-                for entry in contract.entries
-            }
+        cycle_exprs: List[List[PerfExpr]] = [
+            [model.cycles_expr(entry, structures=structures) for entry in contract.entries]
             for model in self.models
-        }
+        ]
         bounds = contract.registry.default_bounds()
-        #: Every PCV's declared bound: an observation above it is a
-        #: violation even when the class bound evaluated at it holds.
-        self._pcv_bounds = bounds
         self._envelopes: Dict[str, Fraction] = {
-            name: max([Fraction(0), *(expr.upper_bound(bounds) for expr in exprs.values())])
-            for name, exprs in cycle_exprs.items()
+            model.name: max([Fraction(0), *(expr.upper_bound(bounds) for expr in exprs)])
+            for model, exprs in zip(self.models, cycle_exprs)
         }
-        # ---- batched-replay programs (built once, run per packet) ---- #
+        #: Every declared PCV's bound (unbounded: infinite).  An observed
+        #: PCV above its bound, or not declared at all, is a violation even
+        #: when the class bound evaluated at it holds.
+        self._pcv_limits: Dict[str, float] = {
+            pcv.name: math.inf if pcv.max_value is None else pcv.max_value
+            for pcv in contract.registry
+        }
         # Cycles: one global scale clears every model price and every
         # derived cycle coefficient, so measured/predicted stay exact
         # integers and compare without Fraction arithmetic.
         scale = 1
-        for model in self.models:
+        for model, exprs in zip(self.models, cycle_exprs):
             scale = math.lcm(scale, model.price_denominator(structures))
-            for expr in cycle_exprs[model.name].values():
+            for expr in exprs:
                 scale = math.lcm(scale, expr.denominator_lcm())
         #: The denominator of every scaled cycle value this replayer records.
         self.cycle_scale = scale
-        self._measures: List[Tuple[str, Callable[[ExecutionTrace], int]]] = [
-            (model.name, model.compile_measure(structures, scale=scale)) for model in self.models
-        ]
-        # Classification: the flattened (compiled predicate, entry program)
-        # list preserves `contract.classify` order — first entry whose class
-        # predicate (or any of whose paths) matches wins.  An entry's
-        # program is its class name, its count predictions and one scaled
-        # cycle prediction per model.  A count prediction is floor(expr):
-        # measured counts are integers, so ``measured ≤ floor(expr)`` is
-        # exactly ``measured ≤ expr`` (a ceiling would let a fractional
-        # bound pass one count too many).
-        self._classify_program: List[Tuple[Callable[[Mapping[str, int]], bool], _EntryProgram]]
-        self._classify_program = []
-        for entry in contract.entries:
-            name = entry.input_class.name
-            program: _EntryProgram = (
-                name,
-                tuple(
-                    (metric, entry.expr(metric).compile_floor())
-                    for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
-                ),
-                tuple(
-                    cycle_exprs[model.name][name].compile_scaled(scale) for model in self.models
-                ),
+        self._model_names = tuple(model.name for model in self.models)
+        self._measure = _measure_program(
+            [model.compile_measure(structures, scale=scale) for model in self.models]
+        )
+        # Classification: one conjunction per path (or per class predicate
+        # of an entry without paths), in entry order — the first that
+        # holds names the execution's entry; ``_scorers`` pairs each with
+        # its entry's class name and program.
+        conjunctions: List[Sequence[BV]] = []
+        self._scorers: List[Tuple[str, Callable[[Mapping[str, int]], Tuple[int, ...]]]] = []
+        for index, entry in enumerate(contract.entries):
+            scorer = (
+                entry.input_class.name,
+                _entry_program(entry, [exprs[index] for exprs in cycle_exprs], scale),
             )
-            if entry.paths:
-                for path in entry.paths:
-                    self._classify_program.append((compile_conjunction(path.constraints), program))
-            else:
-                self._classify_program.append((entry.input_class.matches, program))
+            predicate = entry.input_class.predicate
+            paths = [path.constraints for path in entry.paths]
+            for constraints in paths or [() if predicate is None else (predicate,)]:
+                conjunctions.append(constraints)
+                self._scorers.append(scorer)
+        reads = _ReplayReads(harness.sym_bytes)
+        self._first_match: Callable[[bytes, Mapping[str, int], List[ExternCall]], Optional[int]]
+        self._first_match = compile_first_match(
+            conjunctions, params="pkt, scalars, calls", read=reads, prologue=reads.prologue
+        )
+
+    def classify(self, stimulus: Stimulus, trace: ExecutionTrace) -> Optional[str]:
+        """The input class of an executed stimulus, or None when no entry covers it.
+
+        It is the first entry, in contract order, one of whose paths (or
+        whose class predicate, for an entry without paths) holds on the
+        execution's replay environment.
+        """
+        matched = self._first_match(
+            stimulus.packet, self.harness.scalars_for(stimulus), trace.extern_calls
+        )
+        return None if matched is None else self._scorers[matched][0]
 
     def score(self, stimulus: Stimulus, index: int = 0) -> PacketOutcome:
         """Run ONE stimulus and score it against the contract.
@@ -382,64 +562,77 @@ class Replayer:
         own contract.  Violations are recorded on the outcome, never
         raised.
         """
-        _, trace = self.harness.run(stimulus)
-        env = self.harness.env(stimulus, trace)
-        program = None
-        for predicate, candidate in self._classify_program:
-            if predicate(env):
-                program = candidate
-                break
-        violations: List[str] = []
-        measured: Dict[Metric, int] = {
-            Metric.INSTRUCTIONS: trace.total_instructions(),
-            Metric.MEMORY_ACCESSES: trace.total_memory_accesses(),
-        }
-        predicted: Dict[Metric, int] = {}
-        cycles_scaled: Dict[str, Tuple[int, int]] = {}
-        observed = trace.pcv_bindings()
-        if program is None:
-            violations.append(f"packet {index}: no contract entry covers the execution")
-            class_name = None
-        else:
-            class_name, count_programs, cycle_programs = program
-            pcv_bounds = self._pcv_bounds
-            for name, value in observed.items():
-                if name in pcv_bounds and value > pcv_bounds[name]:
-                    violations.append(
-                        f"packet {index} ({class_name}): PCV {name} observed at "
-                        f"{value} exceeds its declared bound {pcv_bounds[name]}"
-                    )
-            bindings = dict(self._zero_pcvs)
-            bindings.update(observed)
-            for metric, evaluate_count in count_programs:
-                bound = predicted[metric] = evaluate_count(bindings)
-                if measured[metric] > bound:
-                    violations.append(
-                        f"packet {index} ({class_name}): measured {metric} "
-                        f"{measured[metric]} exceeds predicted {bound}"
-                    )
-            cycle_scale = self.cycle_scale
-            for (model_name, measure), predict in zip(self._measures, cycle_programs):
-                measured_scaled = measure(trace)
-                predicted_scaled = predict(bindings)
-                cycles_scaled[model_name] = (measured_scaled, predicted_scaled)
-                if measured_scaled > predicted_scaled:
-                    violations.append(
-                        f"packet {index} ({class_name}): {model_name} measured "
-                        f"{measured_scaled / cycle_scale:.1f} cycles exceeds predicted "
-                        f"{predicted_scaled / cycle_scale:.1f}"
-                    )
-        return PacketOutcome(
-            index=index,
-            note=stimulus.note,
-            class_name=class_name,
-            pcvs=observed,
-            measured=measured,
-            predicted=predicted,
-            violations=tuple(violations),
-            cycles_scaled=cycles_scaled,
-            cycle_scale=self.cycle_scale,
+        harness = self.harness
+        _, trace = harness.run(stimulus)
+        matched = self._first_match(
+            stimulus.packet, harness.scalars_for(stimulus), trace.extern_calls
         )
+        observed = trace.pcv_bindings()
+        if matched is None:
+            return PacketOutcome(
+                index,
+                stimulus.note,
+                None,
+                observed,
+                (trace.total_instructions(), trace.total_memory_accesses()),
+                (),
+                self._model_names,
+                (f"packet {index}: no contract entry covers the execution",),
+                self.cycle_scale,
+            )
+        class_name, program = self._scorers[matched]
+        predicted = program(observed)
+        measured = self._measure(trace)
+        return PacketOutcome(
+            index,
+            stimulus.note,
+            class_name,
+            observed,
+            measured,
+            predicted,
+            self._model_names,
+            self._violations(index, class_name, observed, measured, predicted),
+            self.cycle_scale,
+        )
+
+    def _violations(
+        self,
+        index: int,
+        class_name: str,
+        observed: Mapping[str, int],
+        measured: Tuple[int, ...],
+        predicted: Tuple[int, ...],
+    ) -> Tuple[str, ...]:
+        """Every check one classified execution fails, in report order."""
+        messages: List[str] = []
+        limits = self._pcv_limits
+        for name, value in observed.items():
+            limit = limits.get(name)
+            if limit is None:
+                messages.append(
+                    f"packet {index} ({class_name}): PCV {name} observed at {value} "
+                    "is not declared by the contract"
+                )
+            elif value > limit:
+                messages.append(
+                    f"packet {index} ({class_name}): PCV {name} observed at {value} "
+                    f"exceeds its declared bound {limit}"
+                )
+        for k, (value, bound) in enumerate(zip(measured, predicted)):
+            if value <= bound:
+                continue
+            if k < 2:
+                messages.append(
+                    f"packet {index} ({class_name}): measured {COUNT_METRICS[k]} {value} "
+                    f"exceeds predicted {bound}"
+                )
+            else:
+                scale = self.cycle_scale
+                messages.append(
+                    f"packet {index} ({class_name}): {self._model_names[k - 2]} measured "
+                    f"{value / scale:.1f} cycles exceeds predicted {bound / scale:.1f}"
+                )
+        return tuple(messages)
 
     def replay(self, stimuli: Iterable[Stimulus], *, workload: str = "workload") -> ReplayResult:
         """Run every stimulus; never raises on a violation — records it."""

@@ -265,15 +265,7 @@ class ReferenceInterpreter:
                     f"extern {decl.name} expects {decl.arity} args, got {len(args)}"
                 )
             result = self.handler.handle(decl.name, args, memory)
-            trace.record_extern(
-                decl.name,
-                args,
-                result.value,
-                instructions=result.instructions,
-                memory_accesses=result.memory_accesses,
-                pcvs=result.pcvs,
-                accesses=result.accesses,
-            )
+            trace.record_extern(decl.name, args, result)
             if instruction.dest is not None:
                 if result.value is None:
                     raise InterpreterError(

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from repro.hw import (
+    DEFAULT_L1_GEOMETRY,
+    DEFAULT_LLC_GEOMETRY,
     CacheGeometry,
     CacheHierarchy,
     HwSpec,
@@ -21,6 +23,7 @@ from repro.hw import (
     SimulatedModel,
     geometry_to_json,
 )
+from repro.nfil.interpreter import ExternResult
 from repro.nfil.tracer import ExecutionTrace
 from repro.structures import LpmTrie
 
@@ -130,6 +133,54 @@ def test_hierarchy_levels_and_inclusive_fill():
 # --------------------------------------------------------------------------- #
 # SimulatedModel pricing
 # --------------------------------------------------------------------------- #
+# --------------------------------------------------------------------------- #
+# The batch walk against one access at a time
+# --------------------------------------------------------------------------- #
+def _stream(rng, lines, length):
+    """Addresses over ``lines`` distinct lines; most repeat a recent line."""
+    recent = [0]
+    stream = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.4:
+            line = recent[-1]
+        elif roll < 0.7:
+            line = rng.choice(recent[-8:])
+        else:
+            line = rng.randrange(lines)
+        recent.append(line)
+        stream.append(0x4000 + 64 * line + rng.randrange(64))
+    return stream
+
+
+@pytest.mark.parametrize(
+    "l1, llc, lines",
+    [
+        (DEFAULT_L1_GEOMETRY, DEFAULT_LLC_GEOMETRY, 3000),
+        (CacheGeometry(sets=8, ways=1), CacheGeometry(sets=32, ways=1), 200),
+        (CacheGeometry(sets=512, ways=2), CacheGeometry(sets=1024, ways=4), 300),
+    ],
+    ids=["default", "direct_mapped", "more_sets_than_lines"],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_walk_matches_one_access_at_a_time(l1, llc, lines, seed):
+    """Per stream: the same per-level counts; after it: the same counters and sets."""
+    rng = random.Random(seed)
+    batch, single = CacheHierarchy(l1, llc), CacheHierarchy(l1, llc)
+    for _ in range(60):
+        stream = _stream(rng, lines, rng.randrange(80))
+        served = [single.access(addr) for addr in stream]
+        assert batch.access_stream(stream) == tuple(
+            served.count(level) for level in ("l1", "llc", "dram")
+        )
+        for walked, stepped in ((batch.l1, single.l1), (batch.llc, single.llc)):
+            assert (walked.hits, walked.misses) == (stepped.hits, stepped.misses)
+            assert walked._sets == stepped._sets
+    assert single.l1.hits and single.llc.misses
+    # Only a cache with a set per line never evicts, so its LLC never hits.
+    assert bool(single.llc.hits) == (lines > l1.sets)
+
+
 def test_simulated_measure_prices_observed_levels():
     spec = HwSpec()
     model = SimulatedModel(
@@ -158,7 +209,7 @@ def test_simulated_compile_measure_matches_measure_and_prices_shortfall():
     trace = ExecutionTrace(record_accesses=True)
     trace.record_access(0, "load")
     trace.record_extern(
-        "m_get", (1,), 2, instructions=5, memory_accesses=3, accesses=(64, 128)
+        "m_get", (1,), ExternResult(2, instructions=5, memory_accesses=3, accesses=(64, 128))
     )
     # 4 accesses counted (1 stateless + 3 extern), 3 recorded: shortfall 1.
     # All three recorded lines are distinct and cold -> DRAM each.

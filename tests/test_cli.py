@@ -16,7 +16,7 @@ import pytest
 from repro import cli
 from repro.core import Metric, PerfExpr
 from repro.nf import BRIDGE, bridge_workloads
-from repro.nf.workloads import Workload, bridge_adversarial
+from repro.nf.workloads import WORKLOAD_NAMES
 from repro.structures import ChainingHashMap, OpSpec
 from repro.sym.solver import Solver
 
@@ -110,19 +110,30 @@ def test_nf_contract_generation_hits_the_solver_cache(capsys):
 def test_bench_exits_nonzero_when_a_worst_case_is_missed(monkeypatch, capsys, tmp_path):
     """Seed an unreachable adversarial bound: the bench must go red."""
 
-    def sabotaged_workloads(*, seed, packets, capacity, timeout):
-        workload = bridge_adversarial(capacity=capacity, timeout=timeout)
-        impossible = {pcv: bound + 1 for pcv, bound in workload.expected_worst.items()}
-        return [Workload(workload.name, workload.harness, lambda: workload.stimuli, impossible)]
+    def sabotaged_workloads(**kwargs):
+        return [
+            replace(w, expected_worst={pcv: bound + 1 for pcv, bound in w.expected_worst.items()})
+            for w in bridge_workloads(**kwargs)
+        ]
 
     monkeypatch.setattr(cli, "NF_MATRIX", ((replace(BRIDGE, classes={}), sabotaged_workloads),))
     monkeypatch.setattr(cli, "GRAPH_MATRIX", ())  # keep the red-path run fast
     output = tmp_path / "BENCH_eval.json"
-    assert cli.main(["bench", "--output", str(output)]) == 1
+    assert cli.main(["bench", "--packets", "100", "--output", str(output)]) == 1
     printed = capsys.readouterr().out
     assert "MISSED" in printed and "BENCH FAILED" in printed
     report = json.loads(output.read_text())
     assert report["ok"] is False
+
+
+def test_every_factory_returns_its_declared_workloads():
+    """The bench and ``graph`` plan their cells from the declared names alone."""
+    for spec, factory in cli.NF_MATRIX:
+        workloads = factory(seed=1, packets=1, **spec.bench)
+        assert tuple(w.name for w in workloads) == WORKLOAD_NAMES, spec.name
+    for spec in cli.GRAPH_MATRIX:
+        workloads = spec.bench_workloads(1, 1)
+        assert tuple(w.name for w in workloads) == spec.workloads, spec.name
 
 
 def test_docs_consistency_script_passes():

@@ -9,6 +9,7 @@ from repro.core.pcv import PCV, PCVRegistry
 from repro.hw import ConservativeModel, HwSpec, RealisticModel
 from repro.nf.workloads import bridge_workloads
 from repro.nf.bridge import BRIDGE, generate_bridge_contract
+from repro.nfil.interpreter import ExternResult
 from repro.nfil.tracer import ExecutionTrace
 from repro.structures import ChainingHashMap
 from repro.traffic import Replayer
@@ -95,7 +96,9 @@ def test_measure_prices_a_hand_built_trace():
         trace.record_instruction("binop")
     trace.record_access(0x1000, "load")
     trace.record_access(0x1000, "store")
-    trace.record_extern("flow_map_get", (7,), 3, instructions=11, memory_accesses=4, pcvs={"t": 1})
+    trace.record_extern(
+        "flow_map_get", (7,), ExternResult(3, instructions=11, memory_accesses=4, pcvs={"t": 1})
+    )
     conservative = ConservativeModel(SPEC)
     # (10 stateless + 11 extern) instructions + 6 accesses at DRAM.
     assert conservative.measure(trace, structures=(table,)) == 21 + 6 * 100
@@ -115,7 +118,7 @@ def test_call_owner_resolution_is_by_exact_extern_name():
     assert owners["fib_get"] is fib
     assert owners["fib_cache_get"] is fib_cache
     trace = ExecutionTrace()
-    trace.record_extern("fib_cache_get", (1,), 2, memory_accesses=10, pcvs={"t": 0})
+    trace.record_extern("fib_cache_get", (1,), ExternResult(2, memory_accesses=10, pcvs={"t": 0}))
     priced = RealisticModel(
         SPEC, hit_rates={"fib": Fraction(1), "fib_cache": Fraction(0)}
     ).measure(trace, structures=(fib, fib_cache))

@@ -277,6 +277,6 @@ def test_interpreter_step_limit():
 
 def test_trace_pcv_binding_merge_modes():
     trace = ExecutionTrace()
-    trace.record_extern("a", (), 1, pcvs={"t": 2})
-    trace.record_extern("b", (), None, pcvs={"t": 5, "e": 1})
+    trace.record_extern("a", (), ExternResult(1, pcvs={"t": 2}))
+    trace.record_extern("b", (), ExternResult(None, pcvs={"t": 5, "e": 1}))
     assert trace.pcv_bindings() == {"t": 5, "e": 1}

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core import PerfExpr
-from repro.hw import ConservativeModel, RealisticModel
+from repro.hw import ConservativeModel, RealisticModel, SimulatedModel
 from repro.nf.bridge import generate_bridge_contract
 from repro.nf.lb import generate_lb_contract
 from repro.nf.nat import generate_nat_contract
@@ -237,8 +237,8 @@ def test_perfexpr_compile_scaled_matches_fraction_evaluation():
     )
     scale = 12  # a multiple of denominator_lcm() == 6
     assert expr.denominator_lcm() == 6
-    compiled = expr.compile_scaled(scale)
-    floor = expr.compile_floor()
+    compiled = eval("lambda b: " + expr.scaled_source(scale))
+    floor = eval("lambda b: " + expr.floor_source())
     for bindings in ({"t": 0, "w": 0}, {"t": 3, "w": 1}, {"t": 16, "w": 51}):
         assert compiled(bindings) == expr.evaluate(bindings) * scale
         assert floor(bindings) == math.floor(expr.evaluate(bindings))
@@ -247,7 +247,7 @@ def test_perfexpr_compile_scaled_matches_fraction_evaluation():
 def test_perfexpr_compile_scaled_rejects_insufficient_scale():
     expr = PerfExpr.var("t") * Fraction(1, 3)
     with pytest.raises(ValueError):
-        expr.compile_scaled(2)
+        expr.scaled_source(2)
 
 
 @pytest.mark.parametrize("model_factory", [ConservativeModel, RealisticModel])
@@ -261,3 +261,21 @@ def test_compiled_measure_matches_fraction_measure_on_real_traces(model_factory)
         _, trace = workload.harness.run(stimulus)
         expected = model.measure(trace, structures=structures)
         assert Fraction(compiled(trace), scale) == expected
+
+
+def test_simulated_compiled_measure_matches_its_reference_on_real_traces():
+    """Two cold machines: one prices each trace in one batch walk, the
+    reference one access at a time; prices and cache counters agree."""
+    walked, stepped = SimulatedModel(), SimulatedModel()
+    workload = bridge_workloads(seed=7, capacity=8, timeout=20, packets=60)[1]
+    workload.harness.record_accesses = True
+    structures = workload.harness.structures
+    scale = walked.price_denominator(structures)
+    compiled = walked.compile_measure(structures, scale=scale)
+    for stimulus in workload.stimuli:
+        _, trace = workload.harness.run(stimulus)
+        assert trace.accesses
+        assert Fraction(compiled(trace), scale) == stepped.measure(trace, structures=structures)
+    for level in ("l1", "llc"):
+        batch, single = getattr(walked.hierarchy, level), getattr(stepped.hierarchy, level)
+        assert (batch.hits, batch.misses) == (single.hits, single.misses)

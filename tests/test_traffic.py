@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import Metric
+from repro.hw import ConservativeModel, RealisticModel, SimulatedModel
 from repro.nf import NF_MATRIX
 from repro.nf import workloads as nf_workloads
 from repro.nf.bridge import generate_bridge_contract
@@ -258,6 +259,94 @@ def test_a_pcv_observed_above_its_declared_bound_turns_replay_red():
         "PCV bridge_map.t observed at 16 exceeds its declared bound 15" in message
         for message in result.violations
     )
+
+
+def test_an_observed_pcv_the_contract_does_not_declare_turns_replay_red():
+    """Every bridge execution expires its table, so it observes
+    ``bridge_map.w``: a registry without it must fail each packet by name,
+    while a registry declaring it without a bound stays green."""
+    from dataclasses import replace
+
+    from repro.core import PCVRegistry, PerformanceContract
+
+    contract = generate_bridge_contract(16, 50)
+
+    def replayed(registry):
+        doctored = PerformanceContract("bridge", registry=registry, entries=contract.entries)
+        workload = bridge_workloads(packets=40)[0]
+        return Replayer(workload.harness, doctored).replay(workload.stimuli)
+
+    result = replayed(PCVRegistry(p for p in contract.registry if p.name != "bridge_map.w"))
+    assert not result.ok
+    assert len(result.violations) == result.packets
+    for outcome in result.outcomes:
+        (message,) = outcome.violations
+        where = f"packet {outcome.index} ({outcome.class_name})"
+        assert message.startswith(f"{where}: PCV bridge_map.w observed at ")
+        assert message.endswith(" is not declared by the contract")
+    unbounded = PCVRegistry(
+        replace(p, max_value=None) if p.name == "bridge_map.w" else p for p in contract.registry
+    )
+    assert replayed(unbounded).ok
+
+
+class _OverpricedModel(ConservativeModel):
+    """Conservative pricing whose measuring side charges twice its predicting side."""
+
+    name = "overpriced"
+
+    def compile_measure(self, structures=(), *, scale=1):
+        measure = super().compile_measure(structures, scale=scale)
+        return lambda trace: 2 * measure(trace)
+
+
+def _only_overpriced_cycles_fail(outcome):
+    """Every message of ``outcome`` is the overpriced model's; all other checks hold."""
+    for message in outcome.violations:
+        assert message.startswith(
+            f"packet {outcome.index} ({outcome.class_name}): overpriced measured "
+        ), message
+    for metric, value in outcome.measured.items():
+        assert value <= outcome.predicted[metric]
+    for model, (measured, predicted) in outcome.cycles_scaled.items():
+        assert model == "overpriced" or measured <= predicted, model
+
+
+def test_a_cycle_bound_violation_alone_turns_replay_red():
+    """The counts hold and three models price within their predictions;
+    a fourth whose measurement exceeds its own prediction must still turn
+    the replay red, naming itself and the class."""
+    models = (ConservativeModel(), RealisticModel(), SimulatedModel(), _OverpricedModel())
+    workload = bridge_workloads(packets=60)[1]
+    result = Replayer(workload.harness, generate_bridge_contract(16, 50), models=models).replay(
+        workload.stimuli
+    )
+    assert not result.ok
+    for outcome in result.outcomes:
+        _only_overpriced_cycles_fail(outcome)
+    failed = {name for name, summary in result.summaries.items() if summary.violations}
+    assert failed >= {"hit", "miss"}
+
+
+def test_a_hop_cycle_bound_violation_alone_turns_graph_replay_red():
+    """The same through a graph: each hop's message, prefixed by its node."""
+    from repro.net import GraphReplayer, lb_nat_router_workloads
+
+    workload = lb_nat_router_workloads(0, 40)[0]
+    replayer = GraphReplayer(workload.graph, models=[ConservativeModel(), _OverpricedModel()])
+    result = replayer.replay(workload.stream, schedule=workload.schedule)
+    assert not result.ok
+    nodes = set()
+    for outcome in result.outcomes:
+        assert outcome.route_name is not None
+        for node, hop in outcome.hops:
+            _only_overpriced_cycles_fail(hop)
+            if hop.violations:
+                nodes.add(node)
+        assert outcome.violations == tuple(
+            f"{node}: {message}" for node, hop in outcome.hops for message in hop.violations
+        )
+    assert nodes == set(workload.graph.nodes)
 
 
 def test_stimulus_defaults_len_to_packet_length():
