@@ -164,15 +164,16 @@ class GraphSpec:
         bench_workloads: ``(seed, packets) -> [GraphWorkload]`` factory;
             each workload carries a fresh graph, its stream and its churn
             schedule (see :mod:`repro.net.workloads`).
-        workloads: the names of the workloads ``bench_workloads`` returns,
-            in order; the bench and ``graph`` plan their cells from them.
     """
 
     name: str
     title: str
     bench_workloads: Callable[[int, int], List[GraphWorkload]]
-    workloads: Tuple[str, ...] = ("capture",)
 
+
+#: The names of the workloads every graph's ``bench_workloads`` returns, in
+#: that order; the bench and ``graph`` plan their cells from them.
+GRAPH_WORKLOAD_NAMES = ("capture",)
 
 GRAPH_MATRIX: Tuple[GraphSpec, ...] = (
     GraphSpec(
@@ -474,26 +475,22 @@ def run_bench(
         return 2
     filtered = nfs is not None or graphs is not None
     nf_selected = [
-        (spec, factory)
-        for spec, factory in NF_MATRIX
-        if not filtered or (nfs and spec.name in set(nfs))
+        spec for spec, _ in NF_MATRIX if not filtered or (nfs and spec.name in set(nfs))
     ]
     graph_selected = [
         spec for spec in GRAPH_MATRIX if not filtered or (graphs and spec.name in set(graphs))
     ]
     # Cells are planned from the declared workload names; each cell
     # builds its own stream.
-    plan = [(spec, WORKLOAD_NAMES) for spec, _ in nf_selected]
-    graph_plan = [(spec, spec.workloads) for spec in graph_selected]
     tasks: List[BenchTask] = [
         ("nf", spec.name, name, seed, packets, model_names)
-        for spec, names in plan
-        for name in names
+        for spec in nf_selected
+        for name in WORKLOAD_NAMES
     ]
     tasks += [
         ("graph", spec.name, name, seed, packets, model_names)
-        for spec, names in graph_plan
-        for name in names
+        for spec in graph_selected
+        for name in GRAPH_WORKLOAD_NAMES
     ]
     if not tasks:
         print("FAIL: the --nf/--graph filters selected no bench rows")
@@ -517,13 +514,13 @@ def run_bench(
     failures = 0
     total_packets = 0
     cursor = 0
-    for spec, workloads in plan:
+    for spec in nf_selected:
         _section(f"bench: {spec.title.removeprefix('NF: ')}")
         contract = spec.contract(**spec.bench)
         record: Dict[str, object] = {"contract_classes": contract.class_names(), "workloads": {}}
         classes_seen: set = set()
         nf_failures = 0
-        for _ in workloads:
+        for _ in WORKLOAD_NAMES:
             cell = cells[cursor]
             cursor += 1
             print(cell["text"])
@@ -546,12 +543,12 @@ def run_bench(
             print(distilled.render())
         report["nfs"][spec.name] = record  # type: ignore[index]
 
-    for spec, workloads in graph_plan:
+    for spec in graph_selected:
         _section(f"bench: {spec.title.removeprefix('graph: ')}")
         record = {"workloads": {}}
         hop_classes: Dict[str, set] = {}
         graph_failures = 0
-        for _ in workloads:
+        for _ in GRAPH_WORKLOAD_NAMES:
             cell = cells[cursor]
             cursor += 1
             print(cell["text"])
@@ -619,7 +616,7 @@ def run_graph(
         _section(spec.title)
         record: Dict[str, object] = {}
         model_names = tuple(model.name for model in _bench_models())
-        for name in spec.workloads:
+        for name in GRAPH_WORKLOAD_NAMES:
             cell = _graph_cell(("graph", spec.name, name, seed, packets, model_names))
             print(cell["text"])
             churn = cell["payload"]["churn"]  # type: ignore[index]

@@ -169,22 +169,15 @@ class CacheHierarchy:
         Returns how many accesses each level served, ``(l1, llc, dram)``.
         The lines, their LRU order and each level's ``hits``/``misses``
         end exactly as calling :meth:`access` once per address leaves
-        them.  The L1 lookup is inlined because a traced packet makes
-        dozens of accesses, most of them to the line the access before
-        touched; an L1 miss goes to the LLC's own :meth:`~SetAssociativeCache.access`.
+        them.  The L1 lookup is inlined because most of a traced packet's
+        dozens of accesses hit there; an L1 miss goes to the LLC's own
+        :meth:`~SetAssociativeCache.access`.
         """
         l1, llc_access = self.l1, self.llc.access
         sets, count, shift, ways = l1._sets, l1._set_count, l1._line_shift, l1._ways
         l1_hits = llc_hits = dram = 0
-        # The line an access touched is its set's most recent, so the next
-        # access to the same line hits without reordering anything.
-        last = -1
         for addr in addresses:
             tag = addr >> shift
-            if tag == last:
-                l1_hits += 1
-                continue
-            last = tag
             lines = sets[tag % count]
             if lines and lines[-1] == tag:
                 l1_hits += 1

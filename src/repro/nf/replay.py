@@ -19,13 +19,15 @@ the concrete tracer number extern calls identically); see
 writes each stimulus packet into NF memory and builds the argument list
 from the NF's declared scalar order.  :func:`replay_env` (and
 :meth:`NFHarness.env`) remain the definition of the environment that
-matches an execution back to a symbolic path, and the tests' oracle; the
-replayer's compiled classifier reads the same values in place instead of
-building the dict per packet.
+matches an execution back to a symbolic path, and the tests' oracle.
+The replay hot path builds no environment: :meth:`NFHarness.replay_reads`
+renders the same bindings as Python source, from which the replayer
+compiles a classifier that reads each value in place.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -46,6 +48,11 @@ if TYPE_CHECKING:
     from repro.audit.ct import SecretClassSet
 
 __all__ = ["NFHarness", "NFSpec", "replay_env"]
+
+#: The symbol names :func:`replay_env` binds from the packet and the trace.
+_PACKET_BYTE = re.compile(r"pkt\[(0|[1-9][0-9]*)\]")
+_EXTERN_OUTPUT = re.compile(r"(.+)#(0|[1-9][0-9]*)")
+
 
 def replay_env(
     packet: bytes,
@@ -133,25 +140,15 @@ class NFHarness:
         #: cache-simulating hardware model is in the model set.
         self.record_accesses: bool = False
         self._interpreter = Interpreter(module, handler=handler)
-        self._scalar_memo: Optional[Tuple[Stimulus, Dict[str, int]]] = None
 
     def scalars_for(self, stimulus: Stimulus) -> Dict[str, int]:
-        """Resolve the stimulus scalars, defaulting ``len`` to the buffer.
-
-        The replayer resolves the same stimulus twice per packet (once to
-        run it, once to classify the execution), so the last resolution
-        is memoised by stimulus identity.
-        """
-        memo = self._scalar_memo
-        if memo is not None and memo[0] is stimulus:
-            return memo[1]
+        """Resolve the stimulus scalars, defaulting ``len`` to the buffer."""
         scalars = dict(stimulus.scalars)
         if "len" in self.scalar_order:
             scalars.setdefault("len", len(stimulus.packet))
         missing = [name for name in self.scalar_order if name not in scalars]
         if missing:
             raise KeyError(f"{self.name}: stimulus missing scalars {missing}")
-        self._scalar_memo = (stimulus, scalars)
         return scalars
 
     def run(self, stimulus: Stimulus) -> Tuple[Optional[int], ExecutionTrace]:
@@ -172,6 +169,45 @@ class NFHarness:
         """Build the replay environment of one executed stimulus."""
         scalars = self.scalars_for(stimulus)
         return replay_env(stimulus.packet, self.sym_bytes, trace, **scalars)
+
+    def replay_reads(self) -> Tuple[Callable[[str], str], Tuple[str, ...]]:
+        """The replay environment as Python source over ``stimulus`` and ``trace``.
+
+        Returns ``(read, prologue)`` for a generated function of
+        ``(stimulus, trace)`` (:func:`repro.sym.expr.compile_first_match`):
+        ``read(name)`` is the source of the value :meth:`env` binds symbol
+        ``name`` to, and the ``prologue`` lines run before the reads.
+
+        * ``pkt[i]`` — byte ``i`` when ``i < min(len(packet), sym_bytes)``,
+          else 0 (the prologue pads a short packet with zeros);
+        * ``{name}#{i}`` — call ``i``'s result when that call exists, is
+          named ``name`` and returned a value, else 0;
+        * any other symbol — its scalar, ``len`` defaulted as by
+          :meth:`scalars_for`, else 0.
+        """
+        width = self.sym_bytes
+
+        def read(name: str) -> str:
+            byte = _PACKET_BYTE.fullmatch(name)
+            if byte is not None:
+                index = int(byte.group(1))
+                return f"pkt[{index}]" if index < width else "0"
+            output = _EXTERN_OUTPUT.fullmatch(name)
+            if output is not None:
+                extern, index = output.group(1), int(output.group(2))
+                found = f"len(calls) > {index} and calls[{index}].name == {extern!r}"
+                return f"calls[{index}].result or 0 if {found} else 0"
+            if name == "len" and "len" in self.scalar_order:
+                return "scalars.get('len', len(stimulus.packet))"
+            return f"scalars.get({name!r}, 0)"
+
+        prologue = (
+            "pkt = stimulus.packet",
+            f"if len(pkt) < {width}: pkt = pkt.ljust({width}, b'\\0')",
+            "scalars = stimulus.scalars",
+            "calls = trace.extern_calls",
+        )
+        return read, prologue
 
 
 @dataclass(frozen=True)

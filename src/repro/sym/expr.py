@@ -723,9 +723,9 @@ def compile_conjunction(constraints: Sequence[BV]):
 def compile_first_match(
     conjunctions: Sequence[Sequence[BV]],
     *,
-    params: str = "env",
-    read: Callable[[str], str] = _read_env,
-    prologue: Callable[[], Sequence[str]] = tuple,
+    params: str,
+    read: Callable[[str], str],
+    prologue: Sequence[str],
 ):
     """Compile ``f(params) -> int | None``: the first conjunction that holds.
 
@@ -734,8 +734,7 @@ def compile_first_match(
     find trying each in order — in one call: each conjunction is a block
     that exits at its first failing constraint, with its shared subtrees
     computed once.  ``read(name)`` gives the source of symbol ``name``'s
-    value over ``params``; the lines ``prologue()`` returns, asked for once
-    every symbol has been read, run before the reads.
+    value over ``params``; the ``prologue`` lines run before the reads.
     """
     gen = _Codegen(read)
     for index, constraints in enumerate(conjunctions):
@@ -746,7 +745,7 @@ def compile_first_match(
         block = gen.lines[start:]
         gen.lines[start:] = ["while True:", *(f"    {line}" for line in block)]
         gen.lines.append(f"    return {index}")
-    return gen.build(["return None"], "_compiled_first_match", params, prologue())
+    return gen.build(["return None"], "_compiled_first_match", params, prologue)
 
 
 def render(expr: BV) -> str:

@@ -24,11 +24,11 @@ The loop is built for throughput: everything that depends only on the
 (harness, contract, models) triple is compiled once, at construction,
 into straight-line work over what the run produced.
 
-* Step 2 is one generated function
-  (:func:`repro.sym.expr.compile_first_match`) over the stimulus packet,
-  its resolved scalars and the trace's extern calls: it reads each
-  ``pkt[i]``, scalar and ``{extern}#{i}`` symbol where the environment
-  would have taken it from, so no environment is built per packet.
+* Step 2 is one generated function of the stimulus and its trace
+  (:func:`repro.sym.expr.compile_first_match`): it reads each ``pkt[i]``,
+  scalar and ``{extern}#{i}`` symbol in place, through the source the
+  harness renders for it (:meth:`repro.nf.replay.NFHarness.replay_reads`),
+  so no environment is built per packet.
 * Step 3 is one generated function per entry, returning its two count
   bounds and every model's scaled cycle prediction from the observed PCVs
   (:meth:`repro.core.perfexpr.PerfExpr.floor_source` and
@@ -45,7 +45,6 @@ of ``1/cycle_scale`` — and show them as read-only mappings on demand;
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -55,7 +54,7 @@ from repro.core.contract import ContractEntry, Metric, PerformanceContract
 from repro.core.perfexpr import PerfExpr
 from repro.core.report import format_table
 from repro.hw.model import CycleModel
-from repro.nfil.tracer import ExecutionTrace, ExternCall
+from repro.nfil.tracer import ExecutionTrace
 from repro.structures.base import Structure
 from repro.sym.expr import BV, compile_first_match
 from repro.traffic.generators import Stimulus
@@ -94,15 +93,13 @@ class NFTarget(Protocol):
 
     name: str
     structures: Tuple[Structure, ...]
-    #: How many leading packet bytes were symbolic during analysis.
-    sym_bytes: int
 
     def run(self, stimulus: Stimulus) -> Tuple[Optional[int], ExecutionTrace]:
         """Execute one stimulus; return (NF return value, trace)."""
         ...
 
-    def scalars_for(self, stimulus: Stimulus) -> Mapping[str, int]:
-        """The stimulus's scalar inputs by symbol name, as the run used them."""
+    def replay_reads(self) -> Tuple[Callable[[str], str], Sequence[str]]:
+        """``(read, prologue)``: each symbol's value as source over ``stimulus`` and ``trace``."""
         ...
 
 
@@ -373,54 +370,6 @@ class ReplayResult:
         }
 
 
-_PACKET_BYTE = re.compile(r"pkt\[(0|[1-9][0-9]*)\]")
-_EXTERN_OUTPUT = re.compile(r"(.+)#(0|[1-9][0-9]*)")
-
-
-class _ReplayReads:
-    """The symbol reads of the compiled classifier, in place of the replay environment.
-
-    Each symbol reads what :func:`repro.nf.replay.replay_env` binds it to,
-    straight from the classifier's ``pkt`` (the stimulus packet),
-    ``scalars`` (:meth:`NFTarget.scalars_for`) and ``calls`` (the trace's
-    extern calls):
-
-    * ``pkt[i]`` — byte ``i`` when ``i < min(len(pkt), sym_bytes)``, else 0;
-    * ``{name}#{i}`` — call ``i``'s result when that call exists, is named
-      ``name`` and returned a value, else 0;
-    * any other symbol — its scalar, else 0.
-
-    A packet no longer than the widest byte read is padded with zeros
-    before the reads.
-    """
-
-    def __init__(self, sym_bytes: int) -> None:
-        self.sym_bytes = sym_bytes
-        self.widest = -1
-
-    def __call__(self, name: str) -> str:
-        byte = _PACKET_BYTE.fullmatch(name)
-        if byte is not None:
-            index = int(byte.group(1))
-            if index >= self.sym_bytes:
-                return "0"
-            self.widest = max(self.widest, index)
-            return f"pkt[{index}]"
-        output = _EXTERN_OUTPUT.fullmatch(name)
-        if output is not None:
-            extern, index = output.group(1), int(output.group(2))
-            call = f"calls[{index}]"
-            found = f"len(calls) > {index} and {call}.name == {extern!r}"
-            return f"{call}.result or 0 if {found} else 0"
-        return f"scalars.get({name!r}, 0)"
-
-    def prologue(self) -> List[str]:
-        if self.widest < 0:
-            return []
-        width = self.widest + 1
-        return [f"if len(pkt) < {width}: pkt = pkt.ljust({width}, b'\\0')"]
-
-
 def _entry_program(
     entry: ContractEntry, cycle_exprs: Sequence[PerfExpr], scale: int
 ) -> Callable[[Mapping[str, int]], Tuple[int, ...]]:
@@ -450,10 +399,7 @@ def _measure_program(
 ) -> Callable[[ExecutionTrace], Tuple[int, ...]]:
     """Compile ``f(trace) -> (instructions, memory accesses, *each model's cycles)``."""
     calls = "".join(f"m{k}(trace), " for k in range(len(measures)))
-    source = (
-        "lambda trace: (trace.total_instructions(), trace.total_memory_accesses(), "
-        f"{calls})"
-    )
+    source = f"lambda trace: (trace.total_instructions(), trace.total_memory_accesses(), {calls})"
     return eval(source, {f"m{k}": measure for k, measure in enumerate(measures)})  # noqa: S307
 
 
@@ -535,10 +481,10 @@ class Replayer:
             for constraints in paths or [() if predicate is None else (predicate,)]:
                 conjunctions.append(constraints)
                 self._scorers.append(scorer)
-        reads = _ReplayReads(harness.sym_bytes)
-        self._first_match: Callable[[bytes, Mapping[str, int], List[ExternCall]], Optional[int]]
+        read, prologue = harness.replay_reads()
+        self._first_match: Callable[[Stimulus, ExecutionTrace], Optional[int]]
         self._first_match = compile_first_match(
-            conjunctions, params="pkt, scalars, calls", read=reads, prologue=reads.prologue
+            conjunctions, params="stimulus, trace", read=read, prologue=prologue
         )
 
     def classify(self, stimulus: Stimulus, trace: ExecutionTrace) -> Optional[str]:
@@ -548,9 +494,7 @@ class Replayer:
         whose class predicate, for an entry without paths) holds on the
         execution's replay environment.
         """
-        matched = self._first_match(
-            stimulus.packet, self.harness.scalars_for(stimulus), trace.extern_calls
-        )
+        matched = self._first_match(stimulus, trace)
         return None if matched is None else self._scorers[matched][0]
 
     def score(self, stimulus: Stimulus, index: int = 0) -> PacketOutcome:
@@ -562,11 +506,8 @@ class Replayer:
         own contract.  Violations are recorded on the outcome, never
         raised.
         """
-        harness = self.harness
-        _, trace = harness.run(stimulus)
-        matched = self._first_match(
-            stimulus.packet, harness.scalars_for(stimulus), trace.extern_calls
-        )
+        _, trace = self.harness.run(stimulus)
+        matched = self._first_match(stimulus, trace)
         observed = trace.pcv_bindings()
         if matched is None:
             return PacketOutcome(

@@ -4,8 +4,9 @@ The replay environment (:func:`repro.nf.replay.replay_env`, built by
 ``NFHarness.env``) defines which symbol values an execution corresponds
 to, and a contract classifies an execution as the first entry one of
 whose path conditions holds on it.  ``Replayer.classify`` reads the same
-values straight from the packet, the scalars and the trace; every case
-here compares it with ``compile_conjunction`` over the environment.
+values in place, through the source ``NFHarness.replay_reads`` renders
+next to ``NFHarness.env``; every case here compares it with
+``compile_conjunction`` over the environment.
 """
 
 from __future__ import annotations
