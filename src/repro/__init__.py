@@ -16,7 +16,8 @@ NSDI 2019 together with the substrates it depends on:
 * :mod:`repro.structures` — the Vigor-style stateful data-structure
   library (chaining hash map, time-wheel expiring map, LPM trie); each
   structure ships an instrumented concrete implementation, a symbolic
-  model, and a hand-derived per-operation contract cross-validated by Bolt.
+  model, and a hand-derived per-operation contract, all read from one
+  cost table.
 * :mod:`repro.nf` — the six network functions under analysis (bridge,
   router, NAT, load balancer, firewall, monitor), all assembled from the
   structure library, each declared once as an ``NFSpec`` descriptor from

@@ -9,6 +9,7 @@ secret class sets in its :class:`~repro.nf.replay.NFSpec` descriptor.
 
 from repro.audit.ct import (
     AuditFinding,
+    CycleDelta,
     PairVerdict,
     SecretClassSet,
     audit_contract,
@@ -16,6 +17,7 @@ from repro.audit.ct import (
 
 __all__ = [
     "AuditFinding",
+    "CycleDelta",
     "PairVerdict",
     "SecretClassSet",
     "audit_contract",

@@ -6,14 +6,21 @@ NF's state can still *time* its packets.  If two input classes — whose
 distinction encodes a secret, e.g. "this external port is NATed" vs "it
 is not" — have different cycle costs, timing leaks the secret.
 
-Contracts make the question decidable.  A hardware model turns each
-class's instruction/memory bounds into one cycle *polynomial* over PCVs
-(:meth:`repro.hw.CycleModel.cycles_expr`); two classes are
-cycle-indistinguishable under that model **iff the polynomials are
-identical** — equality of exact rational coefficients is a proof over
-*every* PCV valuation, not a sample.  A difference is refutation: the
-audit reports the offending class pair, the symbolic cycle delta, its
-maximum at the PCV bounds, and a concrete witness valuation.
+Contracts make the question decidable.  Two classes are constant-time
+**iff their instruction polynomials are identical and their memory
+polynomials are identical** — equality of exact rational coefficients is
+a proof over *every* PCV valuation, not a sample.  A hardware model
+prices the two counts into one cycle polynomial
+(:meth:`repro.hw.CycleModel.cycles_expr`), so equal counts give equal
+cycles under every model, and one comparison decides the pair for all of
+them.  (The converse holds for the CLI's models: the conservative and
+simulated predictions both price every access at DRAM, at CPI 1 and ½, so
+their cycle polynomials both match only when the counts do.)  A
+difference is refutation: the audit reports the offending class pair
+and, per hardware model, the symbolic cycle delta, its maximum at the PCV
+bounds, and a concrete witness valuation.  A model whose prices cancel a
+count difference reports a zero delta; the pair is still a leak, since
+another machine's prices need not cancel.
 
 Each NF declares its secret-dependent class sets in its descriptor
 (``NFSpec.secret_sets``, see :mod:`repro.nf`), each together with an
@@ -35,12 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.contract import PerformanceContract, effective_bounds
+from repro.core.contract import Metric, PerformanceContract, effective_bounds
 from repro.core.distiller import resolve_pcv
 from repro.core.perfexpr import Number, PerfExpr
 
 __all__ = [
     "AuditFinding",
+    "CycleDelta",
     "PairVerdict",
     "SecretClassSet",
     "audit_contract",
@@ -49,6 +57,9 @@ __all__ = [
 #: Expectation values a secret class set may declare.
 LEAK = "leak"
 CONSTANT_TIME = "constant_time"
+
+#: The metrics a constant-time pair must agree on, polynomial for polynomial.
+_COUNTS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
 
 
 @dataclass(frozen=True)
@@ -80,33 +91,45 @@ class SecretClassSet:
 
 
 @dataclass(frozen=True)
-class PairVerdict:
-    """Indistinguishability verdict for one class pair under one model."""
+class CycleDelta:
+    """One hardware model's pricing of a leaking pair, for the report."""
 
     model: str
+    #: ``cycles(class_a) − cycles(class_b)`` symbolically.
+    delta: PerfExpr
+    #: Largest |delta| found over the witness corners.
+    max_delta: Fraction
+    #: PCV valuation attaining ``max_delta``.
+    witness: Mapping[str, int]
+
+
+@dataclass(frozen=True)
+class PairVerdict:
+    """Indistinguishability verdict for one class pair."""
+
     class_a: str
     class_b: str
+    #: True iff the two classes' instruction and memory polynomials are identical.
     indistinguishable: bool
-    #: ``cycles(class_a) − cycles(class_b)`` symbolically (zero on proof).
-    delta: PerfExpr
-    #: Largest |delta| found over the witness corners (0 on proof).
-    max_delta: Fraction
-    #: PCV valuation attaining ``max_delta`` (None on proof).
-    witness: Optional[Mapping[str, int]]
+    #: Each model's cycle delta of a leak (empty on proof).
+    cycle_deltas: Tuple[CycleDelta, ...] = ()
 
-    def render(self, registry=None) -> str:
+    def render(self, registry=None) -> List[str]:
         pair = f"{self.class_a} vs {self.class_b}"
         if self.indistinguishable:
-            return f"{pair} @{self.model}: constant time (cycle polynomials identical)"
-        terms = sorted(self.delta.variables())
-        human = "; ".join(resolve_pcv(name, registry) for name in terms)
-        line = (
-            f"{pair} @{self.model}: LEAK — delta {self.delta.render()} cycles, "
-            f"up to {self.max_delta} at witness {dict(self.witness or {})}"
-        )
-        if human:
-            line += f"  [{human}]"
-        return line
+            return [f"{pair}: constant time (instruction and memory polynomials identical)"]
+        lines = []
+        for cycle in self.cycle_deltas:
+            terms = sorted(cycle.delta.variables())
+            human = "; ".join(resolve_pcv(name, registry) for name in terms)
+            line = (
+                f"{pair} @{cycle.model}: LEAK — delta {cycle.delta.render()} cycles, "
+                f"up to {cycle.max_delta} at witness {dict(cycle.witness)}"
+            )
+            if human:
+                line += f"  [{human}]"
+            lines.append(line)
+        return lines
 
 
 @dataclass(frozen=True)
@@ -119,7 +142,7 @@ class AuditFinding:
 
     @property
     def leaks(self) -> bool:
-        """True when any pair is distinguishable under any model."""
+        """True when any pair's instruction or memory polynomials differ."""
         return any(not verdict.indistinguishable for verdict in self.verdicts)
 
     @property
@@ -138,7 +161,7 @@ class AuditFinding:
             f"(secret: {self.secret_set.secret}): {status} "
             f"[declared: {self.secret_set.expectation}]{marker}"
         ]
-        lines.extend(f"  {verdict.render(registry)}" for verdict in self.verdicts)
+        lines.extend(f"  {line}" for verdict in self.verdicts for line in verdict.render(registry))
         return lines
 
 
@@ -154,8 +177,8 @@ def _witness(
     shows at one of these for the affine-in-each-variable expressions
     contracts produce (every monomial is a product of distinct PCVs with
     a nonzero coefficient, and the all-minima corner pins the constant
-    term); the caller still treats the *symbolic* comparison as the
-    verdict and this search as reporting.
+    term); the verdict is the count comparison, and this search only
+    reports.
     """
     variables = sorted(delta.variables())
     minima = {
@@ -169,7 +192,7 @@ def _witness(
         corner[name] = int(maxima.get(name, 1))
         corners.append(corner)
     best_value = Fraction(0)
-    best_corner: Dict[str, int] = corners[0] if corners else {}
+    best_corner = corners[0]
     for corner in corners:
         value = delta.evaluate(corner)
         if abs(value) > abs(best_value):
@@ -187,14 +210,17 @@ def audit_contract(
 ) -> List[AuditFinding]:
     """Audit one contract against its declared secret class sets.
 
+    Each pair is decided once, on its instruction and memory polynomials;
+    only a leak is priced, under every model, for the report.
+
     Args:
-        contract: the NF's generated contract (counts, not cycles — the
-            cycle columns are derived here per model).
+        contract: the NF's generated contract (counts, not cycles — a
+            leak's cycle deltas are derived here per model).
         secret_sets: the class sets to compare (an NF declares its own as
             ``NFSpec.secret_sets``).
-        models: :class:`repro.hw.CycleModel` instances; each pair is
-            audited under every model (typed loosely to keep this layer
-            import-free of :mod:`repro.hw`).
+        models: :class:`repro.hw.CycleModel` instances pricing each leak
+            (typed loosely to keep this layer import-free of
+            :mod:`repro.hw`).
         structures: structure instances behind the contract's PCVs, for
             per-owner memory pricing.
         bounds: PCV maxima overriding the registry's declared bounds.
@@ -207,38 +233,18 @@ def audit_contract(
     for secret_set in secret_sets:
         entries = {name: contract.entry_for(name) for name in secret_set.classes}
         verdicts: List[PairVerdict] = []
-        for model in models:
-            cycles = {
-                name: model.cycles_expr(entry, structures=structures)  # type: ignore[attr-defined]
-                for name, entry in entries.items()
-            }
-            for index, class_a in enumerate(secret_set.classes):
-                for class_b in secret_set.classes[index + 1 :]:
-                    delta = cycles[class_a] - cycles[class_b]
-                    if not delta:
-                        verdicts.append(
-                            PairVerdict(
-                                model.name,  # type: ignore[attr-defined]
-                                class_a,
-                                class_b,
-                                True,
-                                delta,
-                                Fraction(0),
-                                None,
-                            )
-                        )
-                        continue
+        for index, class_a in enumerate(secret_set.classes):
+            for class_b in secret_set.classes[index + 1 :]:
+                a, b = entries[class_a], entries[class_b]
+                if all(a.expr(metric) == b.expr(metric) for metric in _COUNTS):
+                    verdicts.append(PairVerdict(class_a, class_b, True))
+                    continue
+                deltas: List[CycleDelta] = []
+                for model in models:
+                    price = model.cycles_expr  # type: ignore[attr-defined]
+                    delta = price(a, structures=structures) - price(b, structures=structures)
                     value, corner = _witness(delta, contract, maxima)
-                    verdicts.append(
-                        PairVerdict(
-                            model.name,  # type: ignore[attr-defined]
-                            class_a,
-                            class_b,
-                            False,
-                            delta,
-                            abs(value),
-                            corner,
-                        )
-                    )
+                    deltas.append(CycleDelta(model.name, delta, abs(value), corner))  # type: ignore[attr-defined]
+                verdicts.append(PairVerdict(class_a, class_b, False, tuple(deltas)))
         findings.append(AuditFinding(contract.nf_name, secret_set, tuple(verdicts)))
     return findings

@@ -24,11 +24,7 @@ from repro.core.contract import (
 )
 from repro.core.input_class import InputClass
 from repro.core.bolt import Bolt, BoltConfig
-from repro.core.composition import (
-    compose_graph_contracts,
-    naive_add_contracts,
-    route_class_name,
-)
+from repro.core.composition import compose_graph_contracts, route_class_name
 from repro.core.distiller import Distiller, DistillerReport, explain_term, resolve_pcv
 from repro.core.diff import (
     ContractDiff,
@@ -63,7 +59,6 @@ __all__ = [
     "format_contract",
     "format_table",
     "load_contract",
-    "naive_add_contracts",
     "resolve_pcv",
     "qualify_name",
     "route_class_name",

@@ -36,7 +36,7 @@ from repro.nfil.program import Module
 from repro.sym.engine import SymbolicEngine, SymbolicModel
 from repro.sym.expr import BV
 from repro.sym.paths import Path
-from repro.sym.solver import Solver, SolverStats
+from repro.sym.solver import Solver
 from repro.sym.state import SymbolicMemory
 
 __all__ = ["Bolt", "BoltConfig"]
@@ -112,11 +112,6 @@ class Bolt:
         if self._solver is None:
             self._solver = Solver()
         return self._solver
-
-    @property
-    def solver_stats(self) -> SolverStats:
-        """Counters of the retained solver (cache hits, prunes, ...)."""
-        return self.solver.stats
 
     # ------------------------------------------------------------------ #
     # Algorithm 2

@@ -1,22 +1,16 @@
 """Contract composition for NF chains and service graphs (§3.4, §6).
 
 When NFs are chained (e.g. firewall → NAT → bridge), the chain's contract
-is derived from the per-NF contracts.  Two compositions are provided:
-
-* :func:`compose_graph_contracts` — the precise one: hops are nodes of a
-  directed service graph and a *routing function* says which node each
-  (node, input class) pair forwards to — or that the packet terminates
-  there (drops terminate early; branches diverge).  One composed entry is
-  emitted per reachable **route** (the sequence of (node, class) hops a
-  packet can traverse), named by :func:`route_class_name`, with the
-  per-hop expressions summed.  A linear chain is the graph whose every
-  class forwards to the next NF: one entry per combination of per-NF
-  classes.  Class predicates are not combined (model-output symbols of
-  different NFs live in different namespaces), so composed entries
-  classify by name only.
-* :func:`naive_add_contracts` — the coarse bound: a single entry summing
-  each NF's worst-case envelope.  Cheaper, and what operators use when the
-  per-class traffic mix is unknown.
+is derived from the per-NF contracts by :func:`compose_graph_contracts`:
+hops are nodes of a directed service graph and a *routing function* says
+which node each (node, input class) pair forwards to — or that the packet
+terminates there (drops terminate early; branches diverge).  One composed
+entry is emitted per reachable **route** (the sequence of (node, class)
+hops a packet can traverse), named by :func:`route_class_name`, with the
+per-hop expressions summed.  A linear chain is the graph whose every class
+forwards to the next NF: one entry per combination of per-NF classes.
+Class predicates are not combined (model-output symbols of different NFs
+live in different namespaces), so composed entries classify by name only.
 
 Instance-qualified PCVs (PR 4) are what make graph composition sound: the
 merged registry keeps ``conn.t`` and ``fwd.t`` apart, so a route's summed
@@ -27,12 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.contract import (
-    ContractEntry,
-    Metric,
-    PerformanceContract,
-    upper_envelope,
-)
+from repro.core.contract import ContractEntry, Metric, PerformanceContract
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCVRegistry
 from repro.core.perfexpr import PerfExpr
@@ -40,7 +29,6 @@ from repro.core.perfexpr import PerfExpr
 __all__ = [
     "HOP_SEPARATOR",
     "compose_graph_contracts",
-    "naive_add_contracts",
     "route_class_name",
 ]
 
@@ -52,8 +40,8 @@ def route_class_name(hops: Sequence[Tuple[str, str]]) -> str:
     """Name the composed entry of one route: ``"lb:new_flow > nat:..."``.
 
     The name is reconstructible from a concrete graph replay (the node
-    names and per-hop classes it observed), which is how a replay checks
-    that a packet's journey is a route of the composed contract.
+    names and per-hop classes it observed), which is how a replay files
+    each journey under its route of the composed contract.
     """
     return HOP_SEPARATOR.join(f"{node}:{class_name}" for node, class_name in hops)
 
@@ -137,30 +125,3 @@ def compose_graph_contracts(
     walk(entry_node, (), {})
     composed.registry = _merged_registry(list(reached.values()))
     return composed
-
-
-def naive_add_contracts(
-    name: str, contracts: Sequence[PerformanceContract]
-) -> PerformanceContract:
-    """Single worst-case entry: sum of each contract's upper envelope."""
-    if not contracts:
-        raise ValueError("naive_add_contracts needs at least one contract")
-    exprs: Dict[Metric, PerfExpr] = {}
-    for contract in contracts:
-        for metric in Metric:
-            per_entry = [entry.exprs[metric] for entry in contract.entries if metric in entry.exprs]
-            if not per_entry:
-                continue
-            envelope = upper_envelope(per_entry)
-            exprs[metric] = exprs.get(metric, PerfExpr.zero()) + envelope
-    summed = PerformanceContract(name, registry=_merged_registry(contracts))
-    summed.add_entry(
-        ContractEntry(
-            input_class=InputClass(
-                "worst_case",
-                description="sum of per-NF worst-case envelopes",
-            ),
-            exprs=exprs,
-        )
-    )
-    return summed

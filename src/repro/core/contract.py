@@ -215,10 +215,7 @@ class PerformanceContract:
         return self.render()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PerformanceContract {self.nf_name!r} "
-            f"classes={self.class_names()!r}>"
-        )
+        return f"<PerformanceContract {self.nf_name!r} classes={self.class_names()!r}>"
 
 
 def effective_bounds(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -169,12 +169,6 @@ class PCVRegistry:
         """Return the PCV registered under ``name`` or ``None``."""
         return self._pcvs.get(name)
 
-    def ensure(self, name: str, **kwargs: object) -> PCV:
-        """Return the PCV named ``name``, creating a bare one if unknown."""
-        if name in self._pcvs:
-            return self._pcvs[name]
-        return self.register(PCV(name=name, **kwargs))  # type: ignore[arg-type]
-
     def names(self) -> list[str]:
         """Return the registered names, sorted for deterministic output."""
         return sorted(self._pcvs)
@@ -205,65 +199,3 @@ class PCVRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PCVRegistry({sorted(self._pcvs)})"
-
-
-# PCVs that recur throughout the paper's contracts.  Individual structures
-# register their own copies (possibly with structure-specific bounds); these
-# constants document the conventional meaning of each symbol.
-PCV_EXPIRED = PCV("e", "number of expired entries processed for this packet")
-PCV_COLLISIONS = PCV("c", "number of hash collisions encountered in the hash table")
-PCV_TRAVERSALS = PCV("t", "number of bucket traversals incurred in the hash table")
-PCV_OCCUPANCY = PCV("o", "occupancy of the hash table (number of stored entries)")
-PCV_PREFIX_LEN = PCV("l", "length of the matched IP prefix", min_value=0, max_value=32, unit="bits")
-PCV_IP_OPTIONS = PCV("n", "number of IP options carried by the packet", min_value=0, max_value=10)
-PCV_RING_TRAVERSALS = PCV("r", "number of hash-ring bucket traversals", min_value=0)
-
-
-def standard_registry() -> PCVRegistry:
-    """Return a registry pre-populated with the paper's conventional PCVs."""
-    return PCVRegistry(
-        [
-            PCV_EXPIRED,
-            PCV_COLLISIONS,
-            PCV_TRAVERSALS,
-            PCV_OCCUPANCY,
-            PCV_PREFIX_LEN,
-            PCV_IP_OPTIONS,
-            PCV_RING_TRAVERSALS,
-        ]
-    )
-
-
-def validate_bindings(
-    registry: PCVRegistry, bindings: Mapping[str, int], *, partial: bool = True
-) -> Dict[str, int]:
-    """Validate PCV value bindings against a registry.
-
-    Args:
-        registry: the registry the bindings refer to.
-        bindings: mapping from PCV name to concrete value.
-        partial: when False, every registered PCV must be bound.
-
-    Returns:
-        A plain ``dict`` copy of the validated bindings.
-
-    Raises:
-        KeyError: a binding refers to an unknown PCV, or (when ``partial`` is
-            False) a registered PCV is missing.
-        ValueError: a value lies outside the PCV's declared range.
-    """
-    result: Dict[str, int] = {}
-    for name, value in bindings.items():
-        pcv = registry.maybe_get(name)
-        if pcv is None:
-            raise KeyError(f"unknown PCV {name!r}")
-        if value < pcv.min_value:
-            raise ValueError(f"PCV {name}={value} below minimum {pcv.min_value}")
-        if pcv.max_value is not None and value > pcv.max_value:
-            raise ValueError(f"PCV {name}={value} above maximum {pcv.max_value}")
-        result[name] = int(value)
-    if not partial:
-        missing = [name for name in registry.names() if name not in result]
-        if missing:
-            raise KeyError(f"missing bindings for PCVs: {missing}")
-    return result

@@ -6,9 +6,11 @@ node's own :class:`~repro.traffic.replayer.Replayer` (via its per-packet
 :meth:`~repro.traffic.replayer.Replayer.score` primitive) against the
 node's generated contract: classification, exact count bounds, cycle
 bounds under every hardware model.  The hops a packet traversed name a
-route (:func:`repro.core.composition.route_class_name`), which must be an
-entry of the composed contract (:meth:`~repro.net.graph.Graph.compose`):
-that checks the routing the composition assumed.
+route (:func:`repro.core.composition.route_class_name`): an entry of the
+composed contract (:meth:`~repro.net.graph.Graph.compose`), which
+enumerates its routes from the same :meth:`~repro.net.graph.Graph.next_hop`
+table and node contracts a journey follows, so every classified journey
+has one.
 
 The per-hop checks already bound the whole route, so the composed
 expression is never evaluated.  A composed entry is the sum of its hops'
@@ -75,8 +77,7 @@ class GraphPacketOutcome(Scored):
     measured_values: Tuple[int, ...]
     predicted_values: Tuple[int, ...]
     models: Tuple[str, ...]
-    #: Every violation of this packet: per-hop ones prefixed with the node
-    #: name, then a route missing from the composed contract.
+    #: Every per-hop violation of this packet, prefixed with the node name.
     violations: Tuple[str, ...]
     cycle_scale: int
 
@@ -228,7 +229,6 @@ class GraphReplayer:
             for name, node in graph.nodes.items()
         }
         self.composed: PerformanceContract = graph.compose()
-        self._routes = frozenset(self.composed.class_names())
         self._zero_pcvs = {name: 0 for name in self.composed.variables()}
         #: The scale hop cycles are summed at: the LCM of the hop replayers'
         #: scales, so each hop's scaled cycles convert by an integer factor.
@@ -327,10 +327,6 @@ class GraphReplayer:
             if classified:
                 route = tuple((node, o.class_name) for node, o in hops)
                 route_name = route_class_name(route)  # type: ignore[arg-type]
-                if route_name not in self._routes:
-                    violations.append(
-                        f"packet {index}: route {route_name!r} has no composed entry"
-                    )
 
             graph_outcome = GraphPacketOutcome(
                 index,

@@ -331,8 +331,7 @@ FIREWALL = NFSpec(
         SecretClassSet(
             "inbound probe response",
             ("inbound_established", "unsolicited"),
-            "whether a WAN-probed endpoint has an active connection "
-            "(conn-table scan from outside)",
+            "whether a WAN-probed endpoint has an active connection (conn-table scan from outside)",
             CONSTANT_TIME,
         ),
     ),

@@ -15,7 +15,7 @@ validates the finished function.  The bridge NF reads like pseudo-code::
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.nfil.instructions import (
     ACCESS_SIZES,
@@ -59,7 +59,6 @@ class FunctionBuilder:
         self._function = Function(name=name, params=[Param(p) for p in params], entry=entry)
         self._current: Optional[BasicBlock] = None
         self._temp_counter = 0
-        self._label_counters: Dict[str, int] = {}
         self.block(entry)
 
     # ------------------------------------------------------------------ #
@@ -72,19 +71,6 @@ class FunctionBuilder:
             raise BuilderError(f"block {label!r} is already terminated")
         self._current = block
         return self
-
-    def fresh_label(self, prefix: str = "bb") -> str:
-        """Return a fresh label like ``bb0``, ``bb1`` ... per prefix."""
-        count = self._label_counters.get(prefix, 0)
-        self._label_counters[prefix] = count + 1
-        return f"{prefix}{count}"
-
-    @property
-    def current_label(self) -> str:
-        """Label of the block instructions are currently appended to."""
-        if self._current is None:  # pragma: no cover - defensive
-            raise BuilderError("no current block")
-        return self._current.label
 
     # ------------------------------------------------------------------ #
     # Operand helpers

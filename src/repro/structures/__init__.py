@@ -5,9 +5,9 @@ code and calls into a small library of stateful structures.  Each structure
 here ships the three artefacts the BOLT pipeline needs — a concrete
 instrumented implementation (an extern handler charging documented cost
 formulas), a symbolic model (via :class:`~repro.structures.base.StructureModel`),
-and a hand-derived per-operation performance contract — plus the machinery
-in :mod:`repro.structures.validation` that cross-checks the contract
-against Bolt's symbolic paths.
+and a hand-derived per-operation performance contract.  The symbolic model
+and the hand contract both read the structure's :class:`OpSpec` table, so
+they agree by construction.
 
 Structures:
 
@@ -48,12 +48,6 @@ from repro.structures.lpm import LpmTrie
 from repro.structures.maglev import MaglevTable, max_fill_iterations
 from repro.structures.portalloc import PortAllocator
 from repro.structures.sketch import CountMinSketch
-from repro.structures.validation import (
-    OperationCheck,
-    StructureContractError,
-    bolt_operation_contract,
-    validate_structure_contract,
-)
 
 __all__ = [
     "NOT_FOUND",
@@ -63,15 +57,11 @@ __all__ = [
     "LpmTrie",
     "MaglevTable",
     "OpSpec",
-    "OperationCheck",
     "PortAllocator",
     "Structure",
-    "StructureContractError",
     "StructureModel",
-    "bolt_operation_contract",
     "bounded_value_constraint",
     "check_extern_collisions",
     "linear_cost",
     "max_fill_iterations",
-    "validate_structure_contract",
 ]

@@ -16,9 +16,8 @@ the three artefacts the BOLT pipeline needs:
    PCV-parameterised cost its operation contract promises;
 3. a **hand-derived per-operation contract** — one
    :class:`~repro.core.contract.PerformanceContract` entry per method
-   (:meth:`Structure.operation_contract`), validated by Bolt against the
-   symbolic paths in :mod:`repro.structures.validation` and against 100+
-   traced concrete operations in the test suite.
+   (:meth:`Structure.operation_contract`), checked against 100+ traced
+   concrete operations in the test suite.
 
 The cost formulas live in each structure's :class:`OpSpec` table and are the
 *single source of truth*: the symbolic model charges them verbatim, the
@@ -130,8 +129,7 @@ class Structure(ExternHandler):
         super().__init__()
         if not name or not _NAME_RE.match(name):
             raise ValueError(
-                f"invalid structure instance name: {name!r} "
-                f"(allowed characters: {NAME_CHARSET})"
+                f"invalid structure instance name: {name!r} (allowed characters: {NAME_CHARSET})"
             )
         self.name = name
         # A deterministic per-instance heap region for the simulated cache

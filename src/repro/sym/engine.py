@@ -335,8 +335,7 @@ class SymbolicEngine:
         if then_ok and else_ok:
             if len(paths) + len(worklist) + 2 > self.max_paths:
                 raise ExplorationLimit(
-                    f"exceeded {self.max_paths} paths exploring "
-                    f"{frame.function.name}"
+                    f"exceeded {self.max_paths} paths exploring {frame.function.name}"
                 )
             fork = state.clone()
             fork.assume(negated)

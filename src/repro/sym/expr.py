@@ -89,10 +89,6 @@ class BV:
         """Return the sub-expressions of this node."""
         return ()
 
-    def is_const(self) -> bool:
-        """Return True for literal constants."""
-        return isinstance(self, Const)
-
     # Convenience operator overloads make the builders and the symbolic
     # models considerably more readable.
     def __add__(self, other: "BV | int") -> "BV":

@@ -93,12 +93,6 @@ class Capture:
     def __len__(self) -> int:
         return len(self.packets)
 
-    def duration_us(self) -> int:
-        """Microseconds from the first to the last record (0 when < 2)."""
-        if len(self.packets) < 2:
-            return 0
-        return self.packets[-1].timestamp_us - self.packets[0].timestamp_us
-
 
 def write_pcap(
     target: Union[str, BinaryIO],

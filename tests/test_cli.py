@@ -14,10 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.core import Metric, PerfExpr
 from repro.nf import BRIDGE, bridge_workloads
 from repro.nf.workloads import WORKLOAD_NAMES
-from repro.structures import ChainingHashMap, OpSpec
+from repro.structures import ChainingHashMap, ExpiringMap
 from repro.sym.solver import Solver
 
 
@@ -27,65 +26,36 @@ def quiet_nf_matrix(monkeypatch):
     monkeypatch.setattr(cli, "NF_MATRIX", ())
 
 
-class DriftingMap(ChainingHashMap):
-    """A structure whose documented contract drifts between reads.
-
-    The hand contract and the symbolic model read ``ops()`` at different
-    moments; a promise that changes between the two is exactly the
-    inconsistency `python -m repro.cli smoke` must turn into a non-zero
-    exit.
-    """
-
-    def __init__(self, name, **kwargs):
-        self._drift = 0
-        super().__init__(name, **kwargs)
-
-    def ops(self):
-        base = super().ops()
-        self._drift += 1
-        get = base[0]
-        drifted = dict(get.cost)
-        drifted[Metric.INSTRUCTIONS] = (
-            drifted[Metric.INSTRUCTIONS] + self._drift * PerfExpr.var("t")
-        )
-        return (
-            OpSpec(
-                get.method,
-                get.arity,
-                get.returns_value,
-                drifted,
-                get.pcvs,
-                get.description,
-            ),
-        ) + tuple(base[1:])
-
-
-def test_structure_validation_flags_a_drifting_contract(capsys):
-    failures = cli.run_structure_validation([DriftingMap("m", capacity=8)])
-    assert failures == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
 def test_default_structure_validation_guards_exported_coverage(monkeypatch, capsys):
     """Dropping a structure from the smoke list must fail the default run."""
     monkeypatch.setattr(
         cli, "smoke_structures", lambda: [ChainingHashMap("flow_map", capacity=8)]
     )
-    failures = cli.run_structure_validation()
+    failures = cli.run_structure_contracts()
     printed = capsys.readouterr().out
-    assert failures >= 1
+    assert failures == 1
     assert "not covered by the smoke run" in printed
+    # The listed structure's operation contract is still rendered.
+    assert "structure flow_map (chaining_hash_map)" in printed
 
 
 def test_smoke_exit_code_reflects_seeded_failures(monkeypatch, capsys, quiet_nf_matrix):
-    monkeypatch.setattr(cli, "smoke_structures", lambda: [DriftingMap("m", capacity=8)])
-    # The guard fires too (exported structures are not covered), but the
-    # seeded StructureContractError must be in the output and the exit
-    # code non-zero.
+    """A structure missing from `smoke_structures()` turns smoke red."""
+    listed = [s for s in cli.smoke_structures() if not isinstance(s, ExpiringMap)]
+    monkeypatch.setattr(cli, "smoke_structures", lambda: listed)
     assert cli.main(["smoke"]) == 1
     printed = capsys.readouterr().out
     assert "SMOKE FAILED" in printed
-    assert "hand contract promises" in printed
+    assert "structures not covered by the smoke run: ['ExpiringMap']" in printed
+
+
+def test_smoke_renders_every_structure_contract(capsys, quiet_nf_matrix):
+    assert cli.main(["smoke"]) == 0
+    printed = capsys.readouterr().out
+    for structure in cli.smoke_structures():
+        assert f"structure {structure.name} ({structure.kind})" in printed
+        assert structure.operation_contract().render() in printed
+    assert "SMOKE OK" in printed
 
 
 def test_nf_contracts_flag_a_lost_input_class(monkeypatch, capsys):

@@ -16,7 +16,6 @@ from repro.core import (
     PerfExpr,
     PerformanceContract,
     compose_graph_contracts,
-    naive_add_contracts,
     route_class_name,
 )
 from repro.nf.bridge import (
@@ -105,28 +104,6 @@ def test_compose_single_contract_is_identity_on_exprs():
     chain = _chain(a=a)
     assert chain.class_names() == ["a:x"]
     assert chain.entry_for("a:x").expr(Metric.INSTRUCTIONS) == PerfExpr.constant(9)
-
-
-def test_naive_add_takes_per_contract_envelopes():
-    a = _contract(
-        "a",
-        [
-            _entry("cheap", PerfExpr.constant(5)),
-            _entry("dear", PerfExpr.from_terms(t=6, const=2)),
-        ],
-        [PCV("t", "traversals", max_value=8)],
-    )
-    b = _contract("b", [_entry("only", PerfExpr.constant(11))])
-    summed = naive_add_contracts("chain", [a, b])
-    assert summed.class_names() == ["worst_case"]
-    entry = summed.entry_for("worst_case")
-    # Envelope of a is max(5, 2) + 6t monomial-wise, plus b's 11.
-    assert entry.expr(Metric.INSTRUCTIONS) == PerfExpr.from_terms(t=6, const=16)
-
-
-def test_naive_add_rejects_empty_input():
-    with pytest.raises(ValueError):
-        naive_add_contracts("chain", [])
 
 
 def test_composed_entries_classify_by_name_only():

@@ -13,7 +13,6 @@ from repro.core import (
     PCVRegistry,
     PerfExpr,
     PerformanceContract,
-    naive_add_contracts,
     upper_envelope,
 )
 
@@ -82,25 +81,6 @@ def test_contract_render_mentions_classes_and_pcvs():
     assert "bridge" in text and "hit" in text
     assert "6·t + 36" in text
     assert "bucket traversals" in text
-
-
-def test_naive_add_contracts_single_worst_case():
-    a = PerformanceContract("a")
-    a.add_entry(
-        ContractEntry(InputClass("x"), {Metric.INSTRUCTIONS: PerfExpr.from_terms(t=2, const=5)})
-    )
-    a.add_entry(
-        ContractEntry(InputClass("y"), {Metric.INSTRUCTIONS: PerfExpr.from_terms(t=1, const=9)})
-    )
-    b = PerformanceContract("b")
-    b.add_entry(
-        ContractEntry(InputClass("z"), {Metric.INSTRUCTIONS: PerfExpr.from_terms(const=100)})
-    )
-    total = naive_add_contracts("sum", [a, b])
-    assert len(total) == 1
-    expr = total.entries[0].expr(Metric.INSTRUCTIONS)
-    # envelope(a) = 2t + 9, plus 100
-    assert expr == PerfExpr.from_terms(t=2, const=109)
 
 
 def test_distiller_drops_negligible_terms_and_names_dominant():

@@ -14,13 +14,8 @@ import pytest
 from repro.core import Metric
 from repro.nf.workloads import colliding_backends
 from repro.nfil import ExecutionTrace, Interpreter
-from repro.structures import (
-    NOT_FOUND,
-    MaglevTable,
-    max_fill_iterations,
-    validate_structure_contract,
-)
-from repro.structures.validation import operation_module
+from repro.structures import NOT_FOUND, MaglevTable, max_fill_iterations
+from structure_drivers import operation_module
 
 TABLE_SIZE = 13
 MAX_BACKENDS = 4
@@ -171,15 +166,8 @@ def test_identical_permutations_attain_the_bound_exactly():
 
 
 # --------------------------------------------------------------------------- #
-# Contract surface: hand contract, Bolt agreement, traced replay
+# Contract surface: hand contract, traced replay
 # --------------------------------------------------------------------------- #
-def test_bolt_agrees_with_the_hand_contract():
-    checks = validate_structure_contract(table())
-    assert {check.method for check in checks} == {"lookup", "active", "add", "remove"}
-    for check in checks:
-        assert check.driver_overhead[Metric.INSTRUCTIONS] >= 0
-
-
 def test_contract_bounds_100_traced_operations():
     t = table()
     contract = t.operation_contract()

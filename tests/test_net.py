@@ -205,6 +205,8 @@ def test_end_to_end_replay_holds_at_both_levels():
     # when the mid-stream route install landed.
     assert "reconfig" in seen["lb"]
     routes = result.routes_seen()
+    # Every journey's route is an entry of the composed contract.
+    assert set(routes) <= set(replayer.composed.class_names())
     assert f"lb:new_flow{HOP_SEPARATOR}nat:internal_new{HOP_SEPARATOR}router:no_route" in routes
     assert f"lb:new_flow{HOP_SEPARATOR}nat:internal_new{HOP_SEPARATOR}router:routed" in routes
     assert any("route 0x" in line for line in result.churn_log)

@@ -28,8 +28,8 @@ from repro.structures import (
     PortAllocator,
 )
 from repro.structures.lpm import MAX_DEPTH
-from repro.structures.validation import operation_module
 from repro.traffic.replayer import Replayer
+from structure_drivers import operation_module
 
 SEEDS = (7, 1009, 20190226)
 OPS_PER_SEED = 180  # × 3 seeds ⇒ 540 traced ops per structure

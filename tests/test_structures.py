@@ -1,6 +1,6 @@
 """Tests for the Vigor-style structure library: concrete semantics, the
 per-operation hand contracts (replayed against 100+ traced operations per
-structure), and the Bolt cross-validation harness."""
+structure), and the base-class machinery."""
 
 import itertools
 import random
@@ -20,12 +20,10 @@ from repro.structures import (
     OpSpec,
     PortAllocator,
     Structure,
-    StructureContractError,
     StructureModel,
-    validate_structure_contract,
 )
 from repro.structures.lpm import MAX_DEPTH
-from repro.structures.validation import operation_module
+from structure_drivers import operation_module
 
 
 def traced_call(structure, method, *args, trace):
@@ -285,70 +283,8 @@ def test_port_allocator_contract_bounds_100_traced_operations():
 
 
 # --------------------------------------------------------------------------- #
-# Bolt cross-validation and base-class machinery
+# Base-class machinery
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "structure",
-    [
-        ChainingHashMap("m", capacity=8, value_bound=64),
-        ExpiringMap("em", capacity=8, timeout=30, value_bound=64),
-        LpmTrie("rt", value_bound=64),
-        PortAllocator("ports", pool=range(1024, 1032)),
-        MaglevTable("tbl", table_size=7, max_backends=3, value_bound=1 << 16),
-    ],
-    ids=lambda s: s.kind,
-)
-def test_bolt_agrees_with_every_hand_contract(structure):
-    checks = validate_structure_contract(structure)
-    assert {check.method for check in checks} == {op.method for op in structure.ops()}
-    for check in checks:
-        # The only difference Bolt may find is the driver's stateless cost.
-        assert check.driver_overhead[Metric.INSTRUCTIONS] >= 0
-        for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
-            diff = check.generated[metric] - check.hand[metric]
-            assert diff.is_constant()
-
-
-def test_validation_catches_a_model_contract_mismatch():
-    """If the symbolic model charges something other than the documented
-    per-operation contract, the Bolt cross-check must fail loudly."""
-
-    class DriftingMap(ChainingHashMap):
-        """Reports a different ``get`` slope every time it is asked.
-
-        The StructureModel snapshots ops() when Bolt runs, the validator
-        reads ops() again for the hand contract — a structure whose promise
-        drifts between the two is exactly the inconsistency the harness
-        exists to catch.
-        """
-
-        def __init__(self, name, **kwargs):
-            self._drift = 0
-            super().__init__(name, **kwargs)
-
-        def ops(self):
-            base = super().ops()
-            self._drift += 1
-            get = base[0]
-            drifted = dict(get.cost)
-            drifted[Metric.INSTRUCTIONS] = (
-                drifted[Metric.INSTRUCTIONS] + self._drift * PerfExpr.var("t")
-            )
-            return (
-                OpSpec(
-                    get.method,
-                    get.arity,
-                    get.returns_value,
-                    drifted,
-                    get.pcvs,
-                    get.description,
-                ),
-            ) + tuple(base[1:])
-
-    with pytest.raises(StructureContractError):
-        validate_structure_contract(DriftingMap("m", capacity=8))
-
-
 def test_structure_requires_handlers_for_declared_ops():
     class Incomplete(Structure):
         kind = "broken"

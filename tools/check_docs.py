@@ -60,7 +60,7 @@ def check_contract_docs(failures: list[str]) -> None:
         if f"`{cls}`" not in contracts:
             failures.append(
                 f"docs/CONTRACTS.md: no section for structure {cls} "
-                "(smoke validates it; document its cost table)"
+                "(smoke renders its contract; document its cost table)"
             )
     for spec, _ in NF_MATRIX:
         # Every NF needs a contract discussion and a module-map presence.
@@ -79,8 +79,7 @@ def check_contract_docs(failures: list[str]) -> None:
         missing = [name for name in sorted(spec.classes) if f"`{name}`" not in contracts]
         if missing:
             failures.append(
-                f"docs/CONTRACTS.md: NF {spec.name!r} input classes never "
-                f"mentioned: {missing}"
+                f"docs/CONTRACTS.md: NF {spec.name!r} input classes never mentioned: {missing}"
             )
 
 
@@ -125,8 +124,7 @@ def check_graph_docs(failures: list[str]) -> None:
         missing = [name for name in graph.hop_names() if f"`{name}`" not in guide]
         if missing:
             failures.append(
-                f"docs/SERVICE_GRAPHS.md: graph {spec.name!r} hop NFs never "
-                f"mentioned: {missing}"
+                f"docs/SERVICE_GRAPHS.md: graph {spec.name!r} hop NFs never mentioned: {missing}"
             )
     # The authoring guides must cross-link: graph authors arrive from the
     # NF and structure guides, and vice versa.
