@@ -8,6 +8,7 @@ constant-time.  The count verdict must agree with the per-model rule it
 replaced: "cycle polynomials identical under every model".
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from repro.nf import NF_MATRIX
 
 #: NF name -> the secret class sets its descriptor declares.
 SECRET_SETS = {spec.name: spec.secret_sets for spec, _ in NF_MATRIX}
+
+_COUNTS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
 
 
 def _audit(nf_name, gate_targets, secret_sets=None):
@@ -139,6 +142,27 @@ def test_count_verdict_equals_the_per_model_cycle_rule(gate_targets):
                     f"{nf_name}/{finding.secret_set.name}: {verdict.class_a} vs {verdict.class_b}"
                 )
     assert pairs == 10  # ten declared secret sets, two classes each
+
+
+@pytest.mark.parametrize(
+    "target", [spec.name for spec, _ in NF_MATRIX] + [spec.name for spec in cli.GRAPH_MATRIX]
+)
+def test_counts_decide_every_entry_pair_as_the_cycle_rule_does(target, gate_targets):
+    """Not only the declared pairs: over every pair of entries of every
+    gated contract, equal counts iff equal cycles under each bench model —
+    so a secret set declared later cannot get a different verdict."""
+    contract, structures = gate_targets[target]
+    models = cli._bench_models()
+    cycles = {
+        entry.input_class.name: [
+            model.cycles_expr(entry, structures=structures) for model in models
+        ]
+        for entry in contract.entries
+    }
+    for a, b in itertools.combinations(contract.entries, 2):
+        counts_equal = all(a.expr(metric) == b.expr(metric) for metric in _COUNTS)
+        cycles_equal = cycles[a.input_class.name] == cycles[b.input_class.name]
+        assert counts_equal == cycles_equal, f"{a.input_class.name} vs {b.input_class.name}"
 
 
 def test_counts_that_one_model_prices_equal_are_still_a_leak(gate_targets):

@@ -45,6 +45,7 @@ class OpDriver:
 
     def __init__(self, structure):
         self.structure = structure
+        self.ops = tuple(structure.ops())
         self.trace = ExecutionTrace()
         self._drivers = {}
 
@@ -60,6 +61,8 @@ class OpDriver:
 
     def assert_bounded(self, *, min_ops):
         """Every traced call ≤ its hand-contract entry; ≥1 strict somewhere."""
+        # The op table does not depend on what the sequence stored.
+        assert tuple(self.structure.ops()) == self.ops
         contract = self.structure.operation_contract()
         assert len(self.trace.extern_calls) >= min_ops
         strict = 0

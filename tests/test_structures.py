@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import cli
 from repro.core import PCV, Metric, PerfExpr
 from repro.nfil import ExecutionTrace, ExternHandler, Interpreter
 from repro.structures import (
@@ -307,6 +308,23 @@ def test_structure_rejects_bad_instance_names():
     # the constructor must fail fast instead.
     with pytest.raises(ValueError, match="not starting with a digit"):
         ChainingHashMap("2tbl")
+
+
+@pytest.mark.parametrize("kind", [structure.kind for structure in cli.smoke_structures()])
+def test_op_table_is_a_pure_function_of_constructor_arguments(kind):
+    """The hand contract and Bolt's symbolic model both read the op table,
+    so nothing compares them; that holds only while the table cannot drift
+    between reads, between instances built alike, or from the snapshot
+    ``op()`` answers from."""
+    def build():
+        return next(s for s in cli.smoke_structures() if s.kind == kind)
+
+    first, second = build(), build()
+    ops = tuple(first.ops())
+    assert tuple(first.ops()) == ops
+    assert tuple(second.ops()) == ops
+    assert [first.op(spec.method) for spec in ops] == list(ops)
+    assert first.operation_contract().render() == second.operation_contract().render()
 
 
 def test_charge_rejects_bad_discounts():
