@@ -30,6 +30,7 @@ mutations and clock jumps take effect before the next packet replays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,8 +229,12 @@ class GraphReplayer:
             name: Replayer(node.harness, node.contract, models=models)
             for name, node in graph.nodes.items()
         }
-        self.composed: PerformanceContract = graph.compose()
-        self._zero_pcvs = {name: 0 for name in self.composed.variables()}
+        #: Every PCV the hops' contracts use, at zero: where a replay's
+        #: maxima start.  These are :attr:`composed`'s PCVs too (each
+        #: composed entry sums node entries), read without composing.
+        self._zero_pcvs = {
+            name: 0 for node in graph.nodes.values() for name in node.contract.variables()
+        }
         #: The scale hop cycles are summed at: the LCM of the hop replayers'
         #: scales, so each hop's scaled cycles convert by an integer factor.
         self.cycle_scale = math.lcm(1, *(r.cycle_scale for r in self.replayers.values()))
@@ -239,6 +244,15 @@ class GraphReplayer:
             name: (1, 1, *[self.cycle_scale // replayer.cycle_scale] * len(self.models))
             for name, replayer in self.replayers.items()
         }
+
+    @functools.cached_property
+    def composed(self) -> PerformanceContract:
+        """The graph's composed contract, one entry per route (built on first read).
+
+        Replay never reads it (see the module docstring); route names come
+        from :func:`~repro.core.composition.route_class_name`.
+        """
+        return self.graph.compose()
 
     # ------------------------------------------------------------------ #
     # Replay

@@ -134,12 +134,27 @@ class NFHarness:
         #: Egress packet bytes of the last :meth:`run` (post NF rewrites);
         #: only populated when ``capture_output`` is on.
         self.last_packet: bytes = b""
-        #: Whether :meth:`run` materialises the per-access address stream
-        #: (``ExecutionTrace.accesses``).  Off by default — counts are all
-        #: plain replay needs — and switched on by the replayer when a
-        #: cache-simulating hardware model is in the model set.
-        self.record_accesses: bool = False
+        self.record_accesses = False
         self._interpreter = Interpreter(module, handler=handler)
+
+    @property
+    def record_accesses(self) -> bool:
+        """Whether :meth:`run` materialises the per-access address stream.
+
+        That is ``ExecutionTrace.accesses``, with the addresses each
+        structure call touched.  Off by default — counts are all plain
+        replay needs — and switched on by the replayer when a
+        cache-simulating hardware model is in the model set.  Setting it
+        writes through to every structure in :attr:`structures`, whose
+        handlers build their address lists only while it is on.
+        """
+        return self._record_accesses
+
+    @record_accesses.setter
+    def record_accesses(self, on: bool) -> None:
+        self._record_accesses = on
+        for structure in self.structures:
+            structure.record_accesses = on
 
     def scalars_for(self, stimulus: Stimulus) -> Dict[str, int]:
         """Resolve the stimulus scalars, defaulting ``len`` to the buffer."""
@@ -159,7 +174,7 @@ class NFHarness:
         args = [self.pkt_base] + [scalars[name] for name in self.scalar_order]
         # Plain replay only consumes aggregate counts; the address stream
         # is materialised only when a cache simulator will consume it.
-        trace = ExecutionTrace(record_accesses=self.record_accesses)
+        trace = ExecutionTrace(record_accesses=self._record_accesses)
         result = self._interpreter.run(self.function, args, memory=memory, trace=trace)
         if self.capture_output:
             self.last_packet = memory.read_bytes(self.pkt_base, len(stimulus.packet))

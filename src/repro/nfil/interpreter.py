@@ -157,7 +157,10 @@ class ExternResult(NamedTuple):
     ``accesses`` optionally carries the concrete addresses the structure
     touched while serving the call (one per counted memory access, in
     touch order) so cache-simulating hardware models can observe the
-    structure's locality; an empty tuple means counts only.
+    structure's locality; an empty tuple means counts only.  Library
+    structures fill it only while their ``record_accesses`` flag is on
+    (:meth:`repro.structures.base.Structure.charge`), which an
+    ``NFHarness`` keeps in step with its trace's.
     """
 
     value: Optional[int] = None

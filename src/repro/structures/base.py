@@ -139,6 +139,12 @@ class Structure(ExternHandler):
         # across workers and runs.  256 KiB-aligned regions spread instances
         # across cache sets; a rare name-hash collision merely shares lines.
         self.heap_base = 0x1000_0000 + (zlib.crc32(name.encode("utf-8")) & 0x3FFF) * 0x4_0000
+        #: Whether calls report the addresses they touched (``accesses``).
+        #: Handlers build their address lists only while this is on; an
+        #: :class:`~repro.nf.replay.NFHarness` switches it off for the
+        #: structures it owns unless a cache-simulating model will read
+        #: the address stream.
+        self.record_accesses = True
         # Snapshot the op table once; op() answers from it.
         self._ops_by_method: Dict[str, OpSpec] = {op.method: op for op in self.ops()}
         # charge() programs, compiled on each method's first charge: most
@@ -188,7 +194,8 @@ class Structure(ExternHandler):
         """Model address of logical 8-byte slot ``slot`` in this instance's heap.
 
         Handlers use this to report *which* addresses an operation touched
-        (``charge(..., touched=[...])``): slots that model the same storage
+        (``charge(..., touched=[...])``, built only while
+        :attr:`record_accesses` is on): slots that model the same storage
         (a bucket head, a trie node, a counter cell) map to the same
         address every call, which is what gives the cache simulator real
         re-use to observe.  The layout is a model, not an allocator — only
@@ -280,11 +287,14 @@ class Structure(ExternHandler):
 
         ``touched`` optionally names the addresses the call accessed (in
         touch order, usually built with :meth:`slot_addr`) for the cache
-        simulator.  The reported tuple is normalised to exactly the
-        formula's access count: extra entries are dropped, and the
-        remainder is padded with :attr:`heap_base` (the instance's header
-        word — a realistic stand-in for the bookkeeping accesses the cost
-        formula charges but the handler does not enumerate).
+        simulator: a sequence, never ``None``, which handlers build only
+        while :attr:`record_accesses` is on.  Then the reported tuple is
+        normalised to exactly the formula's access count: extra entries
+        are dropped, and the remainder is padded with :attr:`heap_base`
+        (the instance's header word — a realistic stand-in for the
+        bookkeeping accesses the cost formula charges but the handler
+        does not enumerate).  While it is off, ``accesses`` is ``()``:
+        counts only.
         """
         compiled = self._charges.get(method)
         if compiled is None:
@@ -296,9 +306,11 @@ class Structure(ExternHandler):
         if discount_instructions < 0 or discount_instructions >= instructions:
             raise ValueError(f"bad instruction discount {discount_instructions}")
         memory_accesses = accesses_of(pcvs)
-        accesses = tuple(touched[:memory_accesses])
-        if len(accesses) < memory_accesses:
-            accesses += (self.heap_base,) * (memory_accesses - len(accesses))
+        accesses: Tuple[int, ...] = ()
+        if self.record_accesses:
+            accesses = tuple(touched[:memory_accesses])
+            if len(accesses) < memory_accesses:
+                accesses += (self.heap_base,) * (memory_accesses - len(accesses))
         return ExternResult(
             value,
             instructions - discount_instructions,

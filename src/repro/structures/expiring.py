@@ -208,24 +208,29 @@ class ExpiringMap(Structure):
         advanced, expired = self.sweep(now)
         if advanced == 0:
             # Idle fast path: the wheel cursor did not move.
-            return self.charge(
-                "expire", w=0, e=0, discount_instructions=1, touched=[self.slot_addr(0)]
-            )
-        # The sweep reads each advanced wheel slot; the per-entry unlink
-        # work is covered by the charge() padding.  Wheel slots occupy this
-        # instance's own heap region (the chain data lives in the inner
-        # map's region), so a sweep and a lookup exercise disjoint lines.
-        touched = [
-            self.slot_addr(tick % self.wheel_slots)
-            for tick in range(previous + 1, previous + advanced + 1)
-        ]
+            touched = [self.slot_addr(0)] if self.record_accesses else ()
+            return self.charge("expire", w=0, e=0, discount_instructions=1, touched=touched)
+        # While recording, the sweep reports each advanced wheel slot; the
+        # per-entry unlink work is covered by the charge() padding.  Wheel
+        # slots occupy this instance's own heap region (the chain data
+        # lives in the inner map's region), so a sweep and a lookup
+        # exercise disjoint lines.
+        touched = ()
+        if self.record_accesses:
+            touched = [
+                self.slot_addr(tick % self.wheel_slots)
+                for tick in range(previous + 1, previous + advanced + 1)
+            ]
         return self.charge("expire", w=advanced, e=expired, touched=touched)
 
     def _op_put(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         key, value = args
         status, traversed = self.insert(key, value)
-        touched = self._map.chain_touched(key, traversed)
-        touched.append(self.slot_addr((self.now + self.timeout) % self.wheel_slots))
+        touched = ()
+        if self.record_accesses:
+            # The chain walk in the inner map, then the new deadline's slot.
+            touched = self._map.chain_touched(key, traversed)
+            touched.append(self.slot_addr((self.now + self.timeout) % self.wheel_slots))
         if status == "refreshed":
             # Refresh fast path: no link allocation.
             return self.charge(
@@ -236,7 +241,7 @@ class ExpiringMap(Structure):
     def _op_get(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
         value, traversed = self._map.lookup(key)
-        touched = self._map.chain_touched(key, traversed)
+        touched = self._map.chain_touched(key, traversed) if self.record_accesses else ()
         if value is None:
             # Miss fast path: no value copy.
             return self.charge(

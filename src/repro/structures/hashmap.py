@@ -178,7 +178,9 @@ class ChainingHashMap(Structure):
         bucket re-touches the same cache lines — the locality the cache
         simulator is there to observe.  (Positions are stable per (bucket,
         index), a faithful model of a chain that only ever appends and
-        compacts.)
+        compacts.)  Handlers build the list only while the calling
+        structure's :attr:`record_accesses` is on; :class:`ExpiringMap`
+        calls it on its inner map under its own flag.
         """
         bucket = self._hash(key)
         base = self.buckets + 2 * bucket * self.capacity
@@ -194,7 +196,7 @@ class ChainingHashMap(Structure):
     def _op_get(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
         value, traversed = self.lookup(key)
-        touched = self.chain_touched(key, traversed)
+        touched = self.chain_touched(key, traversed) if self.record_accesses else ()
         if value is None:
             # Miss fast path: no value copy.
             return self.charge(
@@ -205,7 +207,7 @@ class ChainingHashMap(Structure):
     def _op_put(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         key, value = args
         status, traversed = self.insert(key, value)
-        touched = self.chain_touched(key, traversed)
+        touched = self.chain_touched(key, traversed) if self.record_accesses else ()
         if status == "refreshed":
             # Refresh fast path: no link allocation.
             return self.charge(
@@ -216,6 +218,5 @@ class ChainingHashMap(Structure):
     def _op_remove(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
         _, traversed = self.delete(key)
-        return self.charge(
-            "remove", t=traversed, touched=self.chain_touched(key, traversed)
-        )
+        touched = self.chain_touched(key, traversed) if self.record_accesses else ()
+        return self.charge("remove", t=traversed, touched=touched)

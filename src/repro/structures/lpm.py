@@ -163,7 +163,9 @@ class LpmTrie(Structure):
         top of the trie" locality the realistic model could only assume.
         Prefixes alias into 512 slots per level to keep the model heap
         inside the instance's region; aliasing is deterministic, so the
-        stream stays reproducible.
+        stream stays reproducible.  ``lookup`` builds this list only while
+        :attr:`record_accesses` is on: it is two ``slot_addr`` calls per
+        visited node, the costliest part of a lookup.
         """
         touched = []
         for level in range(visited):
@@ -177,7 +179,7 @@ class LpmTrie(Structure):
         (address,) = args
         address &= (1 << ADDRESS_BITS) - 1
         value, visited = self.lookup(address)
-        touched = self._path_touched(address, visited)
+        touched = self._path_touched(address, visited) if self.record_accesses else ()
         if value is None:
             # Miss fast path: no next-hop copy.
             return self.charge(

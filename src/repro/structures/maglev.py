@@ -259,10 +259,13 @@ class MaglevTable(Structure):
         """Whether ``backend`` currently serves traffic."""
         return backend in self._backends
 
+    def _slot(self, flow: int) -> int:
+        """The lookup-array slot ``flow`` hashes to."""
+        return ((flow * 2654435761) ^ (flow >> 29)) % self.table_size
+
     def select(self, flow: int) -> Optional[int]:
         """Consistent-hash ``flow`` to a backend; ``None`` when none active."""
-        slot = ((flow * 2654435761) ^ (flow >> 29)) % self.table_size
-        backend = self._table[slot]
+        backend = self._table[self._slot(flow)]
         return None if backend == NOT_FOUND else backend
 
     def add_backend(self, backend: int) -> Tuple[str, int]:
@@ -298,15 +301,15 @@ class MaglevTable(Structure):
 
         The real fill probes permutation order; a sequential sweep over
         the same number of slots has the same footprint and set pressure,
-        which is what the cache simulator prices.
+        which is what the cache simulator prices.  Handlers build it only
+        while :attr:`record_accesses` is on.
         """
         return [self.slot_addr(i % self.table_size) for i in range(probes)]
 
     def _op_lookup(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (flow,) = args
         backend = self.select(flow)
-        slot = ((flow * 2654435761) ^ (flow >> 29)) % self.table_size
-        touched = [self.slot_addr(slot)]
+        touched = [self.slot_addr(self._slot(flow))] if self.record_accesses else ()
         if backend is None:
             # Empty-table fast path: no backend id copy.
             return self.charge(
@@ -317,8 +320,10 @@ class MaglevTable(Structure):
     def _op_active(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (backend,) = args
         backend %= BACKEND_SPACE
-        # Membership word: one slot per backend id, after the lookup array.
-        touched = [self.slot_addr(self.table_size + backend % self.max_backends)]
+        touched = ()
+        if self.record_accesses:
+            # Membership word: one slot per backend id, after the lookup array.
+            touched = [self.slot_addr(self.table_size + backend % self.max_backends)]
         return self.charge("active", 1 if self.is_active(backend) else 0, touched=touched)
 
     def _op_add(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
@@ -326,17 +331,17 @@ class MaglevTable(Structure):
         status, probes = self.add_backend(backend % BACKEND_SPACE)
         if status != "added":
             # Present/dropped fast path: no repopulation ran.
-            return self.charge(
-                "add", f=0, discount_instructions=1, touched=[self.slot_addr(0)]
-            )
-        return self.charge("add", f=probes, touched=self._fill_touched(probes))
+            touched = [self.slot_addr(0)] if self.record_accesses else ()
+            return self.charge("add", f=0, discount_instructions=1, touched=touched)
+        touched = self._fill_touched(probes) if self.record_accesses else ()
+        return self.charge("add", f=probes, touched=touched)
 
     def _op_remove(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (backend,) = args
         removed, probes = self.remove_backend(backend % BACKEND_SPACE)
         if not removed:
             # Unknown-backend fast path: no repopulation ran.
-            return self.charge(
-                "remove", f=0, discount_instructions=1, touched=[self.slot_addr(0)]
-            )
-        return self.charge("remove", f=probes, touched=self._fill_touched(probes))
+            touched = [self.slot_addr(0)] if self.record_accesses else ()
+            return self.charge("remove", f=0, discount_instructions=1, touched=touched)
+        touched = self._fill_touched(probes) if self.record_accesses else ()
+        return self.charge("remove", f=probes, touched=touched)

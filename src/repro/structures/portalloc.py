@@ -144,11 +144,15 @@ class PortAllocator(Structure):
         port = self.take()
         if port == NOT_FOUND:
             # Exhausted fast path: no free-list pop (only the header read).
-            return self.charge(
-                "alloc", NOT_FOUND, discount_instructions=1, touched=[self.slot_addr(0)]
-            )
-        # Free-list tail word, then the leased-set slot of the port.
-        touched = [self.slot_addr(1 + len(self._free)), self.slot_addr(self._lease_slot(port))]
+            touched = [self.slot_addr(0)] if self.record_accesses else ()
+            return self.charge("alloc", NOT_FOUND, discount_instructions=1, touched=touched)
+        touched = ()
+        if self.record_accesses:
+            # Free-list tail word, then the leased-set slot of the port.
+            touched = [
+                self.slot_addr(1 + len(self._free)),
+                self.slot_addr(self._lease_slot(port)),
+            ]
         return self.charge("alloc", port, touched=touched)
 
     def _lease_slot(self, port: int) -> int:
@@ -160,10 +164,9 @@ class PortAllocator(Structure):
         (port,) = args
         if not self.give_back(port):
             # Unknown-port fast path: nothing returned to the list.
-            return self.charge(
-                "release",
-                discount_instructions=1,
-                touched=[self.slot_addr(self._lease_slot(port))],
-            )
-        touched = [self.slot_addr(self._lease_slot(port)), self.slot_addr(len(self._free))]
+            touched = [self.slot_addr(self._lease_slot(port))] if self.record_accesses else ()
+            return self.charge("release", discount_instructions=1, touched=touched)
+        touched = ()
+        if self.record_accesses:
+            touched = [self.slot_addr(self._lease_slot(port)), self.slot_addr(len(self._free))]
         return self.charge("release", touched=touched)

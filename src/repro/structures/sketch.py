@@ -170,7 +170,10 @@ class CountMinSketch(Structure):
     # Instrumented extern handlers
     # ------------------------------------------------------------------ #
     def _counter_touched(self, key: int) -> list:
-        """The key's counter cell in each row (the data-independent walk)."""
+        """The key's counter cell in each row (the data-independent walk).
+
+        Handlers build it only while :attr:`record_accesses` is on.
+        """
         return [
             self.slot_addr(row * self.width + self._index(row, key))
             for row in range(self.depth)
@@ -178,9 +181,10 @@ class CountMinSketch(Structure):
 
     def _op_update(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
-        touched = self._counter_touched(key)
-        # The update stores each counter back: same cells, touched twice.
-        touched = [addr for addr in touched for _ in range(2)]
+        touched = ()
+        if self.record_accesses:
+            # The update stores each counter back: same cells, touched twice.
+            touched = [addr for addr in self._counter_touched(key) for _ in range(2)]
         if self.saturated(key):
             # Fully-saturated fast path: the increment short-circuits.
             return self.charge(
@@ -190,7 +194,7 @@ class CountMinSketch(Structure):
 
     def _op_query(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
-        touched = self._counter_touched(key)
+        touched = self._counter_touched(key) if self.record_accesses else ()
         estimate = self.estimate(key)
         if estimate == 0:
             # Never-seen fast path: a zero counter ends the min-fold early.

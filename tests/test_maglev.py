@@ -11,11 +11,10 @@ import random
 
 import pytest
 
-from repro.core import Metric
 from repro.nf.workloads import colliding_backends
 from repro.nfil import ExecutionTrace, Interpreter
 from repro.structures import NOT_FOUND, MaglevTable, max_fill_iterations
-from structure_drivers import operation_module
+from structure_drivers import assert_calls_bounded, operation_module
 
 TABLE_SIZE = 13
 MAX_BACKENDS = 4
@@ -170,7 +169,6 @@ def test_identical_permutations_attain_the_bound_exactly():
 # --------------------------------------------------------------------------- #
 def test_contract_bounds_100_traced_operations():
     t = table()
-    contract = t.operation_contract()
     trace = ExecutionTrace()
     interps = {}
     for op in t.ops():
@@ -201,22 +199,8 @@ def test_contract_bounds_100_traced_operations():
                 assert result in set(active)
             else:
                 assert result == NOT_FOUND
-    assert len(trace.extern_calls) >= 100
-    strict = 0
-    for recorded in trace.extern_calls:
-        method = recorded.name[len(t.name) + 1 :]
-        entry = contract.entry_for(method)
-        bindings = {name: 0 for name in contract.registry.names()}
-        bindings.update(recorded.pcvs)
-        predicted_instr = entry.evaluate(Metric.INSTRUCTIONS, bindings)
-        predicted_mem = entry.evaluate(Metric.MEMORY_ACCESSES, bindings)
-        assert predicted_instr >= recorded.instructions
-        assert predicted_mem >= recorded.memory_accesses
-        if predicted_instr > recorded.instructions:
-            strict += 1
-    # Fast paths (no-op add/remove, empty lookup) make the bound strict
-    # somewhere, so the check is not a tautology.
-    assert strict > 0
+    # Fast paths (no-op add/remove, empty lookup) make the bound strict.
+    assert_calls_bounded(t, trace, min_ops=100)
 
 
 def test_repopulation_cost_lands_in_traces_as_qualified_pcv():

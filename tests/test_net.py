@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.core.composition import HOP_SEPARATOR, route_class_name
 from repro.core.contract import Metric
 from repro.hw import ConservativeModel, RealisticModel, SimulatedModel
@@ -131,6 +132,29 @@ def test_composed_contract_enumerates_every_reachable_route():
     variables = set(composed.variables())
     for node in graph.nodes.values():
         assert set(node.contract.variables()) <= variables
+
+
+@pytest.mark.parametrize("spec", cli.GRAPH_MATRIX, ids=lambda spec: spec.name)
+def test_graph_replayer_composes_the_graph_contract_only_when_read(spec, monkeypatch):
+    graph = spec.bench_workloads(0, 10)[0].graph
+    composed_by = []
+    compose = Graph.compose
+
+    def counted(self, *args, **kwargs):
+        composed_by.append(self)
+        return compose(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "compose", counted)
+    replayer = GraphReplayer(graph, models=(ConservativeModel(),))
+    assert composed_by == []
+    # A replay's PCV maxima start at zero over the composed contract's PCVs.
+    zeros = replayer.replay(()).max_pcvs
+    assert composed_by == []
+    composed = replayer.composed
+    assert composed_by == [graph]
+    assert replayer.composed is composed
+    assert composed_by == [graph]
+    assert zeros == {name: 0 for name in composed.variables()}
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import cli
-from repro.core import Metric
 from repro.nf import NF_MATRIX
 from repro.nfil import ExecutionTrace, Interpreter
 from repro.structures import (
@@ -29,7 +28,7 @@ from repro.structures import (
 )
 from repro.structures.lpm import MAX_DEPTH
 from repro.traffic.replayer import Replayer
-from structure_drivers import operation_module
+from structure_drivers import assert_calls_bounded, operation_module
 
 SEEDS = (7, 1009, 20190226)
 OPS_PER_SEED = 180  # × 3 seeds ⇒ 540 traced ops per structure
@@ -63,27 +62,7 @@ class OpDriver:
         """Every traced call ≤ its hand-contract entry; ≥1 strict somewhere."""
         # The op table does not depend on what the sequence stored.
         assert tuple(self.structure.ops()) == self.ops
-        contract = self.structure.operation_contract()
-        assert len(self.trace.extern_calls) >= min_ops
-        strict = 0
-        for call in self.trace.extern_calls:
-            method = call.name[len(self.structure.name) + 1 :]
-            entry = contract.entry_for(method)
-            bindings = {name: 0 for name in contract.registry.names()}
-            bindings.update(call.pcvs)
-            predicted_instr = entry.evaluate(Metric.INSTRUCTIONS, bindings)
-            predicted_mem = entry.evaluate(Metric.MEMORY_ACCESSES, bindings)
-            assert predicted_instr >= call.instructions, (
-                f"{self.structure.name}.{method}: "
-                f"{predicted_instr} < {call.instructions} at {dict(call.pcvs)}"
-            )
-            assert predicted_mem >= call.memory_accesses, (
-                f"{self.structure.name}.{method}: "
-                f"{predicted_mem} < {call.memory_accesses} at {dict(call.pcvs)}"
-            )
-            if predicted_instr > call.instructions:
-                strict += 1
-        assert strict > 0
+        assert_calls_bounded(self.structure, self.trace, min_ops=min_ops)
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,7 @@ from repro.structures import (
     StructureModel,
 )
 from repro.structures.lpm import MAX_DEPTH
-from structure_drivers import operation_module
+from structure_drivers import assert_calls_bounded, operation_module
 
 
 def traced_call(structure, method, *args, trace):
@@ -37,29 +37,6 @@ def traced_call(structure, method, *args, trace):
     interp = Interpreter(module, handler=structure)
     result, _ = interp.run(function, list(args), trace=trace)
     return result
-
-
-def assert_contract_bounds_trace(structure, trace, *, min_ops=100):
-    """Every traced call must be upper-bounded by its hand contract entry."""
-    contract = structure.operation_contract()
-    assert len(trace.extern_calls) >= min_ops
-    strict = 0
-    for call in trace.extern_calls:
-        method = call.name[len(structure.name) + 1 :]
-        entry = contract.entry_for(method)
-        bindings = {name: 0 for name in contract.registry.names()}
-        bindings.update(call.pcvs)
-        predicted_instr = entry.evaluate(Metric.INSTRUCTIONS, bindings)
-        predicted_mem = entry.evaluate(Metric.MEMORY_ACCESSES, bindings)
-        assert predicted_instr >= call.instructions, (
-            f"{structure.name}.{method}: {predicted_instr} < {call.instructions}"
-        )
-        assert predicted_mem >= call.memory_accesses
-        if predicted_instr > call.instructions:
-            strict += 1
-    # Fast paths must make the bound strict somewhere, or the check is a
-    # tautology of "the handler charges the formula".
-    assert strict > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -111,7 +88,7 @@ def test_hashmap_contract_bounds_100_traced_operations():
             assert result == (NOT_FOUND if expected is None else expected)
         else:
             traced_call(m, "remove", key, trace=trace)
-    assert_contract_bounds_trace(m, trace, min_ops=150)
+    assert_calls_bounded(m, trace, min_ops=150)
     # Collisions must actually have happened for the bound to mean much.
     assert max(call.pcvs.get("flow.t", 0) for call in trace.extern_calls) >= 2
 
@@ -176,7 +153,7 @@ def test_expiring_map_contract_bounds_100_traced_operations():
         traced_call(m, "put", key, n % 64, trace=trace)
         result = traced_call(m, "get", rng.randrange(24), trace=trace)
         assert result == NOT_FOUND or result < 64
-    assert_contract_bounds_trace(m, trace, min_ops=180)
+    assert_calls_bounded(m, trace, min_ops=180)
     # The workload must have exercised expiry and wheel advancement.
     assert max(call.pcvs.get("mac.e", 0) for call in trace.extern_calls) >= 1
     assert max(call.pcvs.get("mac.w", 0) for call in trace.extern_calls) >= 1
@@ -239,7 +216,7 @@ def test_lpm_contract_bounds_100_traced_operations():
         expected = t.lookup(address)[0]
         assert result == (NOT_FOUND if expected is None else expected)
         depths.add(trace.extern_calls[-1].pcvs["rt.d"])
-    assert_contract_bounds_trace(t, trace, min_ops=120)
+    assert_calls_bounded(t, trace, min_ops=120)
     assert len(depths) > 1  # the workload explored different prefix depths
     assert max(depths) <= MAX_DEPTH
 
@@ -278,7 +255,7 @@ def test_port_allocator_contract_bounds_100_traced_operations():
             result = traced_call(alloc, "alloc", trace=trace)
             if result != NOT_FOUND:
                 held.append(result)
-    assert_contract_bounds_trace(alloc, trace, min_ops=120)
+    assert_calls_bounded(alloc, trace, min_ops=120)
     # Exhaustion must have been exercised (the alloc fast path).
     assert any(call.result == NOT_FOUND for call in trace.extern_calls)
 
