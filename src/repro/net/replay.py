@@ -22,6 +22,12 @@ measured and predicted counts, and measured and predicted cycles summed
 as integers at one graph-wide scale (the LCM of the hop replayers'
 scales), so no ``Fraction`` is built before a report is rendered.
 
+Hop outcomes share their replayer's interned PCV mappings, predictions
+and measurements (see :mod:`repro.traffic.replayer`), and one replay call
+shares one name per distinct route and one tuple per distinct route sum,
+so what a replay keeps grows with distinct values rather than packets;
+the graph-wide ``max_pcvs`` folds each distinct binding once.
+
 Churn (:mod:`repro.net.churn`) interleaves with the stream: events fire
 between packets, injected control frames are scored at their node like
 any stimulus (their cost is part of the deployment's story), host-side
@@ -34,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.composition import route_class_name
 from repro.core.contract import Metric, PerformanceContract
@@ -66,6 +72,7 @@ class GraphPacketOutcome(Scored):
     ``measured_values`` and ``predicted_values`` sum the hops' values (see
     :class:`~repro.traffic.replayer.Scored`), cycles at the graph-wide
     ``cycle_scale``; :attr:`cycles` converts them to ``Fraction`` on demand.
+    Outcomes of one replay with an equal sum or route share one object.
     """
 
     index: int
@@ -276,6 +283,10 @@ class GraphReplayer:
         route_summaries: Dict[str, RouteSummary] = {}
         churn_log: List[str] = []
         max_pcvs: Dict[str, int] = dict(self._zero_pcvs)
+        folded: Set[int] = set()
+        # Each distinct route's name, and each distinct route sum, built once.
+        route_names: Dict[Tuple[Tuple[str, Optional[str]], ...], str] = {}
+        sums: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
         hop_factors = self._hop_factors
         model_names = tuple(model.name for model in self.models)
@@ -290,9 +301,13 @@ class GraphReplayer:
             if summary is None:
                 summary = classes[key] = ClassSummary(key)
             summary.absorb(outcome)
-            for name, value in outcome.pcvs.items():
-                if value > max_pcvs.get(name, 0):
-                    max_pcvs[name] = value
+            pcvs = outcome.pcvs
+            if id(pcvs) not in folded:
+                # Hop outcomes share one mapping per binding: fold it once.
+                folded.add(id(pcvs))
+                for name, value in pcvs.items():
+                    if value > max_pcvs.get(name, 0):
+                        max_pcvs[name] = value
 
         clock_offset = 0
         for index, frame in enumerate(stream):
@@ -340,15 +355,20 @@ class GraphReplayer:
             route_name: Optional[str] = None
             if classified:
                 route = tuple((node, o.class_name) for node, o in hops)
-                route_name = route_class_name(route)  # type: ignore[arg-type]
+                route_name = route_names.get(route)
+                if route_name is None:
+                    route_name = route_class_name(route)  # type: ignore[arg-type]
+                    route_names[route] = route_name
+            measured_sum = tuple(measured)
+            predicted_sum = tuple(predicted)
 
             graph_outcome = GraphPacketOutcome(
                 index,
                 frame.note,
                 tuple(hops),
                 route_name,
-                tuple(measured),
-                tuple(predicted),
+                sums.setdefault(measured_sum, measured_sum),
+                sums.setdefault(predicted_sum, predicted_sum),
                 model_names,
                 tuple(violations),
                 self.cycle_scale,

@@ -52,7 +52,7 @@ min-fold early), each one instruction cheaper than the formula.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.contract import Metric
 from repro.core.pcv import PCV
@@ -146,56 +146,66 @@ class CountMinSketch(Structure):
         mixed = (key * salt) & 0xFFFFFFFFFFFFFFFF
         return (mixed ^ (mixed >> 29) ^ row) % self.width
 
-    def observe(self, key: int) -> int:
-        """Count one occurrence of ``key``; returns the updated estimate."""
+    def _indices(self, key: int) -> List[int]:
+        """``key``'s counter index in each row, row by row.
+
+        A handler computes them once per call and passes them to the
+        methods below, so each row is hashed once per call.
+        """
+        return [self._index(row, key) for row in range(self.depth)]
+
+    def observe(self, key: int, indices: Optional[Sequence[int]] = None) -> int:
+        """Count one occurrence of ``key``; returns the updated estimate.
+
+        ``indices`` are ``key``'s :meth:`_indices`, derived when not given.
+        """
+        if indices is None:
+            indices = self._indices(key)
         estimate = self.counter_max
-        for row in range(self.depth):
-            counters = self._rows[row]
-            index = self._index(row, key)
+        for counters, index in zip(self._rows, indices):
             counters[index] = min(counters[index] + 1, self.counter_max)
             estimate = min(estimate, counters[index])
         return estimate
 
-    def estimate(self, key: int) -> int:
+    def estimate(self, key: int, indices: Optional[Sequence[int]] = None) -> int:
         """Min-over-rows frequency estimate for ``key`` (never under-counts)."""
-        return min(
-            self._rows[row][self._index(row, key)] for row in range(self.depth)
-        )
+        if indices is None:
+            indices = self._indices(key)
+        return min(counters[index] for counters, index in zip(self._rows, indices))
 
-    def saturated(self, key: int) -> bool:
+    def saturated(self, key: int, indices: Optional[Sequence[int]] = None) -> bool:
         """Whether every one of ``key``'s row counters sits at the ceiling."""
-        return self.estimate(key) == self.counter_max
+        return self.estimate(key, indices) == self.counter_max
 
     # ------------------------------------------------------------------ #
     # Instrumented extern handlers
     # ------------------------------------------------------------------ #
-    def _counter_touched(self, key: int) -> list:
-        """The key's counter cell in each row (the data-independent walk).
+    def _counter_touched(self, indices: Sequence[int]) -> list:
+        """The counter cell at each row's index (the data-independent walk).
 
         Handlers build it only while :attr:`record_accesses` is on.
         """
-        return [
-            self.slot_addr(row * self.width + self._index(row, key))
-            for row in range(self.depth)
-        ]
+        return [self.slot_addr(row * self.width + index) for row, index in enumerate(indices)]
 
     def _op_update(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
+        indices = self._indices(key)
         touched = ()
         if self.record_accesses:
             # The update stores each counter back: same cells, touched twice.
-            touched = [addr for addr in self._counter_touched(key) for _ in range(2)]
-        if self.saturated(key):
+            touched = [addr for addr in self._counter_touched(indices) for _ in range(2)]
+        if self.saturated(key, indices):
             # Fully-saturated fast path: the increment short-circuits.
             return self.charge(
                 "update", self.counter_max, discount_instructions=1, touched=touched
             )
-        return self.charge("update", self.observe(key), touched=touched)
+        return self.charge("update", self.observe(key, indices), touched=touched)
 
     def _op_query(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
-        touched = self._counter_touched(key) if self.record_accesses else ()
-        estimate = self.estimate(key)
+        indices = self._indices(key)
+        touched = self._counter_touched(indices) if self.record_accesses else ()
+        estimate = self.estimate(key, indices)
         if estimate == 0:
             # Never-seen fast path: a zero counter ends the min-fold early.
             return self.charge("query", 0, discount_instructions=1, touched=touched)

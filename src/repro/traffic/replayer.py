@@ -40,6 +40,14 @@ into straight-line work over what the run produced.
 Outcomes keep their counts and cycles as integer tuples — cycles in units
 of ``1/cycle_scale`` — and show them as read-only mappings on demand;
 ``Fraction`` cycles are made only when a report is rendered.
+
+A run has few distinct PCV bindings, predictions and measurements (a
+class and a handful of PCVs price an execution, §3), so each replayer
+hash-conses what its outcomes hold: one read-only PCV mapping per
+distinct binding, one prediction per binding and matched entry, one
+measured tuple per distinct value.  What depends only on the binding —
+the entry program, the PCV-limit scan and the ``max_pcvs`` fold — runs
+once per binding.  The tables grow with distinct values, not packets.
 """
 
 from __future__ import annotations
@@ -48,7 +56,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.contract import ContractEntry, Metric, PerformanceContract
 from repro.core.perfexpr import PerfExpr
@@ -116,7 +135,9 @@ class Scored:
     Both hold ``(instructions, memory accesses, *cycles)``: counts as
     plain integers, then one cycle value per model of ``models``, an exact
     integer in units of ``1/cycle_scale`` cycles.  An execution no entry
-    covers has its two measured counts only.
+    covers has its two measured counts only.  Outcomes share these tuples
+    and their ``pcvs``, a read-only mapping, with other outcomes (see the
+    module docstring), so none is written after it is built.
     """
 
     __slots__ = ()
@@ -159,8 +180,9 @@ class Scored:
 class PacketOutcome(Scored):
     """Measured-vs-predicted record of one replayed stimulus (see :class:`Scored`).
 
-    Scoring a packet builds its value tuples and no mapping or
-    ``Fraction``; the views build them on demand.
+    Scoring a packet builds no mapping or ``Fraction``; the views build
+    them on demand.  ``pcvs`` is the observed binding, a read-only mapping
+    shared by every outcome of the replayer that observed the same one.
     """
 
     index: int
@@ -370,9 +392,11 @@ class ReplayResult:
         }
 
 
-def _entry_program(
-    entry: ContractEntry, cycle_exprs: Sequence[PerfExpr], scale: int
-) -> Callable[[Mapping[str, int]], Tuple[int, ...]]:
+#: A compiled contract entry: observed PCVs -> its prediction.
+_Program = Callable[[Mapping[str, int]], Tuple[int, ...]]
+
+
+def _entry_program(entry: ContractEntry, cycle_exprs: Sequence[PerfExpr], scale: int) -> _Program:
     """Compile ``f(observed PCVs) -> (instructions, memory accesses, *cycles)``.
 
     The counts are the floors of the entry's expressions and the cycles
@@ -401,6 +425,32 @@ def _measure_program(
     calls = "".join(f"m{k}(trace), " for k in range(len(measures)))
     source = f"lambda trace: (trace.total_instructions(), trace.total_memory_accesses(), {calls})"
     return eval(source, {f"m{k}": measure for k, measure in enumerate(measures)})  # noqa: S307
+
+
+class _Binding:
+    """One distinct PCV binding a replayer observed, and what it alone decides.
+
+    ``pcvs`` is the read-only mapping every outcome with this binding
+    shares; ``problems`` names each undeclared or over-bound PCV, in
+    observed order, as the tail of its violation message; ``predictions``
+    maps an entry's index to its prediction at this binding.
+    """
+
+    __slots__ = ("pcvs", "problems", "predictions")
+
+    def __init__(self, observed: Dict[str, int], limits: Mapping[str, float]) -> None:
+        self.pcvs: Mapping[str, int] = MappingProxyType(observed)
+        problems: List[str] = []
+        for name, value in observed.items():
+            limit = limits.get(name)
+            if limit is None:
+                problems.append(f"PCV {name} observed at {value} is not declared by the contract")
+            elif value > limit:
+                problems.append(
+                    f"PCV {name} observed at {value} exceeds its declared bound {limit}"
+                )
+        self.problems = tuple(problems)
+        self.predictions: Dict[int, Tuple[int, ...]] = {}
 
 
 class Replayer:
@@ -468,11 +518,12 @@ class Replayer:
         # Classification: one conjunction per path (or per class predicate
         # of an entry without paths), in entry order — the first that
         # holds names the execution's entry; ``_scorers`` pairs each with
-        # its entry's class name and program.
+        # its entry's index, class name and program.
         conjunctions: List[Sequence[BV]] = []
-        self._scorers: List[Tuple[str, Callable[[Mapping[str, int]], Tuple[int, ...]]]] = []
+        self._scorers: List[Tuple[int, str, _Program]] = []
         for index, entry in enumerate(contract.entries):
             scorer = (
+                index,
                 entry.input_class.name,
                 _entry_program(entry, [exprs[index] for exprs in cycle_exprs], scale),
             )
@@ -486,6 +537,11 @@ class Replayer:
         self._first_match = compile_first_match(
             conjunctions, params="stimulus, trace", read=read, prologue=prologue
         )
+        #: The hash-consing tables: each distinct binding, keyed by its
+        #: ``(name, value)`` pairs in observed order, and each distinct
+        #: measured tuple.  They grow with distinct values, not packets.
+        self._bindings: Dict[Tuple[Tuple[str, int], ...], _Binding] = {}
+        self._measurements: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def classify(self, stimulus: Stimulus, trace: ExecutionTrace) -> Optional[str]:
         """The input class of an executed stimulus, or None when no entry covers it.
@@ -495,7 +551,7 @@ class Replayer:
         execution's replay environment.
         """
         matched = self._first_match(stimulus, trace)
-        return None if matched is None else self._scorers[matched][0]
+        return None if matched is None else self._scorers[matched][1]
 
     def score(self, stimulus: Stimulus, index: int = 0) -> PacketOutcome:
         """Run ONE stimulus and score it against the contract.
@@ -504,35 +560,46 @@ class Replayer:
         what the service-graph replayer (:mod:`repro.net`) calls per hop,
         where each hop of a packet's journey is scored against that NF's
         own contract.  Violations are recorded on the outcome, never
-        raised.
+        raised.  The outcome's ``pcvs`` and ``measured_values`` are
+        shared, read-only, with every outcome of this replayer that has
+        equal ones, and its ``predicted_values`` with every outcome of the
+        same binding and entry.
         """
         _, trace = self.harness.run(stimulus)
         matched = self._first_match(stimulus, trace)
         observed = trace.pcv_bindings()
+        key = tuple(observed.items())
+        binding = self._bindings.get(key)
+        if binding is None:
+            binding = self._bindings[key] = _Binding(observed, self._pcv_limits)
         if matched is None:
+            measured = (trace.total_instructions(), trace.total_memory_accesses())
             return PacketOutcome(
                 index,
                 stimulus.note,
                 None,
-                observed,
-                (trace.total_instructions(), trace.total_memory_accesses()),
+                binding.pcvs,
+                self._measurements.setdefault(measured, measured),
                 (),
                 self._model_names,
                 (f"packet {index}: no contract entry covers the execution",),
                 self.cycle_scale,
             )
-        class_name, program = self._scorers[matched]
-        predicted = program(observed)
+        entry, class_name, program = self._scorers[matched]
+        predicted = binding.predictions.get(entry)
+        if predicted is None:
+            predicted = binding.predictions[entry] = program(observed)
         measured = self._measure(trace)
+        measured = self._measurements.setdefault(measured, measured)
         return PacketOutcome(
             index,
             stimulus.note,
             class_name,
-            observed,
+            binding.pcvs,
             measured,
             predicted,
             self._model_names,
-            self._violations(index, class_name, observed, measured, predicted),
+            self._violations(index, class_name, binding.problems, measured, predicted),
             self.cycle_scale,
         )
 
@@ -540,25 +607,18 @@ class Replayer:
         self,
         index: int,
         class_name: str,
-        observed: Mapping[str, int],
+        problems: Tuple[str, ...],
         measured: Tuple[int, ...],
         predicted: Tuple[int, ...],
     ) -> Tuple[str, ...]:
-        """Every check one classified execution fails, in report order."""
+        """Every check one classified execution fails, in report order.
+
+        ``problems`` are its binding's PCV-limit failures, found once per
+        binding; the count and cycle comparisons are made here.
+        """
         messages: List[str] = []
-        limits = self._pcv_limits
-        for name, value in observed.items():
-            limit = limits.get(name)
-            if limit is None:
-                messages.append(
-                    f"packet {index} ({class_name}): PCV {name} observed at {value} "
-                    "is not declared by the contract"
-                )
-            elif value > limit:
-                messages.append(
-                    f"packet {index} ({class_name}): PCV {name} observed at {value} "
-                    f"exceeds its declared bound {limit}"
-                )
+        for problem in problems:
+            messages.append(f"packet {index} ({class_name}): {problem}")
         for k, (value, bound) in enumerate(zip(measured, predicted)):
             if value <= bound:
                 continue
@@ -580,12 +640,17 @@ class Replayer:
         outcomes: List[PacketOutcome] = []
         summaries: Dict[str, ClassSummary] = {}
         max_pcvs: Dict[str, int] = dict(self._zero_pcvs)
+        folded: Set[int] = set()
         score = self.score
         for index, stimulus in enumerate(stimuli):
             outcome = score(stimulus, index)
-            for name, value in outcome.pcvs.items():
-                if value > max_pcvs.get(name, 0):
-                    max_pcvs[name] = value
+            pcvs = outcome.pcvs
+            if id(pcvs) not in folded:
+                # Outcomes share one mapping per binding: fold it once.
+                folded.add(id(pcvs))
+                for name, value in pcvs.items():
+                    if value > max_pcvs.get(name, 0):
+                        max_pcvs[name] = value
             outcomes.append(outcome)
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
             summary = summaries.get(key)

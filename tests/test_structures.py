@@ -10,7 +10,7 @@ import pytest
 
 from repro import cli
 from repro.core import PCV, Metric, PerfExpr
-from repro.nfil import ExecutionTrace, ExternHandler, Interpreter
+from repro.nfil import ExecutionTrace, ExternHandler, Interpreter, Memory
 from repro.structures import (
     NOT_FOUND,
     ChainingHashMap,
@@ -426,3 +426,28 @@ def test_operation_contract_lists_every_op():
     assert contract.class_names() == ["expire", "put", "get"]
     text = contract.render()
     assert "time-wheel" in text
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "counting"])
+def test_each_sketch_call_hashes_every_row_once(record, monkeypatch):
+    """An update or a query computes each row's counter index once, on
+    every path: the never-seen query, an unsaturated update, the saturated
+    update's fast path and a query of a counted key."""
+    sketch = CountMinSketch("cms", depth=3, width=8, counter_max=2)
+    sketch.record_accesses = record
+    hashed = []
+    index = CountMinSketch._index
+
+    def counted(self, row, key):
+        hashed.append(row)
+        return index(self, row, key)
+
+    monkeypatch.setattr(CountMinSketch, "_index", counted)
+    memory = Memory()
+    calls = [("query", 0), ("update", 1), ("update", 2), ("update", 2), ("query", 2)]
+    for method, estimate in calls:
+        hashed.clear()
+        result = sketch.handle(sketch.extern_name(method), (5,), memory)
+        assert result.value == estimate, method
+        assert hashed == list(range(sketch.depth)), method
+        assert len(result.accesses) == (result.memory_accesses if record else 0)
