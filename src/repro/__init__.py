@@ -38,13 +38,11 @@ scale/perf work) will register here as they land.
 from repro.core.contract import ContractEntry, Metric, PerformanceContract
 from repro.core.perfexpr import PerfExpr
 from repro.core.pcv import PCV, PCVRegistry
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import generate_contract
 from repro.core.distiller import Distiller
 from repro.core.input_class import InputClass
 
 __all__ = [
-    "Bolt",
-    "BoltConfig",
     "ContractEntry",
     "Distiller",
     "InputClass",
@@ -53,6 +51,7 @@ __all__ = [
     "PCVRegistry",
     "PerfExpr",
     "PerformanceContract",
+    "generate_contract",
 ]
 
 __version__ = "1.9.0"

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.contract import Metric, PerformanceContract, effective_bounds
+from repro.core.contract import COUNT_METRICS, PerformanceContract, effective_bounds
 from repro.core.distiller import resolve_pcv
 from repro.core.perfexpr import Number, PerfExpr
 
@@ -57,9 +57,6 @@ __all__ = [
 #: Expectation values a secret class set may declare.
 LEAK = "leak"
 CONSTANT_TIME = "constant_time"
-
-#: The metrics a constant-time pair must agree on, polynomial for polynomial.
-_COUNTS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,6 @@ def audit_contract(
     *,
     models: Sequence[object],
     structures: Sequence[object] = (),
-    bounds: Optional[Mapping[str, Number]] = None,
 ) -> List[AuditFinding]:
     """Audit one contract against its declared secret class sets.
 
@@ -223,12 +219,11 @@ def audit_contract(
             :mod:`repro.hw`).
         structures: structure instances behind the contract's PCVs, for
             per-owner memory pricing.
-        bounds: PCV maxima overriding the registry's declared bounds.
 
     Raises:
         KeyError: a secret set names a class the contract does not have.
     """
-    maxima = effective_bounds(contract, bounds=bounds)
+    maxima = effective_bounds(contract)
     findings: List[AuditFinding] = []
     for secret_set in secret_sets:
         entries = {name: contract.entry_for(name) for name in secret_set.classes}
@@ -236,7 +231,7 @@ def audit_contract(
         for index, class_a in enumerate(secret_set.classes):
             for class_b in secret_set.classes[index + 1 :]:
                 a, b = entries[class_a], entries[class_b]
-                if all(a.expr(metric) == b.expr(metric) for metric in _COUNTS):
+                if all(a.expr(metric) == b.expr(metric) for metric in COUNT_METRICS):
                     verdicts.append(PairVerdict(class_a, class_b, True))
                     continue
                 deltas: List[CycleDelta] = []

@@ -23,7 +23,7 @@ from repro.core.contract import (
     upper_envelope,
 )
 from repro.core.input_class import InputClass
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import generate_contract
 from repro.core.composition import compose_graph_contracts, route_class_name
 from repro.core.distiller import Distiller, DistillerReport, explain_term, resolve_pcv
 from repro.core.diff import (
@@ -37,8 +37,6 @@ from repro.core.diff import (
 from repro.core.report import format_contract, format_table
 
 __all__ = [
-    "Bolt",
-    "BoltConfig",
     "ContractDiff",
     "ContractEntry",
     "Distiller",
@@ -58,6 +56,7 @@ __all__ = [
     "explain_term",
     "format_contract",
     "format_table",
+    "generate_contract",
     "load_contract",
     "resolve_pcv",
     "qualify_name",

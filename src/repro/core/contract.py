@@ -48,6 +48,10 @@ class Metric(enum.Enum):
         return self.value
 
 
+#: The metrics BOLT counts and emits, in the order replay outcomes hold them.
+COUNT_METRICS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
+
+
 def upper_envelope(exprs: Iterable[PerfExpr]) -> PerfExpr:
     """Merge expressions by taking the monomial-wise maximum coefficient.
 
@@ -99,12 +103,10 @@ class ContractEntry:
     def covers(self, env: Mapping[str, int]) -> bool:
         """Return True when the concrete assignment falls in this entry.
 
-        Per-path conditions take precedence (they are exact); entries
-        without paths fall back to the input-class predicate.
+        One of its paths' conditions must hold; an entry without paths
+        (hand-written or composed) covers every assignment.
         """
-        if self.paths:
-            return any(path.covers(env) for path in self.paths)
-        return self.input_class.matches(env)
+        return not self.paths or any(path.covers(env) for path in self.paths)
 
     def matching_path(self, env: Mapping[str, int]) -> Optional[Path]:
         """Return the merged path the concrete assignment follows, if any."""
@@ -169,21 +171,13 @@ class PerformanceContract:
     # ------------------------------------------------------------------ #
     # Bounding
     # ------------------------------------------------------------------ #
-    def upper_bound(
-        self, metric: Metric, bounds: Optional[Mapping[str, Number]] = None
-    ) -> Fraction:
-        """Worst case over all entries at PCV upper bounds.
-
-        Args:
-            metric: which metric to bound.
-            bounds: per-PCV maxima; defaults to the bounds declared in the
-                contract's PCV registry.
+    def upper_bound(self, metric: Metric) -> Fraction:
+        """Worst case over all entries at the registry's declared PCV bounds.
 
         Raises:
             KeyError: a PCV used by the contract has no bound.
         """
-        if bounds is None:
-            bounds = self.registry.default_bounds()
+        bounds = self.registry.default_bounds()
         worst = Fraction(0)
         for entry in self.entries:
             worst = max(worst, entry.upper_bound(metric, bounds))
@@ -218,20 +212,15 @@ class PerformanceContract:
         return f"<PerformanceContract {self.nf_name!r} classes={self.class_names()!r}>"
 
 
-def effective_bounds(
-    *contracts: PerformanceContract, bounds: Optional[Mapping[str, Number]] = None
-) -> Dict[str, Number]:
+def effective_bounds(*contracts: PerformanceContract) -> Dict[str, Number]:
     """PCV maxima for judging ``contracts``' worst cases.
 
     1 for every variable the contracts use (so an unbounded term counts by
-    its coefficient), then each registry's declared bounds in order, then
-    the caller's ``bounds``.
+    its coefficient), then each registry's declared bounds in order.
     """
     effective: Dict[str, Number] = {
         name: 1 for contract in contracts for name in contract.variables()
     }
     for contract in contracts:
         effective.update(contract.registry.default_bounds())
-    if bounds:
-        effective.update(bounds)
     return effective

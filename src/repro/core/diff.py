@@ -44,7 +44,7 @@ from repro.core.contract import ContractEntry, Metric, PerformanceContract, effe
 from repro.core.distiller import resolve_pcv
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCV, PCVRegistry
-from repro.core.perfexpr import Monomial, Number, PerfExpr
+from repro.core.perfexpr import Monomial, PerfExpr
 
 __all__ = [
     "SCHEMA",
@@ -271,7 +271,6 @@ def diff_contracts(
     *,
     models: Sequence[object] = (),
     structures: Sequence[object] = (),
-    bounds: Optional[Mapping[str, Number]] = None,
 ) -> ContractDiff:
     """Align ``current`` against ``golden`` by class name and report drift.
 
@@ -283,7 +282,6 @@ def diff_contracts(
             drifted classes also report the derived-cycle bound delta.
         structures: the structure instances behind the contract's PCVs —
             what the models need to price memory monomials per owner.
-        bounds: PCV maxima overriding the registries' declared bounds.
 
     Any coefficient difference is drift — improvements too: a golden
     snapshot is an acknowledgement artifact, and a *better* bound still
@@ -295,7 +293,7 @@ def diff_contracts(
     added = tuple(sorted(current_classes - golden_classes))
     removed = tuple(sorted(golden_classes - current_classes))
 
-    effective = effective_bounds(golden, current, bounds=bounds)
+    effective = effective_bounds(golden, current)
     drifted: List[ClassDrift] = []
     for class_name in current.class_names():
         if class_name not in golden_classes:

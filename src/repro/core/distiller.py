@@ -146,22 +146,22 @@ class Distiller:
         metric: Metric = Metric.INSTRUCTIONS,
         *,
         relative_threshold: float = 0.05,
-        bounds: Optional[Mapping[str, Number]] = None,
     ) -> DistillerReport:
         """Produce the distilled report for one metric.
+
+        Worst-case contributions are judged at the registry bounds, with 1
+        for unbounded PCVs (so unbounded terms are judged by their
+        coefficient).
 
         Args:
             metric: which metric column to distil.
             relative_threshold: a term is kept iff its worst-case
                 contribution is at least this share of the entry's
                 worst-case total.
-            bounds: per-PCV maxima used to judge worst-case contributions;
-                defaults to the registry bounds, with 1 for unbounded PCVs
-                (so unbounded terms are judged by their coefficient).
         """
         if not 0 <= relative_threshold < 1:
             raise ValueError("relative_threshold must be in [0, 1)")
-        effective = effective_bounds(self.contract, bounds=bounds)
+        effective = effective_bounds(self.contract)
         entries: List[DistilledEntry] = []
         for entry in self.contract.entries:
             expr = entry.expr(metric)
@@ -183,7 +183,6 @@ class Distiller:
         *,
         structures=(),
         relative_threshold: float = 0.05,
-        bounds: Optional[Mapping[str, Number]] = None,
     ) -> DistillerReport:
         """Distil the cycle expressions a hardware model derives (§5).
 
@@ -193,16 +192,13 @@ class Distiller:
         resulting ``cycles`` column distilled like any counted metric.
         """
         derived = model.derive(self.contract, structures=structures)  # type: ignore[attr-defined]
-        return Distiller(derived).distill(
-            Metric.CYCLES, relative_threshold=relative_threshold, bounds=bounds
-        )
+        return Distiller(derived).distill(Metric.CYCLES, relative_threshold=relative_threshold)
 
     def explain(
         self,
         metric: Metric = Metric.INSTRUCTIONS,
         *,
         relative_threshold: float = 0.05,
-        bounds: Optional[Mapping[str, Number]] = None,
     ) -> str:
         """Distil, then resolve every surviving term into human-level prose.
 
@@ -213,8 +209,8 @@ class Distiller:
         links traversed (collision-driven) in ``fwd``" straight off the
         report.
         """
-        report = self.distill(metric, relative_threshold=relative_threshold, bounds=bounds)
-        effective = effective_bounds(self.contract, bounds=bounds)
+        report = self.distill(metric, relative_threshold=relative_threshold)
+        effective = effective_bounds(self.contract)
         registry = self.contract.registry
         lines = [f"distilled terms for {self.contract.nf_name} ({metric}):"]
         for entry in report.entries:

@@ -2,17 +2,14 @@
 
 A performance contract maps *input classes* to performance expressions
 (§2.2): "packet with known destination MAC", "packet that triggers
-learning", and so on.  An input class is a name plus an optional symbolic
-predicate over the input symbols (packet bytes, parameters, extern model
-outputs), which lets a concrete input be classified by evaluation.
+learning", and so on.  An input class is a name and a description; which
+concrete inputs belong to it is decided by the symbolic paths its
+contract entry carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
-
-from repro.sym.expr import BV, evaluate, render
 
 __all__ = ["InputClass"]
 
@@ -23,36 +20,13 @@ class InputClass:
 
     Attributes:
         name: short identifier ("hit", "miss", "short", ...).
-        description: human-readable meaning, rendered in contract reports.
-        predicate: optional width-1 symbolic expression over input symbols;
-            when present, :meth:`matches` classifies concrete inputs by
-            evaluating it.  When absent, classification falls back to the
-            per-path conditions the contract entry carries.
+        description: human-readable meaning, kept in serialized contracts
+            (the goldens).
     """
 
     name: str
     description: str = ""
-    predicate: Optional[BV] = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("input class name must not be empty")
-        if self.predicate is not None and self.predicate.width != 1:
-            raise ValueError(f"input class {self.name!r}: predicate must have width 1")
-
-    def matches(self, env: Mapping[str, int]) -> bool:
-        """Return True when the concrete assignment belongs to this class.
-
-        Classes without a predicate match everything (the caller is expected
-        to use per-path conditions for precise classification).
-        """
-        if self.predicate is None:
-            return True
-        return evaluate(self.predicate, env) == 1
-
-    def __str__(self) -> str:
-        if self.predicate is not None:
-            return f"{self.name}: {render(self.predicate)}"
-        if self.description:
-            return f"{self.name}: {self.description}"
-        return self.name

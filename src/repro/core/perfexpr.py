@@ -379,12 +379,6 @@ class PerfExpr:
         """Render the expression in the paper's human-readable style."""
         if not self._terms:
             return "0"
-
-        def sort_key(item: tuple[Monomial, Fraction]) -> tuple[int, Monomial]:
-            monomial, _ = item
-            # Variables first (by degree then name), constant last.
-            return (0 if monomial else 1, (-len(monomial) if False else len(monomial),) + monomial)
-
         parts: list[str] = []
         # Render single-variable terms first, then cross terms, constant last,
         # mirroring the layout of the paper's tables.

@@ -182,7 +182,7 @@ def graph_mix_capture() -> Capture:
     ]
     packets = []
     for index, data in enumerate(mix):
-        tick = index * FRAME_GAP_TICKS  # 1 tick = 1 ms at DEFAULT_TICK_HZ
+        tick = index * FRAME_GAP_TICKS  # 1 tick = 1 ms at TICK_HZ
         packets.append(
             CapturedPacket(data=data, ts_sec=tick // 1000, ts_usec=(tick % 1000) * 1000)
         )

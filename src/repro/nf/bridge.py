@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
@@ -146,17 +145,15 @@ _CLASS_DESCRIPTIONS = {
 }
 
 
-def classify_bridge_path(path: Path) -> InputClass:
+def classify_bridge_path(path: Path) -> str:
     """Map one explored bridge path to its input class."""
     if len(path.calls) == 1:  # only the expiry call ran: unparseable frame
-        name = "short"
-    elif isinstance(path.returned, Const) and path.returned.value == FLOOD:
-        name = "miss"
-    elif isinstance(path.returned, Const) and path.returned.value == DROP:
-        name = "hairpin"
-    else:
-        name = "hit"
-    return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
+        return "short"
+    if isinstance(path.returned, Const) and path.returned.value == FLOOD:
+        return "miss"
+    if isinstance(path.returned, Const) and path.returned.value == DROP:
+        return "hairpin"
+    return "hit"
 
 
 BRIDGE = NFSpec(

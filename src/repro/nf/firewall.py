@@ -61,7 +61,6 @@ from typing import Iterable, Optional, Tuple
 
 from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
@@ -282,19 +281,16 @@ _DROP_CLASSES = {
 }
 
 
-def classify_firewall_path(path: Path) -> InputClass:
+def classify_firewall_path(path: Path) -> str:
     """Map one explored firewall path to its input class."""
     if isinstance(path.returned, Const) and path.returned.value in _DROP_CLASSES:
-        name = _DROP_CLASSES[path.returned.value]
-    else:
-        called = {call.name for call in path.calls}
-        if f"{SLOTS_NAME}_alloc" in called:
-            name = "outbound_new"
-        elif f"{CONN_NAME}_put" in called:
-            name = "outbound_established"
-        else:
-            name = "inbound_established"
-    return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
+        return _DROP_CLASSES[path.returned.value]
+    called = {call.name for call in path.calls}
+    if f"{SLOTS_NAME}_alloc" in called:
+        return "outbound_new"
+    if f"{CONN_NAME}_put" in called:
+        return "outbound_established"
+    return "inbound_established"
 
 
 FIREWALL = NFSpec(

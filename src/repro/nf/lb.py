@@ -54,7 +54,6 @@ from typing import Tuple
 
 from repro.audit.ct import LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
@@ -262,19 +261,16 @@ _DROP_CLASSES = {
 }
 
 
-def classify_lb_path(path: Path) -> InputClass:
+def classify_lb_path(path: Path) -> str:
     """Map one explored LB path to its input class."""
     if isinstance(path.returned, Const) and path.returned.value in _DROP_CLASSES:
-        name = _DROP_CLASSES[path.returned.value]
-    else:
-        called = {call.name for call in path.calls}
-        if f"{TBL_NAME}_active" in called and f"{TBL_NAME}_lookup" in called:
-            name = "backend_drained"
-        elif f"{TBL_NAME}_active" in called:
-            name = "existing_flow"
-        else:
-            name = "new_flow"
-    return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
+        return _DROP_CLASSES[path.returned.value]
+    called = {call.name for call in path.calls}
+    if f"{TBL_NAME}_active" in called and f"{TBL_NAME}_lookup" in called:
+        return "backend_drained"
+    if f"{TBL_NAME}_active" in called:
+        return "existing_flow"
+    return "new_flow"
 
 
 LB = NFSpec(

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from repro.audit.ct import CONSTANT_TIME, SecretClassSet
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
@@ -181,11 +180,10 @@ _VERDICT_CLASSES = {
 }
 
 
-def classify_monitor_path(path: Path) -> InputClass:
+def classify_monitor_path(path: Path) -> str:
     """Map one explored monitor path to its input class."""
     assert isinstance(path.returned, Const), "every monitor path returns a verdict"
-    name = _VERDICT_CLASSES[path.returned.value]
-    return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
+    return _VERDICT_CLASSES[path.returned.value]
 
 
 MONITOR = NFSpec(

@@ -60,7 +60,6 @@ from typing import Iterable, Optional, Tuple
 
 from repro.audit.ct import LEAK, SecretClassSet
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
@@ -266,19 +265,16 @@ _DROP_CLASSES = {
 }
 
 
-def classify_nat_path(path: Path) -> InputClass:
+def classify_nat_path(path: Path) -> str:
     """Map one explored NAT path to its input class."""
     if isinstance(path.returned, Const) and path.returned.value in _DROP_CLASSES:
-        name = _DROP_CLASSES[path.returned.value]
-    else:
-        called = {call.name for call in path.calls}
-        if f"{PORTS_NAME}_alloc" in called:
-            name = "internal_new"
-        elif f"{FWD_NAME}_get" in called:
-            name = "internal_existing"
-        else:
-            name = "external_hit"
-    return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
+        return _DROP_CLASSES[path.returned.value]
+    called = {call.name for call in path.calls}
+    if f"{PORTS_NAME}_alloc" in called:
+        return "internal_new"
+    if f"{FWD_NAME}_get" in called:
+        return "internal_existing"
+    return "external_hit"
 
 
 NAT = NFSpec(

@@ -5,7 +5,8 @@ stateless code over the data-structure models, classify the paths into
 input classes, then check traced executions against the result.  An NF
 therefore declares only what it knows — an :class:`NFSpec` — and the
 descriptor's generic methods do the rest: :meth:`NFSpec.contract` runs
-Bolt, :meth:`NFSpec.harness` wires a fresh instance for replay.
+:func:`~repro.core.bolt.generate_contract`, :meth:`NFSpec.harness` wires
+a fresh instance for replay.
 
 Every NF replays the same way: the packet bytes map onto the ``pkt[i]``
 byte symbols of the symbolic initial state, the scalar inputs map onto
@@ -31,9 +32,8 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import generate_contract
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nfil.interpreter import ExternHandler, Interpreter, Memory
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
@@ -238,7 +238,7 @@ class NFSpec:
         make_state: builds the NF's structure instances — one structure
             or a tuple of them — from keyword geometry (``capacity``,
             ``timeout``, ...); keywords it does not take are errors.
-        classify: maps one explored path to its input class.
+        classify: maps one explored path to its input class's name.
         classes: every input class the NF has, with its description; the
             contract and the bench workloads must keep covering them all.
         pkt_base: address the packet buffer is written to.
@@ -257,7 +257,7 @@ class NFSpec:
     function: str
     build_module: Callable[[], Module]
     make_state: Callable[..., Union[Structure, Tuple[Structure, ...]]]
-    classify: Callable[[Path], InputClass]
+    classify: Callable[[Path], str]
     classes: Mapping[str, str]
     pkt_base: int
     sym_bytes: int
@@ -293,15 +293,18 @@ class NFSpec:
     def contract(self, **geometry: object) -> PerformanceContract:
         """Run Bolt end-to-end on the NF at ``make_state(**geometry)``."""
         model = StructureModel(*self.structures(**geometry))
-        bolt = Bolt(
+        args, memory, constraints = self.symbolic_inputs()
+        return generate_contract(
             self.build_module(),
             self.function,
+            args,
             model=model,
             registry=model.registry(),
-            config=BoltConfig(classifier=self.classify),
+            classify=self.classify,
+            classes=self.classes,
+            memory=memory,
+            constraints=constraints,
         )
-        args, memory, constraints = self.symbolic_inputs()
-        return bolt.generate(args, memory=memory, constraints=constraints)
 
     def harness(self, **state: object) -> NFHarness:
         """A fresh NF over ``make_state(**state)``, wired for replay.

@@ -42,7 +42,6 @@ from typing import Iterable, Tuple
 
 from repro.audit.ct import CONSTANT_TIME, SecretClassSet
 from repro.core.contract import PerformanceContract
-from repro.core.input_class import InputClass
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
@@ -182,13 +181,11 @@ _DROP_CLASSES = {
 }
 
 
-def classify_router_path(path: Path) -> InputClass:
+def classify_router_path(path: Path) -> str:
     """Map one explored router path to its input class."""
     if isinstance(path.returned, Const) and path.returned.value in _DROP_CLASSES:
-        name = _DROP_CLASSES[path.returned.value]
-    else:
-        name = "routed"
-    return InputClass(name, description=_CLASS_DESCRIPTIONS[name])
+        return _DROP_CLASSES[path.returned.value]
+    return "routed"
 
 
 ROUTER = NFSpec(

@@ -71,6 +71,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.nf import firewall as firewall_nf
@@ -144,6 +145,16 @@ WAN_SERVER = 0xC6336401  # 198.51.100.1, the server internal flows talk to
 WAN_CLIENT = 0xCB007163  # 203.0.113.99, the client probing leased ports
 NAT_PUBLIC = 0xCB007101  # 203.0.113.1, the NAT's public address
 
+#: How many distinct keys (MACs or flows) the uniform and zipf streams
+#: sample from, and how many ingress ports the bridge's frames arrive on.
+POPULATION = 12
+BRIDGE_PORTS = 4
+
+
+def _flows(rng: random.Random) -> List[Tuple[int, int]]:
+    """:data:`POPULATION` random ``(source address, source port)`` flows."""
+    return [(rng.randrange(1 << 32), rng.randrange(1024, 1 << 16)) for _ in range(POPULATION)]
+
 
 def _mixed_pair(
     make_harness: Callable[[], NFHarness],
@@ -198,12 +209,7 @@ def _inside_source(n: int) -> bytes:
 # Bridge
 # --------------------------------------------------------------------------- #
 def _bridge_mixed(
-    rng: random.Random,
-    indices: List[int],
-    macs: List[int],
-    *,
-    ports: int,
-    note: str,
+    rng: random.Random, indices: List[int], macs: List[int], *, note: str
 ) -> List[Stimulus]:
     """Turn sampled MAC indices into a frame mix covering every class."""
     stimuli: List[Stimulus] = []
@@ -217,7 +223,7 @@ def _bridge_mixed(
         stimuli.append(
             Stimulus(
                 packet=packet,
-                scalars={"in_port": rng.randrange(ports), "time": n * 3},
+                scalars={"in_port": rng.randrange(BRIDGE_PORTS), "time": n * 3},
                 note=note,
             )
         )
@@ -230,19 +236,17 @@ def bridge_workloads(
     capacity: int = 16,
     timeout: int = 50,
     packets: int = 150,
-    population: int = 12,
-    ports: int = 4,
 ) -> List[Workload]:
     """The bridge's five evaluation workloads (fresh state per stream)."""
     rng = random.Random(seed)
-    macs = [rng.randrange(1, 1 << 48) for _ in range(population)]
+    macs = [rng.randrange(1, 1 << 48) for _ in range(POPULATION)]
     return [
         *_mixed_pair(
             lambda: BRIDGE.harness(capacity=capacity, timeout=timeout),
             rng,
-            population,
+            POPULATION,
             packets,
-            lambda indices, note: _bridge_mixed(rng, indices, macs, ports=ports, note=note),
+            lambda indices, note: _bridge_mixed(rng, indices, macs, note=note),
         ),
         bridge_adversarial(capacity=capacity, timeout=timeout),
         bridge_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
@@ -262,14 +266,10 @@ def colliding_keys(
     """
     probe = ChainingHashMap("probe", capacity=max(count, 1), buckets=buckets)
     target = probe._hash(start)
-    keys: List[int] = []
-    candidate = start
-    while len(keys) < count:
-        if probe._hash(candidate) == target:
-            keys.append(candidate)
-        candidate += 1
-        if candidate >= stop:  # pragma: no cover - defensive
-            raise RuntimeError("could not find enough colliding keys")
+    matches = (key for key in range(start, stop) if probe._hash(key) == target)
+    keys = list(islice(matches, count))
+    if len(keys) < count:
+        raise RuntimeError("could not find enough colliding keys")
     return keys
 
 
@@ -600,7 +600,6 @@ def nat_workloads(
     capacity: int = 16,
     timeout: int = 50,
     packets: int = 150,
-    population: int = 12,
 ) -> List[Workload]:
     """The NAT's five evaluation workloads (fresh state per stream).
 
@@ -611,15 +610,13 @@ def nat_workloads(
     run the pool dry, exercising ``no_ports`` under realistic traffic.
     """
     rng = random.Random(seed)
-    flows = [
-        (rng.randrange(1 << 32), rng.randrange(1024, 1 << 16)) for _ in range(population)
-    ]
+    flows = _flows(rng)
     pool = list(range(nat_nf.PORT_BASE, nat_nf.PORT_BASE + 4 * capacity))
     return [
         *_mixed_pair(
             lambda: NAT.harness(capacity=capacity, timeout=timeout, pool=pool),
             rng,
-            population,
+            POPULATION,
             packets,
             lambda indices, note: _nat_mixed(rng, indices, flows, pool_ports=pool, note=note),
         ),
@@ -786,14 +783,12 @@ def colliding_backends(count: int, *, table_size: int) -> List[int]:
     """
     probe = MaglevTable("probe", table_size=table_size, max_backends=max(count, 1))
     target = probe.permutation_params(1)
-    ids: List[int] = []
-    candidate = 1
-    while len(ids) < count:
-        if probe.permutation_params(candidate) == target:
-            ids.append(candidate)
-        candidate += 1
-        if candidate >= 1 << 16:  # pragma: no cover - defensive
-            raise RuntimeError("could not find enough colliding backend ids")
+    matches = (
+        backend for backend in range(1, 1 << 16) if probe.permutation_params(backend) == target
+    )
+    ids = list(islice(matches, count))
+    if len(ids) < count:
+        raise RuntimeError("could not find enough colliding backend ids")
     return ids
 
 
@@ -864,22 +859,19 @@ def lb_workloads(
     capacity: int = 16,
     timeout: int = 50,
     packets: int = 150,
-    population: int = 12,
     table_size: int = 13,
     max_backends: int = 4,
 ) -> List[Workload]:
     """The LB's five evaluation workloads (fresh state per stream)."""
     rng = random.Random(seed)
-    flows = [
-        (rng.randrange(1 << 32), rng.randrange(1024, 1 << 16)) for _ in range(population)
-    ]
+    flows = _flows(rng)
     backends = rng.sample(range(1, 1 << 16), max_backends)
     geometry = dict(table_size=table_size, max_backends=max_backends)
     return [
         *_mixed_pair(
             lambda: LB.harness(capacity=capacity, timeout=timeout, **geometry),
             rng,
-            population,
+            POPULATION,
             packets,
             lambda indices, note: _lb_mixed(rng, indices, flows, backends, note=note),
         ),
@@ -1086,7 +1078,6 @@ def firewall_workloads(
     capacity: int = 16,
     timeout: int = 50,
     packets: int = 150,
-    population: int = 12,
 ) -> List[Workload]:
     """The firewall's five evaluation workloads (fresh state per stream).
 
@@ -1096,15 +1087,13 @@ def firewall_workloads(
     the default ``capacity``-sized pool.
     """
     rng = random.Random(seed)
-    flows = [
-        (rng.randrange(1 << 32), rng.randrange(1024, 1 << 16)) for _ in range(population)
-    ]
+    flows = _flows(rng)
     slots = range(1, 4 * capacity + 1)
     return [
         *_mixed_pair(
             lambda: FIREWALL.harness(capacity=capacity, timeout=timeout, slots=slots),
             rng,
-            population,
+            POPULATION,
             packets,
             lambda indices, note: _firewall_mixed(rng, indices, flows, note=note),
         ),
@@ -1286,19 +1275,15 @@ def _monitor_mixed(
     return stimuli
 
 
-def monitor_workloads(
-    *, seed: int = 2019, packets: int = 150, population: int = 12
-) -> List[Workload]:
+def monitor_workloads(*, seed: int = 2019, packets: int = 150) -> List[Workload]:
     """The monitor's five evaluation workloads (fresh sketch per stream)."""
     rng = random.Random(seed)
-    flows = [
-        (rng.randrange(1 << 32), rng.randrange(1024, 1 << 16)) for _ in range(population)
-    ]
+    flows = _flows(rng)
     return [
         *_mixed_pair(
             MONITOR.harness,
             rng,
-            population,
+            POPULATION,
             packets,
             lambda indices, note: _monitor_mixed(rng, indices, flows, note=note),
         ),

@@ -352,24 +352,6 @@ class _Charge(NamedTuple):
     qualified: Tuple[Tuple[str, str], ...]
 
 
-def _widen(a: PCV, b: PCV) -> PCV:
-    """Merge two same-named PCV declarations into one shared, loosest one."""
-    if a == b:
-        return a
-    if a.max_value is None or b.max_value is None:
-        max_value = None
-    else:
-        max_value = max(a.max_value, b.max_value)
-    return PCV(
-        name=a.name,
-        description=a.description or b.description,
-        structure=a.structure if a.structure == b.structure else None,
-        min_value=min(a.min_value, b.min_value),
-        max_value=max_value,
-        unit=a.unit or b.unit,
-    )
-
-
 def check_extern_collisions(structures: Sequence[Structure]) -> None:
     """Reject structure sets whose mangled extern names collide.
 
@@ -435,24 +417,15 @@ class StructureModel(SymbolicModel):
                 )
 
     def registry(self) -> PCVRegistry:
-        """Return the merged PCV registry of all modelled structures.
+        """Return the union of every modelled structure's PCV registry.
 
-        Instance qualification makes the per-structure registries disjoint
-        by construction (``fwd.t`` vs ``rev.t``), so the merge is a plain
-        union; same-named declarations (only possible for one instance
-        registered twice with drifting bounds) are widened defensively
-        rather than rejected.
+        Instance qualification makes the registries of differently named
+        instances disjoint (``fwd.t`` vs ``rev.t``), and
+        :func:`check_extern_collisions` rejects two distinct instances
+        under one name, so the union registers no name twice.
         """
-        pcvs: Dict[str, PCV] = {}
-        seen: set[int] = set()
-        for structure, _ in self._by_extern.values():
-            if id(structure) in seen:
-                continue
-            seen.add(id(structure))
-            for pcv in structure.registry():
-                existing = pcvs.get(pcv.name)
-                pcvs[pcv.name] = pcv if existing is None else _widen(existing, pcv)
-        return PCVRegistry(pcvs.values())
+        structures = {id(structure): structure for structure, _ in self._by_extern.values()}
+        return PCVRegistry(pcv for structure in structures.values() for pcv in structure.registry())
 
     def apply(
         self,

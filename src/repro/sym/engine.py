@@ -60,7 +60,7 @@ class EngineError(RuntimeError):
 
 
 class ExplorationLimit(EngineError):
-    """Exploration exceeded the configured path or step budget."""
+    """Exploration exceeded the engine's path or step budget."""
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class SymbolicModel:
     and no cost is charged.
     """
 
-    def fresh(self, decl: ExternDecl, index: int, width: int = WORD_BITS) -> Sym:
-        """Return the canonical fresh output symbol for call ``index``."""
-        return Sym(f"{decl.name}#{index}", width)
+    def fresh(self, decl: ExternDecl, index: int) -> Sym:
+        """Return the canonical fresh 64-bit output symbol for call ``index``."""
+        return Sym(f"{decl.name}#{index}", WORD_BITS)
 
     def apply(
         self,
@@ -112,20 +112,14 @@ class SymbolicModel:
 class SymbolicEngine:
     """Path explorer for NFIL functions."""
 
-    def __init__(
-        self,
-        module: Module,
-        *,
-        model: Optional[SymbolicModel] = None,
-        solver: Optional[Solver] = None,
-        max_paths: int = 256,
-        max_steps: int = 10_000,
-    ) -> None:
+    #: Exploration budgets: completed plus pending paths, and steps per path.
+    MAX_PATHS = 256
+    MAX_STEPS = 10_000
+
+    def __init__(self, module: Module, *, model: Optional[SymbolicModel] = None) -> None:
         self.module = module
         self.model = model or SymbolicModel()
-        self.solver = solver or Solver()
-        self.max_paths = max_paths
-        self.max_steps = max_steps
+        self.solver = Solver()
         # id(register value) -> (value, branch condition).  ``_as_bool`` is
         # pure, and forked states share register nodes, so memoising by
         # identity both skips re-simplification and maximises node sharing
@@ -145,7 +139,6 @@ class SymbolicEngine:
         *,
         memory: Optional[SymbolicMemory] = None,
         constraints: Sequence[BV] = (),
-        solve_models: bool = True,
     ) -> List[Path]:
         """Explore every path of ``function_name`` from symbolic inputs.
 
@@ -157,12 +150,11 @@ class SymbolicEngine:
                 installed with
                 :meth:`repro.sym.state.SymbolicMemory.write_symbolic`).
             constraints: initial assumptions (e.g. ``in_port < 64``).
-            solve_models: when True (default), ask the solver for a concrete
-                input assignment per completed path so the path can be
-                replayed by the concrete interpreter.
 
         Returns:
-            The completed paths in deterministic discovery order.
+            The completed paths in deterministic discovery order, each with
+            a concrete input assignment (``model``) when the solver finds
+            one, so the path can be replayed by the concrete interpreter.
         """
         function = self.module.functions.get(function_name)
         if function is None:
@@ -184,14 +176,14 @@ class SymbolicEngine:
         while worklist:
             current = worklist.pop()
             while not current.finished:
-                if current.steps >= self.max_steps:
+                if current.steps >= self.MAX_STEPS:
                     raise ExplorationLimit(
-                        f"path exceeded {self.max_steps} steps in {function_name}"
+                        f"path exceeded {self.MAX_STEPS} steps in {function_name}"
                     )
                 self._step(current, worklist, paths)
             if self._dropped(current):
                 continue
-            paths.append(self._finalise(current, function_name, len(paths), solve_models))
+            paths.append(self._finalise(current, function_name, len(paths)))
         return paths
 
     @staticmethod
@@ -333,9 +325,9 @@ class SymbolicEngine:
             state.path_condition.append(Const(0, 1))
             return
         if then_ok and else_ok:
-            if len(paths) + len(worklist) + 2 > self.max_paths:
+            if len(paths) + len(worklist) + 2 > self.MAX_PATHS:
                 raise ExplorationLimit(
-                    f"exceeded {self.max_paths} paths exploring {frame.function.name}"
+                    f"exceeded {self.MAX_PATHS} paths exploring {frame.function.name}"
                 )
             fork = state.clone()
             fork.assume(negated)
@@ -408,19 +400,7 @@ class SymbolicEngine:
             caller.registers[caller.ret_dest] = value
             caller.ret_dest = None
 
-    def _finalise(
-        self,
-        state: SymbolicState,
-        function_name: str,
-        pid: int,
-        solve_models: bool,
-    ) -> Path:
-        model: Optional[dict] = None
-        feasibility = "unknown"
-        if solve_models:
-            model = self.solver.model(state.path_condition)
-            if model is not None:
-                feasibility = "sat"
+    def _finalise(self, state: SymbolicState, function_name: str, pid: int) -> Path:
         return Path(
             pid=pid,
             function=function_name,
@@ -429,6 +409,5 @@ class SymbolicEngine:
             returned=state.returned,
             instructions=state.instructions,
             memory_accesses=state.memory_accesses,
-            model=model,
-            feasibility=feasibility,
+            model=self.solver.model(state.path_condition),
         )

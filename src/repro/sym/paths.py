@@ -74,9 +74,6 @@ class Path:
         model: a concrete assignment (symbol name -> value) satisfying the
             path condition, or None when the solver could not produce one
             (the path is still kept: the solver is conservative).
-        feasibility: ``"sat"`` when the model is solver-verified,
-            ``"unknown"`` when the path could not be proven feasible but
-            also not refuted.
     """
 
     pid: int
@@ -87,7 +84,12 @@ class Path:
     instructions: int = 0
     memory_accesses: int = 0
     model: Optional[Dict[str, int]] = None
-    feasibility: str = "unknown"
+
+    @property
+    def feasibility(self) -> str:
+        """``"sat"`` when the path has a solver-verified model, else
+        ``"unknown"``: not proven feasible, but not refuted either."""
+        return "unknown" if self.model is None else "sat"
 
     def condition(self) -> BV:
         """Return the path condition as a single conjunction."""

@@ -115,14 +115,16 @@ class Solver:
     * verdicts (and verified SAT models) are cached per exact constraint
       keyset.
 
-    Set ``cache=False`` (or flip :attr:`CACHE_DEFAULT`) to disable the
-    verdict cache — contracts generated either way must be identical,
-    which the test suite asserts.
+    :meth:`_solve` is the unmemoised pipeline; contracts generated with it
+    in place of :meth:`_cached_solve` must be identical, which the test
+    suite asserts.
     """
 
-    #: Default for the ``cache`` argument; tests flip this to compare
-    #: memoised against from-scratch contract generation.
-    CACHE_DEFAULT: bool = True
+    #: Search budgets: DFS nodes per query, candidate values per symbol,
+    #: and random assignments tried after the DFS (from a fixed seed).
+    MAX_SEARCH_NODES = 50_000
+    MAX_CANDIDATES_PER_SYMBOL = 16
+    RANDOM_TRIES = 2_000
 
     #: Process-wide aggregate of every instance's check and cache counters
     #: (``search_nodes`` stays per-instance).  Contract generators build
@@ -130,21 +132,9 @@ class Solver:
     #: cache effectiveness from before/after snapshots of this aggregate.
     TOTALS: ClassVar[SolverStats] = SolverStats()
 
-    def __init__(
-        self,
-        *,
-        max_search_nodes: int = 50_000,
-        max_candidates_per_symbol: int = 16,
-        random_tries: int = 2_000,
-        seed: int = 0,
-        cache: Optional[bool] = None,
-    ) -> None:
-        self.max_search_nodes = max_search_nodes
-        self.max_candidates_per_symbol = max_candidates_per_symbol
-        self.random_tries = random_tries
-        self._rng = random.Random(seed)
+    def __init__(self) -> None:
+        self._rng = random.Random(0)
         self.stats = SolverStats()
-        self.cache_enabled = self.CACHE_DEFAULT if cache is None else cache
         # id(node) -> (node, normal form); nodes are immutable and shared
         # along path conditions, so identity is a sound (and cheap) key.
         # The node reference keeps the id from being recycled.
@@ -230,8 +220,6 @@ class Solver:
     def _cached_solve(
         self, constraints: List[BV]
     ) -> Tuple[CheckResult, Optional[Dict[str, int]]]:
-        if not self.cache_enabled:
-            return self._solve(constraints)
         deduped: List[BV] = []
         keys: set[str] = set()
         for constraint in constraints:
@@ -415,7 +403,7 @@ class Solver:
             if 0 <= value <= E.mask(width) and value not in seen:
                 seen.add(value)
                 candidates.append(value)
-            if len(candidates) >= self.max_candidates_per_symbol:
+            if len(candidates) >= self.MAX_CANDIDATES_PER_SYMBOL:
                 break
         if not candidates:
             candidates.append(interval.clamp(0))
@@ -491,7 +479,7 @@ class Solver:
         names.sort(
             key=lambda name: (intervals[name].hi - intervals[name].lo, len(candidates[name]))
         )
-        budget = [self.max_search_nodes]
+        budget = [self.MAX_SEARCH_NODES]
 
         def propagate(
             remaining: List[BV], partial: Dict[str, int]
@@ -554,7 +542,7 @@ class Solver:
     ) -> Optional[Dict[str, int]]:
         """Last-resort randomized assignment within the derived intervals."""
         names = sorted(symbols)
-        for _ in range(self.random_tries):
+        for _ in range(self.RANDOM_TRIES):
             model = dict(assignment)
             for name in names:
                 interval = intervals[name]

@@ -10,8 +10,8 @@ model-derived cycles — against its performance contract.
 Adversarial worst-case streams are NF-specific and live in
 :mod:`repro.nf.workloads`.  Capture-derived workloads come from
 :mod:`repro.traffic.pcap`, a dependency-free classic-libpcap reader and
-writer with adapters that turn a capture into stimulus streams (and loop
-small fixtures into long, monotonic-clock benches).
+writer with adapters that quantise a capture's timestamps into the NFs'
+tick clock and loop small fixtures into long, monotonic-clock benches.
 """
 
 from repro.traffic.generators import Stimulus, uniform_indices, zipf_indices, zipf_weights
@@ -20,7 +20,6 @@ from repro.traffic.pcap import (
     CapturedPacket,
     LINKTYPE_ETHERNET,
     PcapFormatError,
-    capture_stimuli,
     capture_ticks,
     read_pcap,
     sample_capture,
@@ -62,7 +61,6 @@ __all__ = [
     "Replayer",
     "Stimulus",
     "TAIL_PERCENTILES",
-    "capture_stimuli",
     "capture_ticks",
     "ethernet_frame",
     "ipv4_address",

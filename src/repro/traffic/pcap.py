@@ -10,12 +10,10 @@ no external dependency, no nanosecond/pcapng variants:
 * 16-byte per-record header (``ts_sec``, ``ts_usec``, ``incl_len``,
   ``orig_len``) followed by ``incl_len`` packet bytes.
 
-Three adapters turn a parsed :class:`Capture` into replayable input:
+Two adapters turn a parsed :class:`Capture` into replayable input:
 
 * :func:`capture_ticks` — quantise the record timestamps into the integer
   tick clock the NFs' ``time`` scalar uses (relative to the first packet);
-* :func:`capture_stimuli` — one :class:`~repro.traffic.generators.
-  Stimulus` per record, for single-NF replay;
 * :func:`sample_capture` — loop a capture up to ``count`` packets with a
   *monotonic* tick clock (each revolution is re-based past the previous
   one), which is how a small checked-in fixture feeds an arbitrarily long
@@ -30,9 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, List, Mapping, Optional, Tuple, Union
-
-from repro.traffic.generators import Stimulus
+from typing import BinaryIO, List, Optional, Tuple
 
 __all__ = [
     "Capture",
@@ -40,7 +36,6 @@ __all__ = [
     "LINKTYPE_ETHERNET",
     "PCAP_MAGIC",
     "PcapFormatError",
-    "capture_stimuli",
     "capture_ticks",
     "read_pcap",
     "sample_capture",
@@ -94,26 +89,12 @@ class Capture:
         return len(self.packets)
 
 
-def write_pcap(
-    target: Union[str, BinaryIO],
-    capture: Union[Capture, Iterable[CapturedPacket]],
-) -> None:
-    """Write a capture in classic little-endian libpcap format.
-
-    Args:
-        target: a path or a binary file object opened for writing.
-        capture: a :class:`Capture` (snaplen/network honoured) or a bare
-            iterable of :class:`CapturedPacket`.
+def write_pcap(target: BinaryIO, capture: Capture) -> None:
+    """Write a capture to a binary file object in classic little-endian libpcap format.
 
     Raises:
         PcapFormatError: a record is longer than the capture's snaplen.
     """
-    if not isinstance(capture, Capture):
-        capture = Capture(packets=tuple(capture))
-    if isinstance(target, str):
-        with open(target, "wb") as handle:
-            write_pcap(handle, capture)
-        return
     target.write(
         _GLOBAL_HEADER.pack(
             PCAP_MAGIC, _VERSION[0], _VERSION[1], 0, 0, capture.snaplen, capture.network
@@ -132,22 +113,13 @@ def write_pcap(
         target.write(packet.data)
 
 
-def read_pcap(source: Union[str, bytes, BinaryIO]) -> Capture:
-    """Parse a classic libpcap capture (either byte order).
-
-    Args:
-        source: a path, raw bytes, or a binary file object.
+def read_pcap(blob: bytes) -> Capture:
+    """Parse the bytes of a classic libpcap capture (either byte order).
 
     Raises:
         PcapFormatError: bad magic, unsupported version, or a truncated
             global/record header or record body.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as handle:
-            return read_pcap(handle.read())
-    if not isinstance(source, bytes):
-        return read_pcap(source.read())
-    blob = source
     if len(blob) < _GLOBAL_HEADER.size:
         raise PcapFormatError(f"truncated global header: {len(blob)} bytes")
     magic = struct.unpack_from("<I", blob)[0]
@@ -189,21 +161,22 @@ def read_pcap(source: Union[str, bytes, BinaryIO]) -> Capture:
 # --------------------------------------------------------------------------- #
 # Replay adapters
 # --------------------------------------------------------------------------- #
-#: Default quantisation: 1000 ticks per second (1 tick = 1 ms), which maps
-#: typical capture inter-arrival gaps onto the small integer clock the
-#: NFs' expiry wheels are dimensioned for.
-DEFAULT_TICK_HZ = 1000
+#: Quantisation: 1000 ticks per second (1 tick = 1 ms), which maps typical
+#: capture inter-arrival gaps onto the small integer clock the NFs' expiry
+#: wheels are dimensioned for.
+TICK_HZ = 1000
+#: Ticks between the last record of one revolution of a looped capture
+#: and the first record of the next.
+LOOP_GAP = 2
 
 
-def capture_ticks(capture: Capture, *, hz: int = DEFAULT_TICK_HZ) -> List[int]:
+def capture_ticks(capture: Capture) -> List[int]:
     """Quantise record timestamps into integer ticks since the first record.
 
     The result is non-decreasing (capture timestamps are expected to be;
     a backwards jump raises, since the NFs' time scalar must never run
     backwards within one stream).
     """
-    if hz <= 0:
-        raise ValueError("tick rate must be positive")
     if not capture.packets:
         return []
     base = capture.packets[0].timestamp_us
@@ -212,48 +185,15 @@ def capture_ticks(capture: Capture, *, hz: int = DEFAULT_TICK_HZ) -> List[int]:
         delta = packet.timestamp_us - base
         if delta < 0:
             raise PcapFormatError(f"record {index}: timestamp runs backwards")
-        ticks.append(delta * hz // 1_000_000)
+        ticks.append(delta * TICK_HZ // 1_000_000)
     return ticks
 
 
-def capture_stimuli(
-    capture: Capture,
-    *,
-    hz: int = DEFAULT_TICK_HZ,
-    scalars: Optional[Callable[[int, int, bytes], Mapping[str, int]]] = None,
-    note: str = "pcap",
-) -> List[Stimulus]:
-    """Adapt a capture into one :class:`Stimulus` per record.
-
-    Args:
-        capture: the parsed capture.
-        hz: tick quantisation passed to :func:`capture_ticks`.
-        scalars: optional ``(index, tick, data) -> scalars`` hook naming
-            the NF's non-packet inputs; the default supplies ``{"time":
-            tick}``, which fits every NF whose only extra scalar is the
-            clock (extra scalars an NF needs — ``in_port``, ``cmd`` — are
-            the hook's job, since a wire capture cannot carry them).
-        note: the note tag stamped on every stimulus.
-    """
-    ticks = capture_ticks(capture, hz=hz)
-    stimuli: List[Stimulus] = []
-    for index, (packet, tick) in enumerate(zip(capture.packets, ticks)):
-        extra = scalars(index, tick, packet.data) if scalars else {"time": tick}
-        stimuli.append(Stimulus(packet=packet.data, scalars=dict(extra), note=note))
-    return stimuli
-
-
-def sample_capture(
-    capture: Capture,
-    count: int,
-    *,
-    hz: int = DEFAULT_TICK_HZ,
-    loop_gap: int = 2,
-) -> List[Tuple[bytes, int]]:
+def sample_capture(capture: Capture, count: int) -> List[Tuple[bytes, int]]:
     """Loop a capture up to ``count`` frames with a monotonic tick clock.
 
     Each revolution of the capture is re-based just past the previous
-    one's last tick (plus ``loop_gap``), so a 32-record fixture can feed a
+    one's last tick (plus :data:`LOOP_GAP`), so a 32-record fixture can feed a
     10^4-packet bench cell while the ``time`` scalar keeps strictly
     non-decreasing — replaying a capture twice must look like two back-to-
     back captures, not like time travel.
@@ -265,8 +205,8 @@ def sample_capture(
         raise ValueError("count must be non-negative")
     if not capture.packets:
         raise ValueError("cannot sample an empty capture")
-    base_ticks = capture_ticks(capture, hz=hz)
-    revolution = base_ticks[-1] + loop_gap
+    base_ticks = capture_ticks(capture)
+    revolution = base_ticks[-1] + LOOP_GAP
     frames: List[Tuple[bytes, int]] = []
     offset = 0
     while len(frames) < count:

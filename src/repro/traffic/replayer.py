@@ -7,8 +7,8 @@ that loop over a stimulus stream:
 
 1. run the stimulus through the NF harness (concrete interpreter + tracer),
 2. match the execution to a contract entry: the first entry one of whose
-   path conditions (or, without paths, whose class predicate) holds on the
-   execution's replay environment (:func:`repro.nf.replay.replay_env`),
+   path conditions holds on the execution's replay environment
+   (:func:`repro.nf.replay.replay_env`),
 3. evaluate the entry at the observed PCVs → the floor of its predicted
    instruction and memory counts, and through each
    :class:`~repro.hw.CycleModel` → predicted cycles,
@@ -69,7 +69,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.contract import ContractEntry, Metric, PerformanceContract
+from repro.core.contract import COUNT_METRICS, ContractEntry, Metric, PerformanceContract
 from repro.core.perfexpr import PerfExpr
 from repro.core.report import format_table
 from repro.hw.model import CycleModel
@@ -89,9 +89,6 @@ __all__ = [
 
 #: The percentiles of the measured per-class cycle tails in the report.
 TAIL_PERCENTILES = (50, 95, 99)
-
-#: The count metrics, in the order outcomes hold them.
-COUNT_METRICS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
 
 
 def _nearest_rank(ordered: Sequence[int], percentile: int) -> int:
@@ -515,10 +512,10 @@ class Replayer:
         self._measure = _measure_program(
             [model.compile_measure(structures, scale=scale) for model in self.models]
         )
-        # Classification: one conjunction per path (or per class predicate
-        # of an entry without paths), in entry order — the first that
-        # holds names the execution's entry; ``_scorers`` pairs each with
-        # its entry's index, class name and program.
+        # Classification: one conjunction per path (an entry without paths
+        # gets the empty one, which always holds), in entry order — the
+        # first that holds names the execution's entry; ``_scorers`` pairs
+        # each with its entry's index, class name and program.
         conjunctions: List[Sequence[BV]] = []
         self._scorers: List[Tuple[int, str, _Program]] = []
         for index, entry in enumerate(contract.entries):
@@ -527,9 +524,7 @@ class Replayer:
                 entry.input_class.name,
                 _entry_program(entry, [exprs[index] for exprs in cycle_exprs], scale),
             )
-            predicate = entry.input_class.predicate
-            paths = [path.constraints for path in entry.paths]
-            for constraints in paths or [() if predicate is None else (predicate,)]:
+            for constraints in [path.constraints for path in entry.paths] or [()]:
                 conjunctions.append(constraints)
                 self._scorers.append(scorer)
         read, prologue = harness.replay_reads()
@@ -546,9 +541,9 @@ class Replayer:
     def classify(self, stimulus: Stimulus, trace: ExecutionTrace) -> Optional[str]:
         """The input class of an executed stimulus, or None when no entry covers it.
 
-        It is the first entry, in contract order, one of whose paths (or
-        whose class predicate, for an entry without paths) holds on the
-        execution's replay environment.
+        It is the first entry, in contract order, one of whose paths holds
+        on the execution's replay environment (an entry without paths
+        covers every execution).
         """
         matched = self._first_match(stimulus, trace)
         return None if matched is None else self._scorers[matched][1]

@@ -5,6 +5,7 @@ tests pin the *red* paths — a seeded contract violation must flip the
 exit code — and the shape of the BENCH_eval.json artifact.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -86,7 +87,7 @@ def test_bench_exits_nonzero_when_a_worst_case_is_missed(monkeypatch, capsys, tm
             for w in bridge_workloads(**kwargs)
         ]
 
-    monkeypatch.setattr(cli, "NF_MATRIX", ((replace(BRIDGE, classes={}), sabotaged_workloads),))
+    monkeypatch.setattr(cli, "NF_MATRIX", ((BRIDGE, sabotaged_workloads),))
     monkeypatch.setattr(cli, "GRAPH_MATRIX", ())  # keep the red-path run fast
     output = tmp_path / "BENCH_eval.json"
     assert cli.main(["bench", "--packets", "100", "--output", str(output)]) == 1
@@ -118,6 +119,19 @@ def test_docs_consistency_script_passes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "DOCS CHECK OK" in result.stdout
+
+
+def test_docs_check_fails_on_a_stale_api_name():
+    repo = Path(cli.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location("check_docs", repo / "tools" / "check_docs.py")
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    failures = []
+    line = "Tune `repro.core.bolt.BoltConfig`, then call `repro.core.bolt.generate_contract`.\n"
+    assert check_docs.check_api_names(failures, line, "GUIDE.md") == 2
+    assert failures == [
+        "GUIDE.md: `repro.core.bolt.BoltConfig` is neither a module nor an attribute of one"
+    ]
 
 
 def test_bench_writes_a_well_formed_report(monkeypatch, tmp_path):

@@ -112,14 +112,3 @@ def test_pcv_registry_conflicts_and_bounds():
     with pytest.raises(ValueError):
         registry.register(PCV("t", "something else", max_value=9))
     assert registry.default_bounds() == {"t": 8}
-
-
-def test_input_class_predicate_matching():
-    from repro.sym import expr as E
-    from repro.sym.expr import Const, Sym
-
-    small = InputClass("small", predicate=E.ult(Sym("len", 64), Const(64, 64)))
-    assert small.matches({"len": 10})
-    assert not small.matches({"len": 100})
-    with pytest.raises(ValueError):
-        InputClass("bad", predicate=Sym("x", 8))

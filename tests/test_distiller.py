@@ -87,10 +87,12 @@ def test_dominant_pcv_and_report_rendering():
 
 def test_explicit_bounds_override_registry_bounds():
     contract = _contract({"all": PerfExpr.from_terms(t=1, e=1)})
-    # With e's bound forced tiny, the e term becomes droppable noise.
-    report = Distiller(contract).distill(
-        relative_threshold=0.2, bounds={"t": 100, "e": 1}
+    # The registry's bounds are the ones judged: declare e's bound tiny
+    # and the e term becomes droppable noise.
+    contract.registry = PCVRegistry(
+        [PCV("t", "traversals", max_value=100), PCV("e", "expired entries", max_value=1)]
     )
+    report = Distiller(contract).distill(relative_threshold=0.2)
     assert report.entry_for("all").simplified == PerfExpr.from_terms(t=1)
 
 

@@ -14,7 +14,6 @@ from repro.traffic.pcap import (
     LINKTYPE_ETHERNET,
     PCAP_MAGIC,
     PcapFormatError,
-    capture_stimuli,
     capture_ticks,
     read_pcap,
     sample_capture,
@@ -118,16 +117,6 @@ def test_capture_ticks_reject_backwards_timestamps():
     )
     with pytest.raises(PcapFormatError, match="backwards"):
         capture_ticks(capture)
-
-
-def test_capture_stimuli_default_scalars_carry_the_tick_clock():
-    stimuli = capture_stimuli(_capture(), note="fixture")
-    assert [s.scalars["time"] for s in stimuli] == [0, 500, 1000, 1500, 2000]
-    assert all(s.note == "fixture" for s in stimuli)
-    custom = capture_stimuli(
-        _capture(), scalars=lambda index, tick, data: {"time": tick, "in_port": index}
-    )
-    assert [s.scalars["in_port"] for s in custom] == [0, 1, 2, 3, 4]
 
 
 def test_sample_capture_loops_with_a_monotonic_clock():

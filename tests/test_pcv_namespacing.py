@@ -13,7 +13,7 @@ from repro.core.pcv import PCV
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
 from repro.nfil.validate import validate_module
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import generate_contract
 from repro.nf.replay import NFHarness
 from repro.nfil import ExternHandler
 from repro.structures import (
@@ -103,14 +103,15 @@ def test_same_kind_instances_have_disjoint_pcvs_and_columns():
     assert registry.get("large.t").max_value == 32
 
     module = _twin_module(small, large)
-    bolt = Bolt(
+    contract = generate_contract(
         module,
         "twin_process",
+        [Sym("key", 64)],
         model=model,
         registry=registry,
-        config=BoltConfig(classifier=lambda path: "all"),
+        classify=lambda path: "all",
+        classes={"all": ""},
     )
-    contract = bolt.generate([Sym("key", 64)])
     entry = contract.entry_for("all")
     instr = entry.expr(Metric.INSTRUCTIONS)
     # One get against each instance: 6 small.t + 6 large.t, never 12 t.

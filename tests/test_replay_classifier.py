@@ -24,14 +24,17 @@ PACKETS = 300
 
 
 def _reference(contract):
-    """``env -> class name or None``: the first entry in order whose path (or predicate) holds."""
+    """``env -> class name or None``: the first entry in order one of whose paths holds.
+
+    An entry without paths always holds.
+    """
     predicates = []
     for entry in contract.entries:
         name = entry.input_class.name
         if entry.paths:
             predicates += [(compile_conjunction(path.constraints), name) for path in entry.paths]
         else:
-            predicates.append((entry.input_class.matches, name))
+            predicates.append((lambda env: True, name))
 
     def classify(env):
         return next((name for holds, name in predicates if holds(env)), None)

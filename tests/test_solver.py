@@ -62,12 +62,14 @@ def test_sentinel_style_disjunction():
     assert model_miss is not None and model_miss["r"] == sentinel
 
 
-def test_is_feasible_treats_unknown_as_feasible():
+def test_is_feasible_treats_unknown_as_feasible(monkeypatch):
     # A nonlinear relation the bounded search may not crack is still
     # reported feasible (the conservative reading BOLT relies on).
     x = Sym("x", 64)
     hard = [E.eq(E.mul(x, x), Const(12345678987654321, 64))]
-    solver = Solver(max_search_nodes=10, random_tries=5)
+    monkeypatch.setattr(Solver, "MAX_SEARCH_NODES", 10)
+    monkeypatch.setattr(Solver, "RANDOM_TRIES", 5)
+    solver = Solver()
     assert solver.is_feasible(hard)  # not provably UNSAT
     assert solver.check(hard) is not CheckResult.UNSAT
 

@@ -163,7 +163,7 @@ def test_internal_calls_inline_symbolically():
     assert paths[0].instructions == 4  # call + (add, ret) + ret
 
 
-def test_max_paths_budget_enforced():
+def test_max_paths_budget_enforced(monkeypatch):
     # 5 independent symbolic branches => 32 paths; budget of 8 must trip.
     b = FunctionBuilder("f", params=tuple(f"x{i}" for i in range(5)))
     total = b.const(0, name="acc0")
@@ -178,6 +178,7 @@ def test_max_paths_budget_enforced():
     b.ret(total)
     module = Module("m")
     module.add_function(b.build(validate=False))
-    engine = SymbolicEngine(module, max_paths=8)
+    monkeypatch.setattr(SymbolicEngine, "MAX_PATHS", 8)
+    engine = SymbolicEngine(module)
     with pytest.raises(ExplorationLimit):
         engine.explore("f", [Sym(f"x{i}", 64) for i in range(5)])

@@ -13,6 +13,7 @@ from repro.nf.router import generate_router_contract, ipv4_packet
 from repro.nf.workloads import (
     bridge_adversarial,
     bridge_workloads,
+    colliding_keys,
     colliding_mac_keys,
     router_adversarial,
     router_workloads,
@@ -97,6 +98,13 @@ def test_colliding_mac_keys_share_one_bucket():
     buckets = {probe._hash(key) for key in keys}
     assert len(keys) == 16 and len(set(keys)) == 16
     assert len(buckets) == 1
+
+
+def test_colliding_keys_may_end_on_the_last_key_before_stop():
+    # 1, 5 and 9 share a bucket of 4; 9 is the last key below stop.
+    assert colliding_keys(3, buckets=4, start=1, stop=10) == [1, 5, 9]
+    with pytest.raises(RuntimeError, match="colliding keys"):
+        colliding_keys(4, buckets=4, start=1, stop=10)
 
 
 def test_adversarial_expectations_match_registry_bounds():

@@ -2,7 +2,7 @@
 """Docs-consistency check: the documentation must track the registries.
 
 Run by the CI ``docs-check`` job (and directly: ``python
-tools/check_docs.py``).  Five guarantees:
+tools/check_docs.py``).  Six guarantees:
 
 1. **Coverage** — every NF in :data:`repro.nf.NF_MATRIX` and every
    structure class in :func:`repro.cli.smoke_structures` (i.e. everything
@@ -23,12 +23,16 @@ tools/check_docs.py``).  Five guarantees:
 5. **Quickstart** — the fenced ``python`` code blocks of the README run
    verbatim, in order, in one shared namespace (they build on each
    other), so the copy-pasteable quickstart cannot rot.
+6. **API names** — every backticked dotted ``repro.…`` name in the
+   README and ``docs/*.md`` imports as a module or resolves as an
+   attribute of one, so a deleted or renamed API cannot linger in prose.
 
 Exits non-zero with one line per failure.
 """
 
 from __future__ import annotations
 
+import importlib
 import io
 import re
 import sys
@@ -45,6 +49,10 @@ from repro.cli import (  # noqa: E402
     smoke_structures,
 )
 from repro.nf import NF_MATRIX  # noqa: E402
+
+
+#: A backticked dotted name under the package, e.g. `repro.nf.NF_MATRIX`.
+API_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -177,6 +185,35 @@ def check_readme_quickstart(failures: list[str]) -> None:
     print(f"README quickstart: {len(blocks)} python blocks ran verbatim")
 
 
+def resolves(name: str) -> bool:
+    """True when ``name`` imports as a module or is an attribute path on one."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[cut:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_api_names(failures: list[str], markdown: str, source: str) -> int:
+    """Fail every backticked ``repro.…`` name in ``markdown`` that does not resolve.
+
+    Returns how many distinct names were checked.
+    """
+    names = sorted(set(API_NAME.findall(markdown)))
+    for name in names:
+        if not resolves(name):
+            failures.append(f"{source}: `{name}` is neither a module nor an attribute of one")
+    return len(names)
+
+
 def main() -> int:
     failures: list[str] = []
     check_contract_docs(failures)
@@ -184,6 +221,10 @@ def main() -> int:
     check_graph_docs(failures)
     check_cli_docs(failures)
     check_readme_quickstart(failures)
+    api_names = sum(
+        check_api_names(failures, path.read_text(encoding="utf-8"), str(path.relative_to(REPO)))
+        for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    )
     structures = ", ".join(sorted({type(s).__name__ for s in smoke_structures()}))
     models = ", ".join(model.name for model in _bench_models())
     print(f"checked hardware models: {models}")
@@ -194,6 +235,7 @@ def main() -> int:
     print(f"checked NFs: {nfs}")
     print(f"checked graphs: {graphs}")
     print(f"checked subcommands: {subcommands}")
+    print(f"checked API names: {api_names}")
     for failure in failures:
         print(f"FAIL: {failure}")
     print("DOCS CHECK FAILED" if failures else "DOCS CHECK OK")
