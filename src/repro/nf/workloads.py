@@ -70,9 +70,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.nf import firewall as firewall_nf
 from repro.nf import lb as lb_nf
@@ -120,7 +120,8 @@ class Workload:
 
     ``build`` makes the stream on the first read of :attr:`stimuli`: a
     bench cell replays one of an NF's five streams, and building the
-    others would be most of its set-up.
+    others would be most of its set-up.  A build makes each distinct
+    frame once, so stimuli with equal frames share one ``bytes`` object.
     """
 
     name: str
@@ -161,22 +162,51 @@ def _mixed_pair(
     rng: random.Random,
     population: int,
     packets: int,
-    mix: Callable[[List[int], str], List[Stimulus]],
+    draw: Callable[[random.Random, int], object],
+    mix: Callable[[List[int], List[object], str], List[Stimulus]],
 ) -> List[Workload]:
-    """The uniform and zipf workloads: ``mix(indices, note)`` over sampled keys.
+    """The uniform and zipf workloads: ``mix(indices, draws, note)``.
 
-    Both streams draw from ``rng``, zipf after uniform, so building zipf
-    builds uniform first and either keeps the draws it always had.
+    A stream is built in two steps.  The draw step is the only one that
+    reads ``rng``: it samples the key indices, then takes ``draw(rng, n)``
+    for each packet ``n`` in order.  The frame step, ``mix``, turns the
+    indices and draws into stimuli.  Both streams draw from ``rng``,
+    uniform first, so building zipf takes uniform's draws, not its
+    stimuli, and keeps them for uniform: either stream keeps the draws
+    it always had, whichever is read first.
     """
-    uniform = Workload(
-        "uniform", make_harness(), lambda: mix(uniform_indices(rng, population, packets), "uniform")
-    )
+    drawn: Dict[str, Tuple[List[int], List[object]]] = {}
 
-    def zipf() -> List[Stimulus]:
-        uniform.stimuli  # uniform's draws come first
-        return mix(zipf_indices(rng, population, packets), "zipf")
+    def build(name: str) -> List[Stimulus]:
+        for stream, sample in (("uniform", uniform_indices), ("zipf", zipf_indices)):
+            if stream not in drawn:
+                indices = sample(rng, population, packets)
+                drawn[stream] = indices, [draw(rng, n) for n in range(packets)]
+            if stream == name:
+                return mix(*drawn[stream], name)
 
-    return [uniform, Workload("zipf", make_harness(), zipf)]
+    return [Workload(name, make_harness(), partial(build, name)) for name in ("uniform", "zipf")]
+
+
+def _frames() -> Callable[..., bytes]:
+    """A frame cache for one stream build: ``frame(build, *args, cut=None, **options)``.
+
+    That is ``build(*args, **options)[:cut]``, made on its first request
+    (a cut one sliced from the whole frame) and the same ``bytes`` after.
+    """
+    made: Dict[tuple, bytes] = {}
+
+    def frame(
+        build: Callable[..., bytes], *args: object, cut: Optional[int] = None, **options: object
+    ) -> bytes:
+        key = (build, args, cut, *options.items())
+        packet = made.get(key)
+        if packet is None:
+            whole = build(*args, **options) if cut is None else frame(build, *args, **options)
+            packet = made[key] = whole[:cut]
+        return packet
+
+    return frame
 
 
 def _scan_sweep(
@@ -208,24 +238,26 @@ def _inside_source(n: int) -> bytes:
 # --------------------------------------------------------------------------- #
 # Bridge
 # --------------------------------------------------------------------------- #
+def _bridge_draw(rng: random.Random, n: int) -> Tuple[Optional[int], int]:
+    """Packet ``n``'s draws: a truncation length (every 17th), then its port."""
+    cut = rng.randrange(0, 13) if n % 17 == 0 else None
+    return cut, rng.randrange(BRIDGE_PORTS)
+
+
 def _bridge_mixed(
-    rng: random.Random, indices: List[int], macs: List[int], *, note: str
+    indices: List[int], draws: List[Tuple[Optional[int], int]], macs: List[int], note: str
 ) -> List[Stimulus]:
     """Turn sampled MAC indices into a frame mix covering every class."""
+    frame = _frames()
     stimuli: List[Stimulus] = []
-    for n, index in enumerate(indices):
+    for n, (index, (cut, in_port)) in enumerate(zip(indices, draws)):
         dst = macs[index]
-        src = macs[indices[(n * 7 + 3) % len(indices)]]
-        if n % 17 == 0:
-            packet = mac_bytes(dst)[: rng.randrange(0, 13)]  # truncated frame
+        if cut is not None:
+            packet = frame(mac_bytes, dst, cut=cut)  # truncated frame
         else:
-            packet = ethernet_frame(dst, src)
+            packet = frame(ethernet_frame, dst, macs[indices[(n * 7 + 3) % len(indices)]])
         stimuli.append(
-            Stimulus(
-                packet=packet,
-                scalars={"in_port": rng.randrange(BRIDGE_PORTS), "time": n * 3},
-                note=note,
-            )
+            Stimulus(packet=packet, scalars={"in_port": in_port, "time": n * 3}, note=note)
         )
     return stimuli
 
@@ -246,7 +278,8 @@ def bridge_workloads(
             rng,
             POPULATION,
             packets,
-            lambda indices, note: _bridge_mixed(rng, indices, macs, note=note),
+            _bridge_draw,
+            lambda indices, draws, note: _bridge_mixed(indices, draws, macs, note),
         ),
         bridge_adversarial(capacity=capacity, timeout=timeout),
         bridge_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
@@ -386,23 +419,20 @@ def bridge_header_flood(
     victim, attacker = 0x00AA00000001, 0x00BB00000002
 
     def stream() -> List[Stimulus]:
-        stimuli = [
-            Stimulus(
-                packet=ethernet_frame(0xBADD00C0FFEE, victim),
-                scalars={"in_port": 1, "time": 0},
-                note="learn",
-            )
-        ]
+        frame = _frames()
+        learn = ethernet_frame(0xBADD00C0FFEE, victim)
+        stimuli = [Stimulus(packet=learn, scalars={"in_port": 1, "time": 0}, note="learn")]
         for n in range(1, packets):
-            packet = ethernet_frame(victim, attacker)
             in_port = 2
             if n % 13 == 0:
-                packet = packet[: n % 12]  # runt burst
+                packet = frame(ethernet_frame, victim, attacker, cut=n % 12)  # runt burst
             elif n % 47 == 1:
-                packet = ethernet_frame(attacker, victim)  # victim answers
+                packet = frame(ethernet_frame, attacker, victim)  # victim answers
                 in_port = 1
-            elif n % 29 == 0:
-                in_port = 1  # hairpin onto the victim's own port
+            else:
+                packet = frame(ethernet_frame, victim, attacker)
+                if n % 29 == 0:
+                    in_port = 1  # hairpin onto the victim's own port
             stimuli.append(
                 Stimulus(packet=packet, scalars={"in_port": in_port, "time": n}, note="flood")
             )
@@ -450,20 +480,28 @@ def _router_destinations() -> List[int]:
     ]
 
 
-def _router_mixed(rng: random.Random, indices: List[int], *, note: str) -> List[Stimulus]:
+def _router_draw(rng: random.Random, n: int) -> Optional[int]:
+    """Packet ``n``'s draw: a truncation length (every 13th) or a live TTL."""
+    if n % 13 == 0:
+        return rng.randrange(0, 34)
+    return None if n % 11 == 0 or n % 7 == 0 else 1 + rng.randrange(1, 255)
+
+
+def _router_mixed(indices: List[int], draws: List[Optional[int]], note: str) -> List[Stimulus]:
     """Turn sampled destination indices into a frame mix for all classes."""
     destinations = _router_destinations()
+    frame = _frames()
     stimuli: List[Stimulus] = []
-    for n, index in enumerate(indices):
+    for n, (index, drawn) in enumerate(zip(indices, draws)):
         dst = destinations[index % len(destinations)]
         if n % 13 == 0:
-            packet = ipv4_frame(dst)[: rng.randrange(0, 34)]  # truncated frame
+            packet = frame(ipv4_frame, dst, cut=drawn)  # truncated frame
         elif n % 11 == 0:
-            packet = ipv4_frame(dst, ethertype=(0x86, 0xDD))  # IPv6: dropped
+            packet = frame(ipv4_frame, dst, ethertype=(0x86, 0xDD))  # IPv6: dropped
         elif n % 7 == 0:
-            packet = ipv4_frame(dst, ttl=1)  # TTL expires here
+            packet = frame(ipv4_frame, dst, ttl=1)  # TTL expires here
         else:
-            packet = ipv4_frame(dst, ttl=1 + rng.randrange(1, 255))
+            packet = frame(ipv4_frame, dst, ttl=drawn)
         stimuli.append(Stimulus(packet=packet, note=note))
     return stimuli
 
@@ -477,7 +515,8 @@ def router_workloads(*, seed: int = 2019, packets: int = 150) -> List[Workload]:
             rng,
             len(_router_destinations()),
             packets,
-            lambda indices, note: _router_mixed(rng, indices, note=note),
+            _router_draw,
+            _router_mixed,
         ),
         router_adversarial(),
         router_scan_sweep(packets=packets),
@@ -537,14 +576,15 @@ def router_header_flood(*, packets: int = 150) -> Workload:
     fib = harness.structures[0]
 
     def stream() -> List[Stimulus]:
+        frame = _frames()
         stimuli: List[Stimulus] = []
         for n in range(packets):
             if n % 31 == 0:
-                packet = ipv4_frame(CHAIN_ADDRESS)[: n % 20]
+                packet = frame(ipv4_frame, CHAIN_ADDRESS, cut=n % 20)
             elif n % 3 == 0:
-                packet = ipv4_frame(CHAIN_ADDRESS, ttl=1)
+                packet = frame(ipv4_frame, CHAIN_ADDRESS, ttl=1)
             else:
-                packet = ipv4_frame(CHAIN_ADDRESS, ttl=255)
+                packet = frame(ipv4_frame, CHAIN_ADDRESS, ttl=255)
             stimuli.append(Stimulus(packet=packet, note="flood"))
         return stimuli
 
@@ -559,11 +599,17 @@ def router_header_flood(*, packets: int = 150) -> Workload:
 # --------------------------------------------------------------------------- #
 # NAT
 # --------------------------------------------------------------------------- #
+def _nat_draw(rng: random.Random, n: int) -> Optional[int]:
+    """NAT packet ``n``'s draw: a truncation length or a WAN probe's port."""
+    if n % 17 == 0:
+        return rng.randrange(0, 37)
+    return 1 + rng.randrange(3) if n % 11 != 0 and n % 5 == 0 else None
+
+
 def _nat_mixed(
-    rng: random.Random,
     indices: List[int],
+    draws: List[Optional[int]],
     flows: List[Tuple[int, int]],
-    *,
     pool_ports: List[int],
     note: str,
 ) -> List[Stimulus]:
@@ -575,21 +621,21 @@ def _nat_mixed(
     pool port (``external_hit`` once the lease exists, ``external_miss``
     before or after it).
     """
+    frame = _frames()
     stimuli: List[Stimulus] = []
-    for n, index in enumerate(indices):
+    for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
         scalars = {"in_port": nat_nf.LAN_PORT, "time": n * 3}
         if n % 17 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, cut=drawn)
         elif n % 11 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
         elif n % 5 == 0:
-            packet = nat_frame(
-                WAN_CLIENT, 443, NAT_PUBLIC, pool_ports[index % len(pool_ports)]
-            )
-            scalars["in_port"] = 1 + rng.randrange(3)
+            port = pool_ports[index % len(pool_ports)]
+            packet = frame(nat_frame, WAN_CLIENT, 443, NAT_PUBLIC, port)
+            scalars["in_port"] = drawn
         else:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80)
         stimuli.append(Stimulus(packet=packet, scalars=scalars, note=note))
     return stimuli
 
@@ -618,7 +664,8 @@ def nat_workloads(
             rng,
             POPULATION,
             packets,
-            lambda indices, note: _nat_mixed(rng, indices, flows, pool_ports=pool, note=note),
+            _nat_draw,
+            lambda indices, draws, note: _nat_mixed(indices, draws, flows, pool, note),
         ),
         nat_adversarial(capacity=capacity, timeout=timeout),
         nat_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
@@ -747,21 +794,18 @@ def nat_header_flood(
     inside_ip, inside_port = 0x0A000063, 40000  # 10.0.0.99, the one real flow
 
     def stream() -> List[Stimulus]:
-        stimuli = [
-            Stimulus(
-                packet=nat_frame(inside_ip, inside_port, WAN_SERVER, 80),
-                scalars={"in_port": nat_nf.LAN_PORT, "time": 0},
-                note="lease",
-            )
-        ]
+        frame = _frames()
+        lease = nat_frame(inside_ip, inside_port, WAN_SERVER, 80)
+        scalars = {"in_port": nat_nf.LAN_PORT, "time": 0}
+        stimuli = [Stimulus(packet=lease, scalars=scalars, note="lease")]
         for n in range(1, packets):
             scalars = {"in_port": 1, "time": n}
             if n % 17 == 0:
-                packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[0])[: n % 12]
+                packet = frame(nat_frame, WAN_CLIENT, 443, NAT_PUBLIC, pool[0], cut=n % 12)
             elif n % 5 == 0:
-                packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[0])
+                packet = frame(nat_frame, WAN_CLIENT, 443, NAT_PUBLIC, pool[0])
             else:
-                packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[-1] + 1 + (n % 512))
+                packet = frame(nat_frame, WAN_CLIENT, 443, NAT_PUBLIC, pool[-1] + 1 + (n % 512))
             stimuli.append(Stimulus(packet=packet, scalars=scalars, note="flood"))
         return stimuli
 
@@ -813,12 +857,16 @@ def lb_data_stimulus(packet: bytes, time: int, note: str = "data") -> Stimulus:
     )
 
 
+def _lb_draw(rng: random.Random, n: int) -> Optional[int]:
+    """LB packet ``n``'s draw: a truncation length on every 17th data frame."""
+    return rng.randrange(0, 37) if n % 17 == 0 and n % 29 != 14 else None
+
+
 def _lb_mixed(
-    rng: random.Random,
     indices: List[int],
+    draws: List[Optional[int]],
     flows: List[Tuple[int, int]],
     backends: List[int],
-    *,
     note: str,
 ) -> List[Stimulus]:
     """Turn sampled flow indices into a frame mix covering every class.
@@ -830,11 +878,12 @@ def _lb_mixed(
     backend — flows bound to the drained backend re-select on their next
     packet (``backend_drained``).
     """
+    frame = _frames()
     stimuli: List[Stimulus] = [
         lb_control_stimulus(lb_nf.CMD_ADD, backend, 0, note) for backend in backends
     ]
     churn = 0
-    for n, index in enumerate(indices):
+    for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
         time = n * 3
         if n % 29 == 14:
@@ -844,11 +893,11 @@ def _lb_mixed(
             stimuli.append(lb_control_stimulus(cmd, backend, time, note))
             continue
         if n % 17 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, cut=drawn)
         elif n % 11 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
         else:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80)
         stimuli.append(lb_data_stimulus(packet, time, note))
     return stimuli
 
@@ -873,7 +922,8 @@ def lb_workloads(
             rng,
             POPULATION,
             packets,
-            lambda indices, note: _lb_mixed(rng, indices, flows, backends, note=note),
+            _lb_draw,
+            lambda indices, draws, note: _lb_mixed(indices, draws, flows, backends, note),
         ),
         lb_adversarial(capacity=capacity, timeout=timeout, **geometry),
         lb_scan_sweep(capacity=capacity, timeout=timeout, packets=packets, **geometry),
@@ -1023,12 +1073,11 @@ def lb_header_flood(
             lb_control_stimulus(lb_nf.CMD_ADD, backend, 0, "ctrl")
             for backend in _lb_scan_backends(max_backends)
         ]
-        frame = nat_frame(0x0A0A0A0A, 55555, WAN_SERVER, 80)
+        frame = _frames()
+        flow = (0x0A0A0A0A, 55555, WAN_SERVER, 80)
         for n in range(packets):
-            if n % 17 == 3:
-                stimuli.append(lb_data_stimulus(frame[: n % 12], n, "flood"))
-            else:
-                stimuli.append(lb_data_stimulus(frame, n, "flood"))
+            cut = n % 12 if n % 17 == 3 else None
+            stimuli.append(lb_data_stimulus(frame(nat_frame, *flow, cut=cut), n, "flood"))
         return stimuli
 
     return Workload("header_flood", harness, stream)
@@ -1037,12 +1086,15 @@ def lb_header_flood(
 # --------------------------------------------------------------------------- #
 # Firewall
 # --------------------------------------------------------------------------- #
+def _firewall_draw(rng: random.Random, n: int) -> Optional[int]:
+    """Firewall packet ``n``'s draw: a truncation length or a WAN probe's port."""
+    if n % 17 == 0:
+        return rng.randrange(0, 37)
+    return 1 + rng.randrange(3) if n % 11 != 0 and n % 23 != 6 and n % 5 == 0 else None
+
+
 def _firewall_mixed(
-    rng: random.Random,
-    indices: List[int],
-    flows: List[Tuple[int, int]],
-    *,
-    note: str,
+    indices: List[int], draws: List[Optional[int]], flows: List[Tuple[int, int]], note: str
 ) -> List[Stimulus]:
     """Turn sampled flow indices into a frame mix covering every class.
 
@@ -1053,21 +1105,22 @@ def _firewall_mixed(
     the sampled endpoint (``inbound_established`` once the connection
     exists, ``unsolicited`` before it does or after it expires).
     """
+    frame = _frames()
     stimuli: List[Stimulus] = []
-    for n, index in enumerate(indices):
+    for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
         scalars = {"in_port": firewall_nf.LAN_PORT, "time": n * 3}
         if n % 17 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, cut=drawn)
         elif n % 11 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
         elif n % 23 == 6:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, firewall_nf.DENY_PORT)
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, firewall_nf.DENY_PORT)
         elif n % 5 == 0:
-            packet = nat_frame(WAN_CLIENT, 443, src_ip, src_port)
-            scalars["in_port"] = 1 + rng.randrange(3)
+            packet = frame(nat_frame, WAN_CLIENT, 443, src_ip, src_port)
+            scalars["in_port"] = drawn
         else:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80)
         stimuli.append(Stimulus(packet=packet, scalars=scalars, note=note))
     return stimuli
 
@@ -1095,7 +1148,8 @@ def firewall_workloads(
             rng,
             POPULATION,
             packets,
-            lambda indices, note: _firewall_mixed(rng, indices, flows, note=note),
+            _firewall_draw,
+            lambda indices, draws, note: _firewall_mixed(indices, draws, flows, note),
         ),
         firewall_adversarial(capacity=capacity, timeout=timeout),
         firewall_scan_sweep(capacity=capacity, timeout=timeout, packets=packets),
@@ -1228,16 +1282,17 @@ def firewall_header_flood(
     victim_ip, victim_port = 0x0A00002A, 8080  # the probed LAN endpoint
 
     def stream() -> List[Stimulus]:
+        frame = _frames()
         stimuli: List[Stimulus] = []
         for n in range(packets):
             if n % 17 == 0:
-                packet = nat_frame(WAN_CLIENT, 443, victim_ip, victim_port)[: n % 12]
+                packet = frame(nat_frame, WAN_CLIENT, 443, victim_ip, victim_port, cut=n % 12)
                 scalars = {"in_port": 1, "time": n}
             elif n % 5 == 2:
-                packet = nat_frame(victim_ip, victim_port, WAN_SERVER, firewall_nf.DENY_PORT)
+                packet = frame(nat_frame, victim_ip, victim_port, WAN_SERVER, firewall_nf.DENY_PORT)
                 scalars = {"in_port": firewall_nf.LAN_PORT, "time": n}
             else:
-                packet = nat_frame(WAN_CLIENT, 443 + (n % 7), victim_ip, victim_port)
+                packet = frame(nat_frame, WAN_CLIENT, 443 + (n % 7), victim_ip, victim_port)
                 scalars = {"in_port": 1 + (n % 3), "time": n}
             stimuli.append(Stimulus(packet=packet, scalars=scalars, note="flood"))
         return stimuli
@@ -1248,12 +1303,13 @@ def firewall_header_flood(
 # --------------------------------------------------------------------------- #
 # Monitor
 # --------------------------------------------------------------------------- #
+def _monitor_draw(rng: random.Random, n: int) -> Optional[int]:
+    """Monitor packet ``n``'s draw: a truncation length on every 17th."""
+    return rng.randrange(0, 37) if n % 17 == 0 else None
+
+
 def _monitor_mixed(
-    rng: random.Random,
-    indices: List[int],
-    flows: List[Tuple[int, int]],
-    *,
-    note: str,
+    indices: List[int], draws: List[Optional[int]], flows: List[Tuple[int, int]], note: str
 ) -> List[Stimulus]:
     """Turn sampled flow indices into a frame mix.
 
@@ -1262,15 +1318,16 @@ def _monitor_mixed(
     sketch (``cold_flow`` until a flow's estimate crosses the threshold,
     ``hot_flow`` after — which the head of a Zipf stream genuinely does).
     """
+    frame = _frames()
     stimuli: List[Stimulus] = []
-    for n, index in enumerate(indices):
+    for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
         if n % 17 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, cut=drawn)
         elif n % 11 == 0:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
         else:
-            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+            packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80)
         stimuli.append(Stimulus(packet=packet, note=note))
     return stimuli
 
@@ -1285,7 +1342,8 @@ def monitor_workloads(*, seed: int = 2019, packets: int = 150) -> List[Workload]
             rng,
             POPULATION,
             packets,
-            lambda indices, note: _monitor_mixed(rng, indices, flows, note=note),
+            _monitor_draw,
+            lambda indices, draws, note: _monitor_mixed(indices, draws, flows, note),
         ),
         monitor_adversarial(),
         monitor_scan_sweep(packets=packets),
@@ -1342,13 +1400,14 @@ def monitor_header_flood(*, packets: int = 150) -> Workload:
     of its row counters to the ceiling, after which updates ride the
     saturated fast path; every 31st frame is a runt.
     """
-    frame = nat_frame(0xC6336417, 6667, WAN_SERVER, 80)  # the flooding source
+    flow = (0xC6336417, 6667, WAN_SERVER, 80)  # the flooding source
 
     def stream() -> List[Stimulus]:
+        frame = _frames()
         return [
-            Stimulus(packet=frame[: n % 12], note="runt")
+            Stimulus(packet=frame(nat_frame, *flow, cut=n % 12), note="runt")
             if n % 31 == 0
-            else Stimulus(packet=frame, note="flood")
+            else Stimulus(packet=frame(nat_frame, *flow), note="flood")
             for n in range(packets)
         ]
 

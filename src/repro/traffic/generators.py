@@ -20,14 +20,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import List, Mapping
 
 __all__ = ["Stimulus", "uniform_indices", "zipf_indices", "zipf_weights"]
 
 
-@dataclass(frozen=True)
+_NO_SCALARS: Mapping[str, int] = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True)
 class Stimulus:
     """One NF invocation: the packet buffer plus named scalar inputs.
+
+    A stimulus and its scalars are read-only: stimuli share frames, and
+    every stimulus built without scalars shares one empty mapping.
 
     Attributes:
         packet: concrete packet bytes (may be truncated/short on purpose).
@@ -39,7 +46,7 @@ class Stimulus:
     """
 
     packet: bytes
-    scalars: Mapping[str, int] = field(default_factory=dict)
+    scalars: Mapping[str, int] = field(default_factory=lambda: _NO_SCALARS)
     note: str = ""
 
 

@@ -10,6 +10,7 @@ assembles a 48-bit MAC from a 4-byte and a 2-byte little-endian load, so
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Iterable, Tuple, Union
 
 __all__ = [
@@ -34,6 +35,10 @@ NAT_MIN_FRAME = 38
 ETHERTYPE_IPV4: Tuple[int, int] = (0x08, 0x00)
 
 _MAC_MAX = (1 << 48) - 1
+
+# The headers ipv4_frame and nat_frame pack: zeros but for the fields they name.
+_IPV4_HEADER = Struct(">12x2s8xB7xI")
+_NAT_HEADER = Struct(">12x2s8xB3xIIHH")
 
 
 def mac_bytes(value: int) -> bytes:
@@ -86,11 +91,8 @@ def ipv4_frame(
     if not 0 <= ttl <= 0xFF:
         raise ValueError(f"TTL {ttl} out of range")
     address = ipv4_address(dst)
-    frame = bytearray(IPV4_MIN_FRAME + payload)
-    frame[12], frame[13] = ethertype
-    frame[22] = ttl
-    frame[30:34] = address.to_bytes(4, "big")
-    return bytes(frame)
+    high, low = ethertype  # a bad EtherType raises the ValueError it always did
+    return _IPV4_HEADER.pack(bytearray((high, low)), ttl, address) + bytes(payload)
 
 
 def nat_frame(
@@ -116,11 +118,8 @@ def nat_frame(
             raise ValueError(f"port {port} is not a 16-bit value")
     if not 0 <= ttl <= 0xFF:
         raise ValueError(f"TTL {ttl} out of range")
-    frame = bytearray(NAT_MIN_FRAME + payload)
-    frame[12], frame[13] = ethertype
-    frame[22] = ttl
-    frame[26:30] = ipv4_address(src).to_bytes(4, "big")
-    frame[30:34] = ipv4_address(dst).to_bytes(4, "big")
-    frame[34:36] = src_port.to_bytes(2, "big")
-    frame[36:38] = dst_port.to_bytes(2, "big")
-    return bytes(frame)
+    high, low = ethertype  # a bad EtherType raises the ValueError it always did
+    header = _NAT_HEADER.pack(
+        bytearray((high, low)), ttl, ipv4_address(src), ipv4_address(dst), src_port, dst_port
+    )
+    return header + bytes(payload)

@@ -9,12 +9,14 @@ the ``Fraction`` arithmetic it replaced.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from repro.core import PerfExpr
 from repro.hw import ConservativeModel, RealisticModel, SimulatedModel
+from repro.nf import NF_MATRIX
 from repro.nf.bridge import generate_bridge_contract
 from repro.nf.lb import generate_lb_contract
 from repro.nf.nat import generate_nat_contract
@@ -123,6 +125,18 @@ def test_contracts_identical_with_and_without_solver_cache(generate, monkeypatch
     monkeypatch.setattr(Solver, "_cached_solve", Solver._solve)
     without_cache = _contract_signature(generate())
     assert with_cache == without_cache
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in NF_MATRIX], ids=lambda spec: spec.name)
+def test_contract_builds_the_nf_module_once(spec):
+    built = []
+
+    def counted():
+        built.append(spec.build_module())
+        return built[-1]
+
+    replace(spec, build_module=counted).contract(**spec.bench)
+    assert len(built) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,9 @@
 """Traffic layer: packet builders, samplers, workloads and the replayer."""
 
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +172,44 @@ def test_factories_build_each_stream_on_its_first_read(spec, factory, monkeypatc
     zipf_alone = workloads["zipf"].stimuli
     again = {w.name: w for w in factory(seed=7, packets=200, **spec.bench)}
     assert again["uniform"].stimuli and again["zipf"].stimuli == zipf_alone
+
+
+@pytest.mark.parametrize("spec, factory", NF_MATRIX, ids=[spec.name for spec, _ in NF_MATRIX])
+def test_reading_zipf_builds_only_zipf(spec, factory, monkeypatch):
+    """Zipf takes uniform's draws from the shared RNG, not its stimuli."""
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(Stimulus(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(nf_workloads, "Stimulus", counted)
+    workloads = {w.name: w for w in factory(seed=7, packets=200, **spec.bench)}
+    eager = len(made)
+    zipf = workloads["zipf"].stimuli
+    assert len(made) - eager == len(zipf)
+    uniform_after_zipf = workloads["uniform"].stimuli
+    alone = {w.name: w for w in factory(seed=7, packets=200, **spec.bench)}
+    assert uniform_after_zipf == alone["uniform"].stimuli
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_streams_match_their_golden_digests():
+    """Every NF and graph stream at seeds 2019 and 7, 150 and 2,000 packets,
+    hashes as recorded in tests/golden/streams.json."""
+    tool = _load_tool("stream_digests")
+    golden = json.loads(Path(tool.GOLDEN).read_text())
+    fresh = tool.stream_digests()
+    assert sorted(fresh) == sorted(golden), "the set of pinned streams changed"
+    moved = [key for key, digest in golden.items() if fresh[key] != digest]
+    assert not moved, f"streams moved (rerun tools/stream_digests.py if on purpose): {moved}"
 
 
 # --------------------------------------------------------------------------- #
