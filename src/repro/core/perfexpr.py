@@ -255,25 +255,20 @@ class PerfExpr:
         (:meth:`denominator_lcm`) and floor-divided by it.  An integer
         ``m`` satisfies ``m ≤ evaluate()`` exactly when
         ``m ≤ floor(evaluate())``, so this is the bound a measured count
-        compares against exactly; :meth:`compile_int` rounds up instead.
+        compares against exactly; :meth:`ceil_source` rounds up instead.
         """
         denominator = self.denominator_lcm()
         source = self.scaled_source(denominator, read)
         return source if denominator == 1 else f"({source}) // {denominator}"
 
-    def compile_int(self) -> Callable[[Mapping[str, Number]], int]:
-        """Compile :meth:`evaluate_int` into integer arithmetic.
+    def ceil_source(self, read: Callable[[str], str] = _read_binding) -> str:
+        """Python source of :meth:`evaluate_int`, ``ceil(evaluate())``, in integer arithmetic.
 
-        The polynomial is compiled at its own clearing scale
-        (:meth:`denominator_lcm`) and the ceiling taken by floor division,
-        so the closure returns exactly what :meth:`evaluate_int` does
-        without building a ``Fraction``.
+        As :meth:`floor_source`, with the ceiling taken by floor division.
         """
         denominator = self.denominator_lcm()
-        source = self.scaled_source(denominator)
-        if denominator != 1:
-            source = f"-(-({source}) // {denominator})"
-        return eval("lambda b: " + source, {})  # noqa: S307
+        source = self.scaled_source(denominator, read)
+        return source if denominator == 1 else f"-(-({source}) // {denominator})"
 
     def rename(self, mapping: Mapping[str, str]) -> "PerfExpr":
         """Return the expression with PCV names replaced per ``mapping``.

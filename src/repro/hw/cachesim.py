@@ -19,8 +19,8 @@ address and names the level that served it — the reference, which
 :meth:`~repro.hw.model.SimulatedModel.measure` prices one access at a time
 — and :meth:`CacheHierarchy.access_stream` walks a trace's whole address
 list in one call and counts the accesses each level served, which is how
-the replayer's compiled measure prices a trace.  Both leave the same
-lines, LRU order and hit/miss counters.
+the replayer's compiled measure prices a trace, with both lookups inlined.
+Both leave the same lines, LRU order and hit/miss counters.
 
 Determinism: the simulator is a pure function of the access stream — no
 randomised replacement, no timestamps — so a bench cell's tail numbers
@@ -169,15 +169,22 @@ class CacheHierarchy:
         Returns how many accesses each level served, ``(l1, llc, dram)``.
         The lines, their LRU order and each level's ``hits``/``misses``
         end exactly as calling :meth:`access` once per address leaves
-        them.  The L1 lookup is inlined because most of a traced packet's
-        dozens of accesses hit there; an L1 miss goes to the LLC's own
-        :meth:`~SetAssociativeCache.access`.
+        them.  Both lookups are inlined, and an access to the L1 line the
+        call's previous access touched is an L1 hit with no lookup: that
+        line is already the most recently used in its set.
         """
-        l1, llc_access = self.l1, self.llc.access
+        l1, llc = self.l1, self.llc
         sets, count, shift, ways = l1._sets, l1._set_count, l1._line_shift, l1._ways
+        llc_sets, llc_count, llc_shift = llc._sets, llc._set_count, llc._line_shift
+        llc_ways = llc._ways
         l1_hits = llc_hits = dram = 0
+        last = None
         for addr in addresses:
             tag = addr >> shift
+            if tag == last:
+                l1_hits += 1
+                continue
+            last = tag
             lines = sets[tag % count]
             if lines and lines[-1] == tag:
                 l1_hits += 1
@@ -190,12 +197,20 @@ class CacheHierarchy:
             if len(lines) >= ways:
                 del lines[0]
             lines.append(tag)
-            if llc_access(addr):
+            tag = addr >> llc_shift
+            lines = llc_sets[tag % llc_count]
+            if tag in lines:
+                lines.remove(tag)
                 llc_hits += 1
             else:
+                if len(lines) >= llc_ways:
+                    del lines[0]
                 dram += 1
+            lines.append(tag)
         l1.hits += l1_hits
         l1.misses += llc_hits + dram
+        llc.hits += llc_hits
+        llc.misses += dram
         return l1_hits, llc_hits, dram
 
     def reset(self) -> None:

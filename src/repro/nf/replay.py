@@ -137,6 +137,16 @@ class NFHarness:
         self.record_accesses = False
         self._interpreter = Interpreter(module, handler=handler)
 
+        def arguments(packet: bytes, scalars: Mapping[str, int]) -> List[int]:
+            # The packet base, then each scalar as scalars_for resolves it
+            # (a missing one raises a bare KeyError).
+            args = [pkt_base]
+            for name in scalar_order:
+                args.append(scalars[name] if name != "len" or name in scalars else len(packet))
+            return args
+
+        self._arguments = arguments
+
     @property
     def record_accesses(self) -> bool:
         """Whether :meth:`run` materialises the per-access address stream.
@@ -168,17 +178,22 @@ class NFHarness:
         return scalars
 
     def run(self, stimulus: Stimulus) -> Tuple[Optional[int], ExecutionTrace]:
-        """Execute one stimulus against the live NF state."""
-        scalars = self.scalars_for(stimulus)
-        memory = Memory()
-        memory.write_bytes(self.pkt_base, stimulus.packet)
-        args = [self.pkt_base] + [scalars[name] for name in self.scalar_order]
-        # Plain replay only consumes aggregate counts; the address stream
-        # is materialised only when a cache simulator will consume it.
+        """Execute one stimulus against the live NF state.
+
+        The packet becomes the window of a fresh memory; a missing scalar
+        raises :meth:`scalars_for`'s ``KeyError``.
+        """
+        packet = stimulus.packet
+        try:
+            args = self._arguments(packet, stimulus.scalars)
+        except KeyError:
+            self.scalars_for(stimulus)
+            raise
         trace = ExecutionTrace(record_accesses=self._record_accesses)
+        memory = Memory(self.pkt_base, packet)
         result = self._interpreter.run(self.function, args, memory=memory, trace=trace)
         if self.capture_output:
-            self.last_packet = memory.read_bytes(self.pkt_base, len(stimulus.packet))
+            self.last_packet = memory.read_bytes(self.pkt_base, len(packet))
         return result
 
     def env(self, stimulus: Stimulus, trace: ExecutionTrace) -> Dict[str, int]:

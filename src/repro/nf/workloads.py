@@ -121,7 +121,8 @@ class Workload:
     ``build`` makes the stream on the first read of :attr:`stimuli`: a
     bench cell replays one of an NF's five streams, and building the
     others would be most of its set-up.  A build makes each distinct
-    frame once, so stimuli with equal frames share one ``bytes`` object.
+    frame once, so stimuli with equal frames share one ``bytes`` object
+    (and router and monitor streams one stimulus per (frame, note)).
     """
 
     name: str
@@ -207,6 +208,15 @@ def _frames() -> Callable[..., bytes]:
         return packet
 
     return frame
+
+
+def _shared() -> Callable[[Stimulus], Stimulus]:
+    """``share(stimulus)``: this build's first stimulus with its packet and note.
+
+    Only for stimuli without scalars, which the key leaves out.
+    """
+    made: Dict[Tuple[bytes, str], Stimulus] = {}
+    return lambda stimulus: made.setdefault((stimulus.packet, stimulus.note), stimulus)
 
 
 def _scan_sweep(
@@ -490,7 +500,7 @@ def _router_draw(rng: random.Random, n: int) -> Optional[int]:
 def _router_mixed(indices: List[int], draws: List[Optional[int]], note: str) -> List[Stimulus]:
     """Turn sampled destination indices into a frame mix for all classes."""
     destinations = _router_destinations()
-    frame = _frames()
+    frame, share = _frames(), _shared()
     stimuli: List[Stimulus] = []
     for n, (index, drawn) in enumerate(zip(indices, draws)):
         dst = destinations[index % len(destinations)]
@@ -502,7 +512,7 @@ def _router_mixed(indices: List[int], draws: List[Optional[int]], note: str) -> 
             packet = frame(ipv4_frame, dst, ttl=1)  # TTL expires here
         else:
             packet = frame(ipv4_frame, dst, ttl=drawn)
-        stimuli.append(Stimulus(packet=packet, note=note))
+        stimuli.append(share(Stimulus(packet=packet, note=note)))
     return stimuli
 
 
@@ -576,7 +586,7 @@ def router_header_flood(*, packets: int = 150) -> Workload:
     fib = harness.structures[0]
 
     def stream() -> List[Stimulus]:
-        frame = _frames()
+        frame, share = _frames(), _shared()
         stimuli: List[Stimulus] = []
         for n in range(packets):
             if n % 31 == 0:
@@ -585,7 +595,7 @@ def router_header_flood(*, packets: int = 150) -> Workload:
                 packet = frame(ipv4_frame, CHAIN_ADDRESS, ttl=1)
             else:
                 packet = frame(ipv4_frame, CHAIN_ADDRESS, ttl=255)
-            stimuli.append(Stimulus(packet=packet, note="flood"))
+            stimuli.append(share(Stimulus(packet=packet, note="flood")))
         return stimuli
 
     return Workload(
@@ -621,7 +631,7 @@ def _nat_mixed(
     pool port (``external_hit`` once the lease exists, ``external_miss``
     before or after it).
     """
-    frame = _frames()
+    frame, share = _frames(), _shared()
     stimuli: List[Stimulus] = []
     for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
@@ -1105,7 +1115,7 @@ def _firewall_mixed(
     the sampled endpoint (``inbound_established`` once the connection
     exists, ``unsolicited`` before it does or after it expires).
     """
-    frame = _frames()
+    frame, share = _frames(), _shared()
     stimuli: List[Stimulus] = []
     for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
@@ -1318,7 +1328,7 @@ def _monitor_mixed(
     sketch (``cold_flow`` until a flow's estimate crosses the threshold,
     ``hot_flow`` after — which the head of a Zipf stream genuinely does).
     """
-    frame = _frames()
+    frame, share = _frames(), _shared()
     stimuli: List[Stimulus] = []
     for n, (index, drawn) in enumerate(zip(indices, draws)):
         src_ip, src_port = flows[index]
@@ -1328,7 +1338,7 @@ def _monitor_mixed(
             packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
         else:
             packet = frame(nat_frame, src_ip, src_port, WAN_SERVER, 80)
-        stimuli.append(Stimulus(packet=packet, note=note))
+        stimuli.append(share(Stimulus(packet=packet, note=note)))
     return stimuli
 
 
@@ -1403,11 +1413,11 @@ def monitor_header_flood(*, packets: int = 150) -> Workload:
     flow = (0xC6336417, 6667, WAN_SERVER, 80)  # the flooding source
 
     def stream() -> List[Stimulus]:
-        frame = _frames()
+        frame, share = _frames(), _shared()
         return [
-            Stimulus(packet=frame(nat_frame, *flow, cut=n % 12), note="runt")
+            share(Stimulus(packet=frame(nat_frame, *flow, cut=n % 12), note="runt"))
             if n % 31 == 0
-            else Stimulus(packet=frame(nat_frame, *flow), note="flood")
+            else share(Stimulus(packet=frame(nat_frame, *flow), note="flood"))
             for n in range(packets)
         ]
 

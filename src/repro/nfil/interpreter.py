@@ -97,15 +97,16 @@ class Memory:
     The first non-empty :meth:`write_bytes` — the packet buffer, on replay —
     becomes a ``bytearray`` *window* that owns its address range from then
     on; every other byte lives in a sparse dict.  Compiled loads and stores
-    that fall inside the window index it directly.
+    that fall inside the window index it directly.  ``Memory(base, data)``
+    behaves as ``Memory()`` after ``write_bytes(base, data)``.
     """
 
     __slots__ = ("_bytes", "_base", "_window")
 
-    def __init__(self) -> None:
+    def __init__(self, base: int = 0, data: bytes = b"") -> None:
         self._bytes: Dict[int, int] = {}
-        self._base = 0
-        self._window = bytearray()
+        self._base = base
+        self._window = bytearray(data)
 
     def load(self, addr: int, size: int) -> int:
         """Load ``size`` bytes little-endian, zero-extended to 64 bits."""

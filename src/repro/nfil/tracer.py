@@ -8,7 +8,8 @@ counts in bulk, appends the address of every memory access to
 :attr:`ExecutionTrace.accesses` when the address stream is recorded, and
 records each extern call — one :meth:`ExecutionTrace.record_extern` of the
 handler's :class:`~repro.nfil.interpreter.ExternResult`, kept as an
-:class:`ExternCall` (both are named tuples, cheap to build per call).
+:class:`ExternCall` (both are named tuples, cheap to build per call) —
+folding the PCVs the call observed into the trace's binding as it goes.
 
 Costs split into two layers, mirroring the Vigor-style separation the paper
 relies on:
@@ -73,6 +74,9 @@ class ExecutionTrace:
         #: execution order; empty unless ``record_accesses``.
         self.accesses: List[int] = []
         self.extern_calls: List[ExternCall] = []
+        #: Each PCV's largest observation so far (a zero kept), in first-observed
+        #: order, folded by :meth:`record_extern`; read-only (see :meth:`pcv_bindings`).
+        self.binding: Dict[str, int] = {}
         self.record_accesses = record_accesses
         self._extern_instructions = 0
         self._extern_memory_accesses = 0
@@ -97,27 +101,28 @@ class ExecutionTrace:
     def record_extern(self, name: str, args: Tuple[int, ...], result: "ExternResult") -> ExternCall:
         """Record one extern call: what its handler returned for ``args``.
 
-        The call keeps the handler's ``pcvs`` mapping as it is.  When
-        address recording is on, the structure's touched addresses
-        (``result.accesses``) join :attr:`accesses` in execution order
-        alongside the stateless stream, so a cache simulator replays the
-        packet's full interleaved address trace.
+        The call keeps the handler's ``pcvs`` mapping as it is, and each
+        observation folds into :attr:`binding`.  When address recording
+        is on, the structure's touched addresses (``result.accesses``)
+        join :attr:`accesses` in execution order alongside the stateless
+        stream, so a cache simulator replays the packet's full
+        interleaved address trace.
         """
+        value, instructions, memory_accesses, pcvs, accesses = result
         calls = self.extern_calls
-        call = ExternCall(
-            len(calls),
-            name,
-            args,
-            result.value,
-            result.instructions,
-            result.memory_accesses,
-            result.pcvs,
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        call = tuple.__new__(
+            ExternCall, (len(calls), name, args, value, instructions, memory_accesses, pcvs)
         )
         calls.append(call)
-        self._extern_instructions += result.instructions
-        self._extern_memory_accesses += result.memory_accesses
+        self._extern_instructions += instructions
+        self._extern_memory_accesses += memory_accesses
+        if pcvs:
+            binding = self.binding
+            for pcv, observed in pcvs.items():
+                binding[pcv] = max(binding.get(pcv, 0), int(observed))
         if self.record_accesses:
-            self.accesses += result.accesses
+            self.accesses += accesses
         return call
 
     # ------------------------------------------------------------------ #
@@ -145,16 +150,12 @@ class ExecutionTrace:
         return self.mem_reads + self.mem_writes + self._extern_memory_accesses
 
     def pcv_bindings(self) -> Dict[str, int]:
-        """Merge the per-call PCV observations into one binding per PCV.
+        """A copy of :attr:`binding`: one value per PCV the calls observed.
 
-        Keeps each PCV's largest observation, which is the sound choice
+        Each PCV keeps its largest observation, which is the sound choice
         when a contract charges a shared PCV at every call site.
         """
-        bindings: Dict[str, int] = {}
-        for call in self.extern_calls:
-            for name, value in call.pcvs.items():
-                bindings[name] = max(bindings.get(name, 0), int(value))
-        return bindings
+        return dict(self.binding)
 
     def summary(self) -> str:
         """Render a one-line human-readable summary."""

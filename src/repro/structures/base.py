@@ -39,7 +39,7 @@ never alias each other's PCVs, contract columns or adversarial bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import re
 import zlib
@@ -149,7 +149,7 @@ class Structure(ExternHandler):
         self._ops_by_method: Dict[str, OpSpec] = {op.method: op for op in self.ops()}
         # charge() programs, compiled on each method's first charge: most
         # instances built for a replay serve only a few of their methods.
-        self._charges: Dict[str, _Charge] = {}
+        self._charges: Dict[str, Tuple[frozenset, Callable[..., ExternResult]]] = {}
         for op in self._ops_by_method.values():
             handler = getattr(self, f"_op_{op.method}", None)
             if handler is None:
@@ -279,8 +279,9 @@ class Structure(ExternHandler):
         ``t=3``; a missing or unexpected one raises ``TypeError`` rather
         than be charged at 0 or dropped); the reported PCV observations
         are instance-qualified (``{"fwd.t": 3}``) so traces line up with
-        the contract's namespaced variables.  The formulas compile to
-        integer closures on the method's first charge.
+        the contract's namespaced variables.  The method's first charge
+        compiles its program (:meth:`_charge_program`); handlers call
+        ``charge``, which a traced bench pass wraps per instance.
         ``discount_instructions`` lets a fast path report fewer instructions
         than the worst-case formula (never more), keeping the hand contract
         a genuine upper bound rather than a tautology.
@@ -298,35 +299,40 @@ class Structure(ExternHandler):
         """
         compiled = self._charges.get(method)
         if compiled is None:
-            compiled = self._charges[method] = self._compile_charge(method)
-        symbols, instructions_of, accesses_of, qualified = compiled
+            compiled = self._charges[method] = self._charge_program(method)
+        symbols, program = compiled
         if pcvs.keys() != symbols:
             raise self._pcv_mismatch(method, symbols, pcvs)
-        instructions = instructions_of(pcvs)
-        if discount_instructions < 0 or discount_instructions >= instructions:
-            raise ValueError(f"bad instruction discount {discount_instructions}")
-        memory_accesses = accesses_of(pcvs)
-        accesses: Tuple[int, ...] = ()
-        if self.record_accesses:
-            accesses = tuple(touched[:memory_accesses])
-            if len(accesses) < memory_accesses:
-                accesses += (self.heap_base,) * (memory_accesses - len(accesses))
-        return ExternResult(
-            value,
-            instructions - discount_instructions,
-            memory_accesses,
-            {name: pcvs[symbol] for symbol, name in qualified},
-            accesses,
-        )
+        return program(value, discount_instructions, touched, pcvs, self.record_accesses)
 
-    def _compile_charge(self, method: str) -> "_Charge":
+    def _charge_program(self, method: str) -> Tuple[frozenset, Callable[..., ExternResult]]:
+        """``(PCV symbols, program(value, discount, touched, pcvs, record))`` of one op.
+
+        The program evaluates the formulas' ceilings, checks the discount,
+        normalises ``touched`` when ``record`` is on, and builds the result
+        with the qualified PCV mapping written as a literal.
+        """
         op = self.op(method)
-        return _Charge(
-            frozenset(op.pcvs),
-            op.cost[Metric.INSTRUCTIONS].compile_int(),
-            op.cost[Metric.MEMORY_ACCESSES].compile_int(),
-            tuple((symbol, self.pcv_name(symbol)) for symbol in op.pcvs),
-        )
+        local = {symbol: f"p{k}" for k, symbol in enumerate(op.pcvs)}
+        binding = ", ".join(f"{self.pcv_name(symbol)!r}: {name}" for symbol, name in local.items())
+        lines = [
+            "def program(value, discount, touched, pcvs, record):",
+            *(f"    {name} = pcvs[{symbol!r}]" for symbol, name in local.items()),
+            f"    instructions = {op.cost[Metric.INSTRUCTIONS].ceil_source(local.__getitem__)}",
+            "    if discount < 0 or discount >= instructions:",
+            "        raise ValueError(f'bad instruction discount {discount}')",
+            f"    count = {op.cost[Metric.MEMORY_ACCESSES].ceil_source(local.__getitem__)}",
+            "    accesses = ()",
+            "    if record:",
+            "        accesses = tuple(touched[:count])",
+            "        if len(accesses) < count:",
+            f"            accesses += ({self.heap_base},) * (count - len(accesses))",
+            "    return new(ExternResult, (value, instructions - discount, count, "
+            f"{{{binding}}}, accesses))",
+        ]
+        namespace = {"new": tuple.__new__, "ExternResult": ExternResult}
+        exec("\n".join(lines), namespace)  # noqa: S102 - generated from the op's cost formulas
+        return frozenset(op.pcvs), namespace["program"]
 
     def _pcv_mismatch(self, method: str, symbols: frozenset, pcvs: Mapping[str, int]) -> TypeError:
         """The error for a charge whose PCV keywords differ from its operation's."""
@@ -339,17 +345,6 @@ class Structure(ExternHandler):
             f"{self.name}.charge({method!r}): {problem}; "
             f"the operation charges exactly {sorted(symbols)}"
         )
-
-
-class _Charge(NamedTuple):
-    """One operation's cost formulas, compiled for :meth:`Structure.charge`."""
-
-    #: The local PCV symbols the formulas are written over.
-    symbols: frozenset
-    instructions: Callable[[Mapping[str, int]], int]
-    memory_accesses: Callable[[Mapping[str, int]], int]
-    #: ``(local symbol, instance-qualified name)`` in the op's PCV order.
-    qualified: Tuple[Tuple[str, str], ...]
 
 
 def check_extern_collisions(structures: Sequence[Structure]) -> None:

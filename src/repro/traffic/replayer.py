@@ -36,6 +36,9 @@ into straight-line work over what the run produced.
 * Step 4 is each model's :meth:`~repro.hw.model.CycleModel.compile_measure`;
   the cache-simulating model walks a trace's whole address list in one
   call.
+* Step 5 is one generated comparison of every measured column against
+  its prediction; the violation messages are built only when it fails
+  or the binding has a PCV problem.
 
 Outcomes keep their counts and cycles as integer tuples — cycles in units
 of ``1/cycle_scale`` — and show them as read-only mappings on demand;
@@ -47,7 +50,8 @@ hash-conses what its outcomes hold: one read-only PCV mapping per
 distinct binding, one prediction per binding and matched entry, one
 measured tuple per distinct value.  What depends only on the binding —
 the entry program, the PCV-limit scan and the ``max_pcvs`` fold — runs
-once per binding.  The tables grow with distinct values, not packets.
+once per binding, the one the trace folds as it records each call.  The
+tables grow with distinct values, not packets.
 """
 
 from __future__ import annotations
@@ -512,6 +516,9 @@ class Replayer:
         self._measure = _measure_program(
             [model.compile_measure(structures, scale=scale) for model in self.models]
         )
+        # The green path: every column measured <= predicted, in one call.
+        checks = " and ".join(f"m[{k}] <= p[{k}]" for k in range(2 + len(self.models)))
+        self._within = eval(f"lambda m, p: {checks}")  # noqa: S307 - from the column count
         # Classification: one conjunction per path (an entry without paths
         # gets the empty one, which always holds), in entry order — the
         # first that holds names the execution's entry; ``_scorers`` pairs
@@ -555,18 +562,19 @@ class Replayer:
         what the service-graph replayer (:mod:`repro.net`) calls per hop,
         where each hop of a packet's journey is scored against that NF's
         own contract.  Violations are recorded on the outcome, never
-        raised.  The outcome's ``pcvs`` and ``measured_values`` are
-        shared, read-only, with every outcome of this replayer that has
-        equal ones, and its ``predicted_values`` with every outcome of the
-        same binding and entry.
+        raised (the messages are built only when a check fails).  The
+        outcome's ``pcvs`` and ``measured_values`` are shared, read-only,
+        with every outcome of this replayer that has equal ones, and its
+        ``predicted_values`` with every outcome of the same binding and
+        entry.
         """
         _, trace = self.harness.run(stimulus)
         matched = self._first_match(stimulus, trace)
-        observed = trace.pcv_bindings()
+        observed = trace.binding
         key = tuple(observed.items())
         binding = self._bindings.get(key)
         if binding is None:
-            binding = self._bindings[key] = _Binding(observed, self._pcv_limits)
+            binding = self._bindings[key] = _Binding(dict(observed), self._pcv_limits)
         if matched is None:
             measured = (trace.total_instructions(), trace.total_memory_accesses())
             return PacketOutcome(
@@ -586,6 +594,9 @@ class Replayer:
             predicted = binding.predictions[entry] = program(observed)
         measured = self._measure(trace)
         measured = self._measurements.setdefault(measured, measured)
+        violations: Tuple[str, ...] = ()
+        if binding.problems or not self._within(measured, predicted):
+            violations = self._violations(index, class_name, binding.problems, measured, predicted)
         return PacketOutcome(
             index,
             stimulus.note,
@@ -594,7 +605,7 @@ class Replayer:
             measured,
             predicted,
             self._model_names,
-            self._violations(index, class_name, binding.problems, measured, predicted),
+            violations,
             self.cycle_scale,
         )
 

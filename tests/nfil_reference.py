@@ -75,6 +75,20 @@ def _truncate(value: int) -> int:
     return value % 2**WORD_BITS
 
 
+def reference_binding(trace: ExecutionTrace) -> Dict[str, int]:
+    """A trace's PCV binding, folded from its extern calls after the run.
+
+    Each PCV keeps its largest observation, a zero observation included,
+    in the order the calls first observed it: the oracle for the binding
+    ``ExecutionTrace`` folds while it records each call.
+    """
+    binding: Dict[str, int] = {}
+    for call in trace.extern_calls:
+        for name, value in call.pcvs.items():
+            binding[name] = max(binding.get(name, 0), int(value))
+    return binding
+
+
 class ReferenceMemory:
     """Sparse memory with one dict entry per byte: the oracle for ``Memory``.
 

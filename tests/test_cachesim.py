@@ -137,11 +137,15 @@ def test_hierarchy_levels_and_inclusive_fill():
 # The batch walk against one access at a time
 # --------------------------------------------------------------------------- #
 def _stream(rng, lines, length):
-    """Addresses over ``lines`` distinct lines; most repeat a recent line."""
+    """Addresses over ``lines`` distinct 64-byte lines; most repeat a recent
+    line, in runs on one line, and some repeat the last address exactly."""
     recent = [0]
     stream = []
     for _ in range(length):
         roll = rng.random()
+        if roll < 0.1 and stream:
+            stream.append(stream[-1])
+            continue
         if roll < 0.4:
             line = recent[-1]
         elif roll < 0.7:
@@ -159,12 +163,23 @@ def _stream(rng, lines, length):
         (DEFAULT_L1_GEOMETRY, DEFAULT_LLC_GEOMETRY, 3000),
         (CacheGeometry(sets=8, ways=1), CacheGeometry(sets=32, ways=1), 200),
         (CacheGeometry(sets=512, ways=2), CacheGeometry(sets=1024, ways=4), 300),
+        (CacheGeometry(sets=16, ways=2), CacheGeometry(sets=64, ways=4, line_size=128), 400),
+        (CacheGeometry(sets=16, ways=2), CacheGeometry(sets=128, ways=4, line_size=32), 400),
+        (CacheGeometry(sets=8, ways=1), CacheGeometry(sets=64, ways=8), 300),
     ],
-    ids=["default", "direct_mapped", "more_sets_than_lines"],
+    ids=[
+        "default",
+        "direct_mapped",
+        "more_sets_than_lines",
+        "llc_wider_lines",
+        "llc_narrower_lines",
+        "one_way_l1",
+    ],
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_walk_matches_one_access_at_a_time(l1, llc, lines, seed):
-    """Per stream: the same per-level counts; after it: the same counters and sets."""
+    """Per stream: the same per-level counts; after it: the same counters and
+    every set's lines in LRU order, at both levels."""
     rng = random.Random(seed)
     batch, single = CacheHierarchy(l1, llc), CacheHierarchy(l1, llc)
     for _ in range(60):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from nfil_reference import ReferenceInterpreter, ReferenceMemory
+from nfil_reference import ReferenceInterpreter, ReferenceMemory, reference_binding
 from repro.nf.workloads import (
     bridge_workloads,
     firewall_workloads,
@@ -98,6 +98,11 @@ def test_every_workload_traces_identically_under_both_interpreters(nf):
             assert value == want_value, where
             assert _observed(trace) == _observed(want_trace), where
             assert fast.harness.last_packet == slow.harness.last_packet, where
+            # Both executors record calls through the trace, which folds the binding.
+            for recorded in (trace, want_trace):
+                assert list(recorded.binding.items()) == list(
+                    reference_binding(recorded).items()
+                ), where
             executions += 1
     assert executions >= 5 * 20
 

@@ -315,3 +315,16 @@ def test_the_hop_bounds_sum_to_the_composed_route_bound():
             else:
                 assert summed == composed_bound
     assert looser > 0
+
+
+def test_graph_frames_share_one_read_only_scalars_mapping():
+    """A frame is slotted and its scalars are the one shared, read-only empty mapping."""
+    (workload,) = lb_nat_fw_router_workloads(seed=2019, packets=500)
+    frames = workload.stream
+    assert len(frames) == 500
+    assert len({id(frame.scalars) for frame in frames}) == 1
+    first = frames[0]
+    assert not hasattr(first, "__dict__")
+    assert dict(first.scalars) == {}
+    with pytest.raises(TypeError):
+        first.scalars["in_port"] = 1

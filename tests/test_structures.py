@@ -10,7 +10,7 @@ import pytest
 
 from repro import cli
 from repro.core import PCV, Metric, PerfExpr
-from repro.nfil import ExecutionTrace, ExternHandler, Interpreter, Memory
+from repro.nfil import ExecutionTrace, ExternHandler, ExternResult, Interpreter, Memory
 from repro.structures import (
     NOT_FOUND,
     ChainingHashMap,
@@ -358,19 +358,35 @@ def _every_structure_kind():
 
 
 def test_compiled_charges_equal_evaluate_int_at_every_pcv_value():
+    """Whole results: counts at the formulas' ceilings, the discount, the
+    qualified PCVs in op order, and the recorded addresses — truncated or
+    padded to the count with recording on, ``()`` with it off."""
     for structure in _every_structure_kind():
         bounds = {pcv.name: pcv.max_value for pcv in structure.pcvs()}
+        heap = structure.heap_base
         for op in structure.ops():
+            qualified = [structure.pcv_name(symbol) for symbol in op.pcvs]
             for values in itertools.product(*(range(bounds[s] + 1) for s in op.pcvs)):
                 bindings = dict(zip(op.pcvs, values))
-                result = structure.charge(op.method, 0, **bindings)
                 where = (structure.kind, op.method, bindings)
-                assert result.instructions == op.cost[Metric.INSTRUCTIONS].evaluate_int(
-                    bindings
-                ), where
-                expected_accesses = op.cost[Metric.MEMORY_ACCESSES].evaluate_int(bindings)
-                assert result.memory_accesses == expected_accesses, where
-                assert result.accesses == (structure.heap_base,) * expected_accesses, where
+                instructions = op.cost[Metric.INSTRUCTIONS].evaluate_int(bindings)
+                count = op.cost[Metric.MEMORY_ACCESSES].evaluate_int(bindings)
+                pcvs = dict(zip(qualified, values))
+                discount = 1 if instructions > 1 else 0
+                structure.record_accesses = True
+                for touched in ((), tuple(range(8, 8 + count // 2)), tuple(range(8, 12 + count))):
+                    accesses = touched[:count] + (heap,) * (count - len(touched[:count]))
+                    result = structure.charge(
+                        op.method, 7, discount_instructions=discount, touched=touched, **bindings
+                    )
+                    want = ExternResult(7, instructions - discount, count, pcvs, accesses)
+                    assert type(result) is ExternResult and result == want, where
+                    assert list(result.pcvs) == qualified, where
+                structure.record_accesses = False
+                result = structure.charge(op.method, touched=(1, 2, 3), **bindings)
+                assert result == ExternResult(None, instructions, count, pcvs, ()), where
+                with pytest.raises(ValueError, match="bad instruction discount"):
+                    structure.charge(op.method, discount_instructions=instructions, **bindings)
     # The fractional op really exercises the rounding.
     frac = _Fractional("frac2")
     assert frac.charge("walk", t=1, u=0).instructions == 2  # ceil(3/2 + 1/3)

@@ -18,6 +18,7 @@ from repro.nf.workloads import (
     bridge_workloads,
     colliding_keys,
     colliding_mac_keys,
+    monitor_workloads,
     router_adversarial,
     router_workloads,
 )
@@ -191,6 +192,19 @@ def test_reading_zipf_builds_only_zipf(spec, factory, monkeypatch):
     uniform_after_zipf = workloads["uniform"].stimuli
     alone = {w.name: w for w in factory(seed=7, packets=200, **spec.bench)}
     assert uniform_after_zipf == alone["uniform"].stimuli
+
+
+@pytest.mark.parametrize(
+    "factory", [router_workloads, monitor_workloads], ids=["router", "monitor"]
+)
+def test_router_and_monitor_streams_hold_one_stimulus_per_distinct_frame_and_note(factory):
+    for workload in factory(seed=2019, packets=2000):
+        if workload.name not in ("uniform", "zipf", "header_flood"):
+            continue
+        stimuli = workload.stimuli
+        distinct = {(stimulus.packet, stimulus.note) for stimulus in stimuli}
+        assert len({id(stimulus) for stimulus in stimuli}) == len(distinct), workload.name
+        assert len(distinct) < len(stimuli), workload.name
 
 
 def _load_tool(name):
