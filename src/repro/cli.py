@@ -82,7 +82,7 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.structures as structures_pkg
@@ -114,7 +114,6 @@ from repro.structures import (
     PortAllocator,
     Structure,
 )
-from repro.sym.solver import Solver
 from repro.traffic import Replayer
 
 #: Bench defaults: per-workload packet budget, seed and report path.
@@ -235,7 +234,6 @@ def run_structure_contracts() -> int:
 def run_nf_contracts(specs: Optional[Sequence[NFSpec]] = None) -> int:
     """Generate and render every NF contract; check their input classes."""
     failures = 0
-    before = replace(Solver.TOTALS)
     for spec in [spec for spec, _ in NF_MATRIX] if specs is None else specs:
         _section(spec.title)
         contract = spec.contract()
@@ -246,16 +244,6 @@ def run_nf_contracts(specs: Optional[Sequence[NFSpec]] = None) -> int:
         if missing:
             failures += 1
             print(f"FAIL: contract lost input classes {sorted(missing)}")
-    # Each generator builds its own solver; the class-level aggregate is
-    # how the memoisation layer stays observable from out here.
-    totals = Solver.TOTALS
-    print(
-        "\nsolver cache across contract generation: "
-        f"{totals.cache_hits - before.cache_hits} hits, "
-        f"{totals.cache_misses - before.cache_misses} misses, "
-        f"{totals.dedup_dropped - before.dedup_dropped} duplicates dropped, "
-        f"{totals.simplify_reused - before.simplify_reused} simplifications reused"
-    )
     return failures
 
 

@@ -195,20 +195,6 @@ class GraphReplayResult:
 
     def to_json(self) -> Dict[str, object]:
         """Serialise for the ``BENCH_*.json`` report."""
-        routes: Dict[str, object] = {}
-        for name, summary in self.route_summaries.items():
-            routes[name] = {
-                "packets": summary.packets,
-                "violations": summary.violations,
-                "max_measured": {str(m): v for m, v in summary.max_measured.items()},
-                "max_predicted": {
-                    str(m): float(v) for m, v in summary.max_predicted.items()
-                },
-                "max_cycles": {
-                    model: {"measured": float(meas), "predicted": float(pred)}
-                    for model, (meas, pred) in summary.max_cycles.items()
-                },
-            }
         hops: Dict[str, object] = {
             node: {name: summary.to_json() for name, summary in classes.items()}
             for node, classes in self.hop_summaries.items()
@@ -218,7 +204,7 @@ class GraphReplayResult:
             "hop_executions": self.hop_executions,
             "ok": self.ok,
             "violations": self.violations[:20],
-            "routes": routes,
+            "routes": {name: summary.to_json() for name, summary in self.route_summaries.items()},
             "hops": hops,
             "max_pcvs": dict(self.max_pcvs),
             "churn": {"events": len(self.churn_log), "log": list(self.churn_log)},

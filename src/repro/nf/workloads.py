@@ -223,20 +223,26 @@ def _scan_sweep(
     harness: NFHarness,
     packets: int,
     frame: Callable[[int], bytes],
-    scalars: Callable[[int], Mapping[str, int]],
+    scalars: Optional[Callable[[int], Mapping[str, int]]] = None,
     prefix: Callable[[], List[Stimulus]] = list,
 ) -> Workload:
     """A ZMap-style sweep: after ``prefix()``, frame ``n`` is ``frame(n)``.
 
     Every NF's ``scan_sweep`` is this loop; they differ only in the
     frame, the scalars, and — for the LB — the backend activation that
-    precedes the sweep.
+    precedes the sweep.  Without ``scalars`` every stimulus keeps the
+    shared empty mapping ``Stimulus`` defaults to.
     """
+
+    def stimulus(n: int) -> Stimulus:
+        if scalars is None:
+            return Stimulus(packet=frame(n), note="scan")
+        return Stimulus(packet=frame(n), scalars=scalars(n), note="scan")
+
     return Workload(
         "scan_sweep",
         harness,
-        lambda: prefix()
-        + [Stimulus(packet=frame(n), scalars=scalars(n), note="scan") for n in range(packets)],
+        lambda: prefix() + [stimulus(n) for n in range(packets)],
     )
 
 
@@ -570,7 +576,6 @@ def router_scan_sweep(*, packets: int = 150) -> Workload:
         ROUTER.harness(routes=router_fib_routes()),
         packets,
         lambda n: ipv4_frame((0x9E3779B1 * (n + 1)) & 0xFFFFFFFF),
-        lambda n: {},
     )
 
 
@@ -1399,7 +1404,7 @@ def monitor_scan_sweep(*, packets: int = 150) -> Workload:
     false-positive behaviour a count-min sketch trades for its constant
     cost.
     """
-    return _scan_sweep(MONITOR.harness(), packets, _inside_source, lambda n: {})
+    return _scan_sweep(MONITOR.harness(), packets, _inside_source)
 
 
 def monitor_header_flood(*, packets: int = 150) -> Workload:

@@ -5,6 +5,9 @@ code (§3.1 of the paper).  At every symbolic branch it forks, asks the
 :class:`repro.sym.solver.Solver` whether each side is feasible, and — being
 conservative — keeps any side the solver cannot *prove* infeasible
 (UNKNOWN counts as feasible, so contracts never silently drop a path).
+Each kept side remembers the model its check returned; a path that ends
+without growing its condition after that check takes the model as its
+witness, so only the other paths are solved again.
 
 Calls to externs (the stateful data-structure methods) are not executed;
 they are abstracted by a :class:`SymbolicModel` (§3.2: the library's
@@ -43,8 +46,8 @@ from repro.sym import expr as E
 from repro.sym.expr import BV, Const, Sym
 from repro.sym.paths import CallRecord, Path
 from repro.sym.simplify import simplify
-from repro.sym.solver import Solver
-from repro.sym.state import Frame, SymbolicMemory, SymbolicState
+from repro.sym.solver import CheckResult, Solver
+from repro.sym.state import UNCHECKED, Frame, SymbolicMemory, SymbolicState
 
 __all__ = [
     "EngineError",
@@ -120,14 +123,6 @@ class SymbolicEngine:
         self.module = module
         self.model = model or SymbolicModel()
         self.solver = Solver()
-        # id(register value) -> (value, branch condition).  ``_as_bool`` is
-        # pure, and forked states share register nodes, so memoising by
-        # identity both skips re-simplification and maximises node sharing
-        # across sibling states — which is what makes the solver's
-        # canonical-key and verdict caches hit (see repro.sym.solver).
-        self._bool_memo: dict[int, Tuple[BV, BV]] = {}
-        # id(condition) -> (condition, negation), for the same reason.
-        self._not_memo: dict[int, Tuple[BV, BV]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -207,17 +202,9 @@ class SymbolicEngine:
             return state.get_reg(operand.name)
         raise EngineError(f"bad operand {operand!r}")  # pragma: no cover
 
-    def _as_bool(self, value: BV) -> BV:
-        """Turn a 64-bit register value into a width-1 branch condition."""
-        memo = self._bool_memo.get(id(value))
-        if memo is not None:
-            return memo[1]
-        condition = self._as_bool_uncached(value)
-        self._bool_memo[id(value)] = (value, condition)
-        return condition
-
     @staticmethod
-    def _as_bool_uncached(value: BV) -> BV:
+    def _as_bool(value: BV) -> BV:
+        """Turn a 64-bit register value into a width-1 branch condition."""
         condition = simplify(E.ne(value, Const(0, value.width)))
         # simplify() narrows `zext(x) != 0` to `x != 0`; for width-1 x that
         # comparison *is* x, which keeps path conditions readable.
@@ -303,46 +290,39 @@ class SymbolicEngine:
             )
             frame.index = 0
             return
-        memo = self._not_memo.get(id(condition))
-        if memo is not None:
-            negated = memo[1]
-        else:
-            negated = E.bnot(condition)
-            self._not_memo[id(condition)] = (condition, negated)
+        negated = E.bnot(condition)
         # Conservative feasibility: keep a side unless the solver proves it
-        # infeasible (UNKNOWN => keep).  Both queries flow through the
-        # solver's memoisation layer: the shared path-condition prefix is
-        # canonicalised once, a cached UNSAT prefix refutes a side without
-        # solving, and the verdict cached here is what `_finalise` reuses
-        # when it asks for the surviving side's model.
-        then_ok = self.solver.is_feasible(state.path_condition + [condition])
-        else_ok = self.solver.is_feasible(state.path_condition + [negated])
-        if not then_ok and not else_ok:
+        # infeasible (UNKNOWN => keep).  A kept side's model, None for
+        # UNKNOWN, is its state's witness until the path condition grows.
+        sides: List[Tuple[BV, str, object]] = []
+        for side, label in ((condition, instruction.then_label), (negated, instruction.else_label)):
+            result, model = self.solver.solve(state.path_condition + [side])
+            if result is not CheckResult.UNSAT:
+                sides.append((side, label, model))
+        if not sides:
             # Both sides refuted: the path condition itself is infeasible.
             # Drop the state entirely (it contributes no path).
             state.finished = True
             state.returned = None
-            state.path_condition.append(Const(0, 1))
+            state.assume(Const(0, 1))
             return
-        if then_ok and else_ok:
+        if len(sides) == 2:
             if len(paths) + len(worklist) + 2 > self.MAX_PATHS:
                 raise ExplorationLimit(
                     f"exceeded {self.MAX_PATHS} paths exploring {frame.function.name}"
                 )
             fork = state.clone()
-            fork.assume(negated)
-            fork.frame.block = instruction.else_label
-            fork.frame.index = 0
+            self._take(fork, *sides[1])
             worklist.append(fork)
-            state.assume(condition)
-            frame.block = instruction.then_label
-        elif then_ok:
-            state.assume(condition)
-            frame.block = instruction.then_label
-        else:
-            state.assume(negated)
-            frame.block = instruction.else_label
-        frame.index = 0
+        self._take(state, *sides[0])
+
+    @staticmethod
+    def _take(state: SymbolicState, side: BV, label: str, model: object) -> None:
+        """Send ``state`` down one checked branch side to ``label``."""
+        state.assume(side)
+        state.witness = model
+        state.frame.block = label
+        state.frame.index = 0
 
     def _call(self, instruction: Call, state: SymbolicState) -> None:
         args = tuple(self._operand(arg, state) for arg in instruction.args)
@@ -401,6 +381,14 @@ class SymbolicEngine:
             caller.ret_dest = None
 
     def _finalise(self, state: SymbolicState, function_name: str, pid: int) -> Path:
+        """The finished ``state`` as a path; its witness is its model.
+
+        A state whose path condition grew after its last check (an extern's
+        result constraint, or no symbolic branch at all) is solved once here.
+        """
+        model = state.witness
+        if model is UNCHECKED:
+            model = self.solver.solve(state.path_condition)[1]
         return Path(
             pid=pid,
             function=function_name,
@@ -409,5 +397,5 @@ class SymbolicEngine:
             returned=state.returned,
             instructions=state.instructions,
             memory_accesses=state.memory_accesses,
-            model=self.solver.model(state.path_condition),
+            model=model,
         )

@@ -28,14 +28,14 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.nfil.instructions import CMP_OPS
 from repro.sym import expr as E
-from repro.sym.expr import BV, BinOp, BoolOp, Cmp, Const, Sym, evaluate, free_symbols, render
+from repro.sym.expr import BV, BinOp, BoolOp, Cmp, Const, Sym, evaluate, free_symbols
 from repro.sym.simplify import simplify, substitute
 
-__all__ = ["CheckResult", "Solver", "SolverStats"]
+__all__ = ["CheckResult", "Solver"]
 
 
 class CheckResult(enum.Enum):
@@ -44,39 +44,6 @@ class CheckResult(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
-
-
-@dataclass
-class SolverStats:
-    """Counters describing the work a solver instance has performed.
-
-    The memoisation counters make the caching layer observable:
-
-    * ``cache_hits`` — conjunctions answered from the verdict cache,
-    * ``cache_misses`` — conjunctions the solving pipeline actually ran on,
-    * ``dedup_dropped`` — duplicate conjuncts dropped before solving,
-    * ``simplify_reused`` — constraints whose normal form was reused by
-      node identity instead of re-running :func:`simplify`.
-    """
-
-    checks: int = 0
-    sat: int = 0
-    unsat: int = 0
-    unknown: int = 0
-    search_nodes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    dedup_dropped: int = 0
-    simplify_reused: int = 0
-
-    def record(self, result: CheckResult) -> None:
-        self.checks += 1
-        if result is CheckResult.SAT:
-            self.sat += 1
-        elif result is CheckResult.UNSAT:
-            self.unsat += 1
-        else:
-            self.unknown += 1
 
 
 @dataclass
@@ -104,20 +71,10 @@ class _Interval:
 class Solver:
     """Constraint solver over the :mod:`repro.sym.expr` language.
 
-    Repeated queries dominate symbolic exploration: every branch checks
-    ``pc + [cond]`` and ``pc + [¬cond]`` where ``pc`` is a shared prefix,
-    and finalisation re-solves the exact conjunction of the last branch.
-    The solver therefore memoises (after DiSCo's ``PathChecker`` pattern —
-    its ``infeasible_path_pres`` / ``pushed_exp`` sets):
-
-    * constraints are canonicalised once per node identity (the engine
-      shares nodes along path conditions) and duplicates are dropped,
-    * verdicts (and verified SAT models) are cached per exact constraint
-      keyset.
-
-    :meth:`_solve` is the unmemoised pipeline; contracts generated with it
-    in place of :meth:`_cached_solve` must be identical, which the test
-    suite asserts.
+    :meth:`solve` is the whole interface: one conjunction in, a verdict and
+    (for SAT) a verified model out.  A solver remembers no query; the only
+    state it carries between calls is the seeded stream its random phase
+    draws from, so a fixed sequence of queries gets fixed answers.
     """
 
     #: Search budgets: DFS nodes per query, candidate values per symbol,
@@ -126,130 +83,17 @@ class Solver:
     MAX_CANDIDATES_PER_SYMBOL = 16
     RANDOM_TRIES = 2_000
 
-    #: Process-wide aggregate of every instance's check and cache counters
-    #: (``search_nodes`` stays per-instance).  Contract generators build
-    #: their solvers internally, so callers like the CLI smoke run report
-    #: cache effectiveness from before/after snapshots of this aggregate.
-    TOTALS: ClassVar[SolverStats] = SolverStats()
-
     def __init__(self) -> None:
         self._rng = random.Random(0)
-        self.stats = SolverStats()
-        # id(node) -> (node, normal form); nodes are immutable and shared
-        # along path conditions, so identity is a sound (and cheap) key.
-        # The node reference keeps the id from being recycled.
-        self._norm: Dict[int, Tuple[BV, BV]] = {}
-        # id(normal form) -> (node, canonical key string).
-        self._canon: Dict[int, Tuple[BV, str]] = {}
-        # keyset -> (verdict, verified model or None).
-        self._verdicts: Dict[frozenset, Tuple[CheckResult, Optional[Dict[str, int]]]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def check(self, constraints: Iterable[BV]) -> CheckResult:
-        """Return SAT/UNSAT/UNKNOWN for the conjunction of ``constraints``."""
-        result, _ = self._cached_solve(list(constraints))
-        self._record(result)
-        return result
+    def solve(self, constraints: Iterable[BV]) -> Tuple[CheckResult, Optional[Dict[str, int]]]:
+        """Decide the conjunction of ``constraints``.
 
-    def model(self, constraints: Iterable[BV]) -> Optional[Dict[str, int]]:
-        """Return a satisfying assignment, or None if none was found.
-
-        A returned model is always verified against the original constraints.
+        Returns ``(result, model)``; a model comes only with SAT, and it
+        satisfies ``constraints`` themselves, not just their simplified form.
         """
-        result, model = self._cached_solve(list(constraints))
-        self._record(result)
-        if result is CheckResult.SAT:
-            return model
-        return None
-
-    def is_feasible(self, constraints: Iterable[BV]) -> bool:
-        """Return True unless the constraints are provably unsatisfiable.
-
-        This is the conservative interpretation BOLT uses when exploring
-        paths: UNKNOWN counts as feasible.
-        """
-        return self.check(constraints) is not CheckResult.UNSAT
-
-    def implied(self, constraints: Sequence[BV], hypothesis: BV) -> bool:
-        """Return True when ``constraints`` provably imply ``hypothesis``.
-
-        Implemented as "constraints AND NOT hypothesis is UNSAT"; UNKNOWN
-        means "not proven", hence False.
-        """
-        negated = E.bnot(hypothesis)
-        result, _ = self._cached_solve(list(constraints) + [negated])
-        self._record(result)
-        return result is CheckResult.UNSAT
-
-    # ------------------------------------------------------------------ #
-    # Memoisation layer
-    # ------------------------------------------------------------------ #
-    def _record(self, result: CheckResult) -> None:
-        self.stats.record(result)
-        Solver.TOTALS.record(result)
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        """Bump one cache counter on the instance and the class aggregate."""
-        setattr(self.stats, counter, getattr(self.stats, counter) + amount)
-        setattr(Solver.TOTALS, counter, getattr(Solver.TOTALS, counter) + amount)
-
-    def _normalise(self, node: BV) -> BV:
-        """Return ``simplify(node)``, reusing the normal form by identity."""
-        entry = self._norm.get(id(node))
-        if entry is not None:
-            self._count("simplify_reused")
-            return entry[1]
-        simplified = simplify(node)
-        if id(simplified) not in self._norm:
-            # Register the normal form as its own fixed point so flattening
-            # the same conjunction never simplifies it a second time.
-            self._norm[id(simplified)] = (simplified, simplified)
-        self._norm[id(node)] = (node, simplified)
-        return simplified
-
-    def _canonical_key(self, node: BV) -> str:
-        """Render a normal-form node once; reuse the string by identity."""
-        entry = self._canon.get(id(node))
-        if entry is None:
-            entry = (node, render(node))
-            self._canon[id(node)] = entry
-        return entry[1]
-
-    def _cached_solve(
-        self, constraints: List[BV]
-    ) -> Tuple[CheckResult, Optional[Dict[str, int]]]:
-        deduped: List[BV] = []
-        keys: set[str] = set()
-        for constraint in constraints:
-            normal = self._normalise(constraint)
-            key = self._canonical_key(normal)
-            if key in keys:
-                self._count("dedup_dropped")
-                continue
-            keys.add(key)
-            deduped.append(normal)
-        keyset = frozenset(keys)
-        cached = self._verdicts.get(keyset)
-        if cached is not None:
-            self._count("cache_hits")
-            result, model = cached
-            return result, dict(model) if model is not None else None
-        self._count("cache_misses")
-        result, model = self._solve(deduped)
-        self._verdicts[keyset] = (result, dict(model) if model is not None else None)
-        return result, model
-
-    # ------------------------------------------------------------------ #
-    # Core solving pipeline
-    # ------------------------------------------------------------------ #
-    def _solve(self, constraints: List[BV]) -> Tuple[CheckResult, Optional[Dict[str, int]]]:
-        # The top-level flatten reuses cached normal forms (public callers
-        # re-check shared path-condition nodes constantly); the flattens on
-        # freshly substituted nodes inside propagation/search do not, so the
-        # identity cache only ever holds long-lived constraint nodes.
-        flat = self._flatten(constraints, use_cache=True)
+        constraints = list(constraints)
+        flat = self._flatten(constraints)
         if flat is None:
             return CheckResult.UNSAT, None
         if not flat:
@@ -279,15 +123,13 @@ class Solver:
             return CheckResult.SAT, model
         return CheckResult.UNKNOWN, None
 
-    def _flatten(
-        self, constraints: Sequence[BV], *, use_cache: bool = False
-    ) -> Optional[List[BV]]:
+    @staticmethod
+    def _flatten(constraints: Sequence[BV]) -> Optional[List[BV]]:
         """Simplify, flatten conjunctions, drop tautologies; None on contradiction."""
         flat: List[BV] = []
         queue = list(constraints)
         while queue:
-            node = queue.pop()
-            constraint = self._normalise(node) if use_cache else simplify(node)
+            constraint = simplify(queue.pop())
             if isinstance(constraint, Const):
                 if constraint.value == 0:
                     return None
@@ -301,27 +143,26 @@ class Solver:
     def _unit_propagate(
         self, constraints: List[BV], assignment: Dict[str, int]
     ) -> Optional[List[BV]]:
-        """Repeatedly apply ``sym == const`` facts; None on contradiction."""
-        changed = True
-        current = constraints
-        while changed:
-            changed = False
+        """Repeatedly apply ``sym == const`` facts; None on contradiction.
+
+        Each fact on a symbol ``assignment`` does not bind yet is recorded
+        there and substituted into every constraint.
+        """
+        while True:
             units: Dict[str, int] = {}
-            for constraint in current:
+            for constraint in constraints:
                 if isinstance(constraint, Cmp) and constraint.op == "eq":
                     sym, value = self._as_sym_const(constraint)
                     if sym is not None and sym.name not in units:
                         units[sym.name] = value
-            new_units = {name: value for name, value in units.items() if name not in assignment}
-            if not new_units:
-                break
-            assignment.update(new_units)
-            substituted = [substitute(constraint, new_units) for constraint in current]
-            current = self._flatten(substituted)
-            if current is None:
+            units = {name: value for name, value in units.items() if name not in assignment}
+            if not units:
+                return constraints
+            assignment.update(units)
+            flat = self._flatten([substitute(constraint, units) for constraint in constraints])
+            if flat is None:
                 return None
-            changed = True
-        return current
+            constraints = flat
 
     @staticmethod
     def _as_sym_const(constraint: Cmp) -> Tuple[Optional[Sym], int]:
@@ -481,30 +322,10 @@ class Solver:
         )
         budget = [self.MAX_SEARCH_NODES]
 
-        def propagate(
-            remaining: List[BV], partial: Dict[str, int]
-        ) -> Optional[List[BV]]:
-            """Apply exposed sym == const units; None on contradiction."""
-            while True:
-                units: Dict[str, int] = {}
-                for constraint in remaining:
-                    if isinstance(constraint, Cmp) and constraint.op == "eq":
-                        sym, value = self._as_sym_const(constraint)
-                        if sym is not None and sym.name not in partial and sym.name not in units:
-                            units[sym.name] = value
-                if not units:
-                    return remaining
-                partial.update(units)
-                flat = self._flatten([substitute(constraint, units) for constraint in remaining])
-                if flat is None:
-                    return None
-                remaining = flat
-
         def recurse(remaining: List[BV], partial: Dict[str, int]) -> Optional[Dict[str, int]]:
             if budget[0] <= 0:
                 return None
-            partial = dict(partial)
-            propagated = propagate(remaining, partial)
+            propagated = self._unit_propagate(remaining, partial)
             if propagated is None:
                 return None
             remaining = propagated
@@ -517,16 +338,13 @@ class Solver:
                 return None
             for value in candidates[name]:
                 budget[0] -= 1
-                self.stats.search_nodes += 1
                 if budget[0] <= 0:
                     return None
                 substituted = [substitute(constraint, {name: value}) for constraint in remaining]
                 flat = self._flatten(substituted)
                 if flat is None:
                     continue
-                next_partial = dict(partial)
-                next_partial[name] = value
-                found = recurse(flat, next_partial)
+                found = recurse(flat, {**partial, name: value})
                 if found is not None:
                     return found
             return None

@@ -26,9 +26,13 @@ from repro.sym.expr import BV, Const, Sym, concat, extract, zext
 from repro.sym.paths import CallRecord
 from repro.sym.simplify import simplify
 
-__all__ = ["Frame", "SymbolicAddressError", "SymbolicMemory", "SymbolicState"]
+__all__ = ["Frame", "SymbolicAddressError", "SymbolicMemory", "SymbolicState", "UNCHECKED"]
 
 WORD_BITS = 64
+
+#: :attr:`SymbolicState.witness` while no feasibility check has answered
+#: the current path condition.
+UNCHECKED = object()
 
 
 class SymbolicAddressError(RuntimeError):
@@ -113,6 +117,9 @@ class SymbolicState:
     steps: int = 0
     returned: Optional[BV] = None
     finished: bool = False
+    #: The model the solver gave for exactly :attr:`path_condition` (None
+    #: when it answered UNKNOWN), or :data:`UNCHECKED`.
+    witness: object = UNCHECKED
 
     # ------------------------------------------------------------------ #
     # Register file (top frame)
@@ -136,11 +143,15 @@ class SymbolicState:
     # Path condition and memory
     # ------------------------------------------------------------------ #
     def assume(self, constraint: BV) -> None:
-        """Conjoin ``constraint`` to the path condition (tautologies dropped)."""
+        """Conjoin ``constraint`` to the path condition (tautologies dropped).
+
+        A grown path condition has no witness until it is checked again.
+        """
         if isinstance(constraint, Const):
             if constraint.value == 1:
                 return
         self.path_condition.append(constraint)
+        self.witness = UNCHECKED
 
     def concrete_addr(self, addr: BV) -> int:
         """Fold an address expression to a concrete value, or raise."""
@@ -172,4 +183,5 @@ class SymbolicState:
             steps=self.steps,
             returned=self.returned,
             finished=self.finished,
+            witness=self.witness,
         )

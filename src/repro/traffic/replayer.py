@@ -267,6 +267,19 @@ class Maxima:
             for model, (measured, predicted) in self.max_cycles_scaled.items()
         }
 
+    def to_json(self) -> Dict[str, object]:
+        """The aggregate's record in the ``BENCH_*.json`` report."""
+        return {
+            "packets": self.packets,
+            "violations": self.violations,
+            "max_measured": {str(m): v for m, v in self.max_measured.items()},
+            "max_predicted": {str(m): v for m, v in self.max_predicted.items()},
+            "max_cycles": {
+                model: {"measured": float(meas), "predicted": float(pred)}
+                for model, (meas, pred) in self.max_cycles.items()
+            },
+        }
+
 
 class ClassSummary(Maxima):
     """Aggregate over every packet that fell into one input class.
@@ -306,19 +319,10 @@ class ClassSummary(Maxima):
     def to_json(self) -> Dict[str, object]:
         """The class's record in the ``BENCH_*.json`` report.
 
-        ``cycle_tails`` appears only once :meth:`compute_tails` has filled
-        them.
+        ``cycle_tails`` follows the maxima only once :meth:`compute_tails`
+        has filled them.
         """
-        record: Dict[str, object] = {
-            "packets": self.packets,
-            "violations": self.violations,
-            "max_measured": {str(m): v for m, v in self.max_measured.items()},
-            "max_predicted": {str(m): v for m, v in self.max_predicted.items()},
-            "max_cycles": {
-                model: {"measured": float(meas), "predicted": float(pred)}
-                for model, (meas, pred) in self.max_cycles.items()
-            },
-        }
+        record = super().to_json()
         if self.cycle_tails:
             scale = self.cycle_scale
             record["cycle_tails"] = {

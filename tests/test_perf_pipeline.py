@@ -1,10 +1,11 @@
-"""The throughput pipeline: solver memoisation and compiled evaluators.
+"""The throughput pipeline: witness reuse and compiled evaluators.
 
-The performance layers must be invisible in the results: the memoising
-solver has to produce contracts identical to from-scratch solving, the
-compiled evaluators have to agree bit-for-bit with the interpreting
-``evaluate``, and the scaled-integer pricing has to agree exactly with
-the ``Fraction`` arithmetic it replaced.
+The performance layers must be invisible in the results: reusing each
+path's last feasibility model as its witness has to produce contracts
+identical to solving every final path condition again, the compiled
+evaluators have to agree bit-for-bit with the interpreting ``evaluate``,
+and the scaled-integer pricing has to agree exactly with the
+``Fraction`` arithmetic it replaced.
 """
 
 import math
@@ -17,12 +18,9 @@ import pytest
 from repro.core import PerfExpr
 from repro.hw import ConservativeModel, RealisticModel, SimulatedModel
 from repro.nf import NF_MATRIX
-from repro.nf.bridge import generate_bridge_contract
-from repro.nf.lb import generate_lb_contract
-from repro.nf.nat import generate_nat_contract
-from repro.nf.router import generate_router_contract
 from repro.nf.workloads import bridge_workloads
 from repro.sym import expr as E
+from repro.sym.engine import SymbolicEngine
 from repro.sym.expr import (
     Const,
     Sym,
@@ -31,66 +29,12 @@ from repro.sym.expr import (
     evaluate,
     render,
 )
-from repro.sym.solver import CheckResult, Solver
+from repro.sym.state import UNCHECKED
 
 
 # --------------------------------------------------------------------------- #
-# solver memoisation
+# witness reuse
 # --------------------------------------------------------------------------- #
-def test_exact_verdict_cache_answers_repeat_queries():
-    x = Sym("x", 16)
-    constraints = [E.ult(x, Const(10, 16))]
-    solver = Solver()
-    assert solver.check(constraints) is CheckResult.SAT
-    assert solver.check(constraints) is CheckResult.SAT
-    assert solver.stats.checks == 2
-    assert solver.stats.cache_hits == 1
-    assert solver.stats.cache_misses == 1
-
-
-def test_duplicate_conjuncts_are_dropped_before_solving():
-    x = Sym("x", 16)
-    shared = E.ult(x, Const(10, 16))
-    solver = Solver()
-    # One duplicate by node identity, one by canonical equality.
-    assert solver.check([shared, shared, E.ult(x, Const(10, 16))]) is CheckResult.SAT
-    assert solver.stats.dedup_dropped == 2
-
-
-def test_normal_forms_are_reused_by_node_identity():
-    x = Sym("x", 16)
-    shared = E.ult(E.add(x, Const(1, 16)), Const(10, 16))
-    solver = Solver()
-    solver.check([shared])
-    reused = solver.stats.simplify_reused
-    solver.check([shared])
-    assert solver.stats.simplify_reused > reused
-
-
-def test_cached_sat_models_are_reused():
-    x = Sym("x", 16)
-    constraints = [E.eq(x, Const(7, 16))]
-    solver = Solver()
-    assert solver.model(constraints) == {"x": 7}
-    assert solver.model(constraints) == {"x": 7}
-    assert solver.stats.cache_hits == 1
-
-
-def test_disabled_cache_keeps_counters_at_zero_and_verdicts_equal():
-    x = Sym("x", 16)
-    queries = [
-        [E.ult(x, Const(10, 16))],
-        [E.eq(x, Const(3, 16)), E.eq(x, Const(4, 16))],
-        [E.ult(x, Const(10, 16))],
-    ]
-    cached, uncached = Solver(), Solver()
-    for query in queries:
-        assert cached.check(query) is uncached._solve(query)[0]
-    assert uncached.stats.cache_hits == 0
-    assert uncached.stats.cache_misses == 0
-    assert cached.stats.cache_hits == 1
-
-
 def _contract_signature(contract):
     """Everything observable about a contract, in a comparable form."""
     signature = []
@@ -111,20 +55,22 @@ def _contract_signature(contract):
     return signature
 
 
-@pytest.mark.parametrize(
-    "generate",
-    [
-        generate_bridge_contract,
-        generate_router_contract,
-        generate_nat_contract,
-        generate_lb_contract,
-    ],
-)
-def test_contracts_identical_with_and_without_solver_cache(generate, monkeypatch):
-    with_cache = _contract_signature(generate())
-    monkeypatch.setattr(Solver, "_cached_solve", Solver._solve)
-    without_cache = _contract_signature(generate())
-    assert with_cache == without_cache
+@pytest.mark.parametrize("spec", [spec for spec, _ in NF_MATRIX], ids=lambda spec: spec.name)
+def test_witness_reuse_matches_re_solving_every_final_path_condition(spec, monkeypatch):
+    """Every path ends with its last branch check's model, which the
+    reference discards so that finalisation solves its condition again."""
+    reused = _contract_signature(spec.contract(**spec.bench))
+    finalise = SymbolicEngine._finalise
+    witnessed = []
+
+    def re_solving(self, state, function_name, pid):
+        witnessed.append(state.witness is not UNCHECKED)
+        state.witness = UNCHECKED
+        return finalise(self, state, function_name, pid)
+
+    monkeypatch.setattr(SymbolicEngine, "_finalise", re_solving)
+    assert _contract_signature(spec.contract(**spec.bench)) == reused
+    assert witnessed and all(witnessed)
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in NF_MATRIX], ids=lambda spec: spec.name)

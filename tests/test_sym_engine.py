@@ -11,6 +11,7 @@ from repro.sym.engine import (
     SymbolicModel,
 )
 from repro.sym.expr import Const, Sym
+from repro.sym.solver import Solver
 from repro.sym.state import SymbolicAddressError, SymbolicMemory
 
 
@@ -182,3 +183,68 @@ def test_max_paths_budget_enforced(monkeypatch):
     engine = SymbolicEngine(module)
     with pytest.raises(ExplorationLimit):
         engine.explore("f", [Sym(f"x{i}", 64) for i in range(5)])
+
+
+def _logged_queries(engine, monkeypatch):
+    """The conditions ``engine``'s solver is asked about, in query order."""
+    queries = []
+    solve = engine.solver.solve
+
+    def logged(constraints):
+        queries.append([E.render(constraint) for constraint in constraints])
+        return solve(constraints)
+
+    monkeypatch.setattr(engine.solver, "solve", logged)
+    return queries
+
+
+def test_a_condition_grown_after_the_last_branch_is_solved_once_more(monkeypatch):
+    """An extern's result constraint after the branch voids the branch's
+    model; finalisation solves the whole condition once."""
+
+    class AboveHundred(SymbolicModel):
+        def apply(self, decl, args, state, index):
+            value = self.fresh(decl, index)
+            return ModelOutcome(value=value, constraints=(E.ugt(value, Const(100, 64)),))
+
+    module = Module("m")
+    module.declare_extern("lookup", 0, returns_value=True)
+    b = FunctionBuilder("f", params=("x",))
+    b.br(b.ult(b.param("x"), 10), "small", "big")
+    b.block("small")
+    b.jmp("join")
+    b.block("big")
+    b.jmp("join")
+    b.block("join")
+    b.ret(b.call("lookup"))
+    module.add_function(b.build())
+    engine = SymbolicEngine(module, model=AboveHundred())
+    queries = _logged_queries(engine, monkeypatch)
+    paths = engine.explore("f", [Sym("x", 64)])
+    assert len(paths) == 2
+    # Both branch sides, then each path's whole condition exactly once.
+    assert len(queries) == 4
+    assert queries[2:] == [[E.render(c) for c in path.constraints] for path in paths]
+    for path in paths:
+        assert path.feasibility == "sat"
+        assert path.covers(path.model)
+        assert path.model["lookup#0"] > 100
+
+
+def test_an_unknown_side_is_kept_and_not_solved_again(monkeypatch):
+    monkeypatch.setattr(Solver, "MAX_SEARCH_NODES", 10)
+    monkeypatch.setattr(Solver, "RANDOM_TRIES", 5)
+    b = FunctionBuilder("f", params=("x",))
+    x = b.param("x")
+    b.br(b.eq(b.mul(x, x), 12345678987654321), "root", "other")
+    b.block("root")
+    b.ret(1)
+    b.block("other")
+    b.ret(0)
+    module = Module("m")
+    module.add_function(b.build())
+    engine = SymbolicEngine(module)
+    queries = _logged_queries(engine, monkeypatch)
+    paths = engine.explore("f", [Sym("x", 64)])
+    assert [path.feasibility for path in paths] == ["unknown", "sat"]
+    assert len(queries) == 2

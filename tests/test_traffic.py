@@ -18,8 +18,10 @@ from repro.nf.workloads import (
     bridge_workloads,
     colliding_keys,
     colliding_mac_keys,
+    monitor_scan_sweep,
     monitor_workloads,
     router_adversarial,
+    router_scan_sweep,
     router_workloads,
 )
 from repro.structures import ChainingHashMap
@@ -205,6 +207,14 @@ def test_router_and_monitor_streams_hold_one_stimulus_per_distinct_frame_and_not
         distinct = {(stimulus.packet, stimulus.note) for stimulus in stimuli}
         assert len({id(stimulus) for stimulus in stimuli}) == len(distinct), workload.name
         assert len(distinct) < len(stimuli), workload.name
+
+
+@pytest.mark.parametrize(
+    "factory", [router_scan_sweep, monitor_scan_sweep], ids=["router", "monitor"]
+)
+def test_scalar_free_sweeps_share_one_scalars_mapping(factory):
+    stimuli = factory(packets=2000).stimuli
+    assert len({id(stimulus.scalars) for stimulus in stimuli}) == 1
 
 
 def _load_tool(name):
