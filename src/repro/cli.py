@@ -20,7 +20,6 @@
     bound (and that no stream drives one past it), and writes the whole
     record — including each class's measured p50/p95/p99 cycle tails, as
     report-only data — to a ``BENCH_*.json`` CI archives as an artifact.
-    ``--models`` restricts the cycle pricing to named hardware models.
 
     The bench is throughput-grade: each (NF, workload) cell is an
     independent job whose stimuli are derived from a per-cell seed, so
@@ -258,19 +257,14 @@ def run_smoke() -> int:
 # --------------------------------------------------------------------------- #
 # bench: measured vs predicted under workloads and hardware models
 # --------------------------------------------------------------------------- #
-def _bench_models(names: Optional[Sequence[str]] = None) -> List[CycleModel]:
+def _bench_models() -> List[CycleModel]:
     """Fresh hardware-model instances for one bench cell (or gate run).
 
     Fresh per call because the simulated model carries cache state: a
     shared instance would leak one cell's working set into the next cell
-    and break the report's worker-count bit-identity.  ``names`` filters
-    the set (the ``--models`` flag); ``None`` means all three.
+    and break the report's worker-count bit-identity.
     """
-    models: List[CycleModel] = [ConservativeModel(), RealisticModel(), SimulatedModel()]
-    if names is None:
-        return models
-    selected = set(names)
-    return [model for model in models if model.name in selected]
+    return [ConservativeModel(), RealisticModel(), SimulatedModel()]
 
 
 def _cell_seed(seed: int, nf_name: str, workload_name: str) -> int:
@@ -283,11 +277,11 @@ def _cell_seed(seed: int, nf_name: str, workload_name: str) -> int:
     return zlib.crc32(f"{seed}:{nf_name}:{workload_name}".encode()) & 0x7FFFFFFF
 
 
-#: One bench cell's shipping form: ``(kind, name, workload, seed, packets,
-#: model_names)`` where ``kind`` is ``"nf"`` or ``"graph"``.  Specs hold
-#: closures and models hold cache state, so the pool ships plain tuples
-#: and each worker rebuilds the spec by name and its models fresh.
-BenchTask = Tuple[str, str, str, int, int, Tuple[str, ...]]
+#: One bench cell's shipping form: ``(kind, name, workload, seed, packets)``
+#: where ``kind`` is ``"nf"`` or ``"graph"``.  Specs hold closures and
+#: models hold cache state, so the pool ships plain tuples and each worker
+#: rebuilds the spec by name and its models fresh.
+BenchTask = Tuple[str, str, str, int, int]
 
 
 def _bench_cell(task: BenchTask) -> Dict[str, object]:
@@ -304,7 +298,7 @@ def _bench_cell(task: BenchTask) -> Dict[str, object]:
 
 def _nf_cell(task: BenchTask) -> Dict[str, object]:
     """Run one (NF, workload) bench cell."""
-    _, nf_name, workload_name, seed, packets, model_names = task
+    _, nf_name, workload_name, seed, packets = task
     spec, factory = next(row for row in NF_MATRIX if row[0].name == nf_name)
     contract = spec.contract(**spec.bench)
     workloads = factory(
@@ -312,7 +306,7 @@ def _nf_cell(task: BenchTask) -> Dict[str, object]:
     )
     workload = next(workload for workload in workloads if workload.name == workload_name)
     started = time.perf_counter()
-    result = Replayer(workload.harness, contract, models=_bench_models(model_names)).replay(
+    result = Replayer(workload.harness, contract, models=_bench_models()).replay(
         workload.stimuli, workload=workload.name
     )
     wall = max(time.perf_counter() - started, 1e-9)
@@ -356,12 +350,12 @@ def _graph_cell(task: BenchTask) -> Dict[str, object]:
     Violations (a hop exceeding its own contract) and missing per-hop
     class coverage both count as failures.
     """
-    _, graph_name, workload_name, seed, packets, model_names = task
+    _, graph_name, workload_name, seed, packets = task
     spec = next(spec for spec in GRAPH_MATRIX if spec.name == graph_name)
     workloads = spec.bench_workloads(_cell_seed(seed, graph_name, workload_name), packets)
     workload = next(workload for workload in workloads if workload.name == workload_name)
     started = time.perf_counter()
-    replayer = GraphReplayer(workload.graph, models=_bench_models(model_names))
+    replayer = GraphReplayer(workload.graph, models=_bench_models())
     result = replayer.replay(
         workload.stream, schedule=workload.schedule, workload=workload.name
     )
@@ -419,7 +413,6 @@ def run_bench(
     workers: Optional[int] = None,
     nfs: Optional[Sequence[str]] = None,
     graphs: Optional[Sequence[str]] = None,
-    models: Optional[Sequence[str]] = None,
 ) -> int:
     """Replay every NF and service graph; write the BENCH_*.json report.
 
@@ -427,18 +420,9 @@ def run_bench(
     ``--nf`` / ``--graph`` flags): naming either makes the run *partial*
     — only named rows of either kind execute, and the report records the
     filters so consumers can tell a partial artifact from a full one.
-    ``models`` (the ``--models`` flag) restricts the cycle pricing to
-    the named hardware models; counts are checked regardless.
     """
     started = time.perf_counter()
     workers = max(1, workers if workers is not None else os.cpu_count() or 1)
-    known_models = {model.name for model in _bench_models()}
-    unknown_models = sorted(set(models or ()) - known_models)
-    if unknown_models:
-        print(f"FAIL: unknown hardware models {unknown_models} (known: {sorted(known_models)})")
-        return 2
-    selected_models = _bench_models(models)
-    model_names = tuple(model.name for model in selected_models)
     unknown = sorted(set(nfs or ()) - {spec.name for spec, _ in NF_MATRIX})
     unknown += sorted(set(graphs or ()) - {spec.name for spec in GRAPH_MATRIX})
     if unknown:
@@ -454,12 +438,10 @@ def run_bench(
     # Cells are planned from the declared workload names; each cell
     # builds its own stream.
     tasks: List[BenchTask] = [
-        ("nf", spec.name, name, seed, packets, model_names)
-        for spec in nf_selected
-        for name in WORKLOAD_NAMES
+        ("nf", spec.name, name, seed, packets) for spec in nf_selected for name in WORKLOAD_NAMES
     ]
     tasks += [
-        ("graph", spec.name, name, seed, packets, model_names)
+        ("graph", spec.name, name, seed, packets)
         for spec in graph_selected
         for name in GRAPH_WORKLOAD_NAMES
     ]
@@ -467,18 +449,15 @@ def run_bench(
         print("FAIL: the --nf/--graph filters selected no bench rows")
         return 2
     cells = _run_cells(tasks, workers)
+    models = _bench_models()
 
     report: Dict[str, object] = {
         "schema": "repro-bench/1",
         "command": "python -m repro.cli bench",
         "seed": seed,
         "packets_per_workload": packets,
-        "filters": {
-            "nfs": sorted(nfs or ()),
-            "graphs": sorted(graphs or ()),
-            "models": sorted(models or ()),
-        },
-        "hw_models": {model.name: model_to_json(model) for model in selected_models},
+        "filters": {"nfs": sorted(nfs or ()), "graphs": sorted(graphs or ())},
+        "hw_models": {model.name: model_to_json(model) for model in models},
         "nfs": {},
         "graphs": {},
     }
@@ -508,7 +487,7 @@ def run_bench(
         failures += nf_failures
         # Show what the hardware models make of the contract, distilled.
         structures = spec.structures(**spec.bench)
-        for model in selected_models:
+        for model in models:
             distilled = Distiller(contract).distill_cycles(model, structures=structures)
             print()
             print(distilled.render())
@@ -585,9 +564,8 @@ def run_graph(
     for spec in specs:
         _section(spec.title)
         record: Dict[str, object] = {}
-        model_names = tuple(model.name for model in _bench_models())
         for name in GRAPH_WORKLOAD_NAMES:
-            cell = _graph_cell(("graph", spec.name, name, seed, packets, model_names))
+            cell = _graph_cell(("graph", spec.name, name, seed, packets))
             print(cell["text"])
             churn = cell["payload"]["churn"]  # type: ignore[index]
             for line in churn["log"][:8]:
@@ -794,13 +772,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="NAME",
         help="bench only this service graph (repeatable; makes the report partial)",
     )
-    bench.add_argument(
-        "--models",
-        action="append",
-        metavar="NAME",
-        help="price cycles only under this hardware model (repeatable; "
-        "default: conservative, realistic and simulated)",
-    )
     graph = sub.add_parser(
         "graph", help="end-to-end service-graph replay with mid-stream churn"
     )
@@ -859,7 +830,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers,
             nfs=args.nf,
             graphs=args.graph,
-            models=args.models,
         )
     if args.command == "graph":
         return run_graph(

@@ -29,7 +29,6 @@ from repro.net.replay import (
     GraphPacketOutcome,
     GraphReplayResult,
     GraphReplayer,
-    RouteSummary,
 )
 from repro.net.workloads import (
     GraphWorkload,
@@ -53,7 +52,6 @@ __all__ = [
     "GraphWorkload",
     "Link",
     "Node",
-    "RouteSummary",
     "backend_add",
     "backend_remove",
     "expiry_jump",

@@ -17,16 +17,21 @@ expression is never evaluated.  A composed entry is the sum of its hops'
 entries; graph validation keeps the hops' instance-qualified PCVs
 disjoint and the routes acyclic, so at the merged PCVs the entry equals
 the sum of the hop bounds, and each hop's measurement meets its own
-bound exactly.  A route row is therefore the sum of its hop outcomes:
-measured and predicted counts, and measured and predicted cycles summed
-as integers at one graph-wide scale (the LCM of the hop replayers'
-scales), so no ``Fraction`` is built before a report is rendered.
+bound exactly.  A packet's route values are therefore the sum of its hop
+outcomes, derived from the hops when read: measured and predicted
+counts, and measured and predicted cycles summed as integers at one
+graph-wide scale (the LCM of the hop replayers' scales), so no
+``Fraction`` is built before a report is rendered.  A route row is a
+:class:`~repro.traffic.replayer.ClassSummary` over those packets.
 
 Hop outcomes share their replayer's interned PCV mappings, predictions
 and measurements (see :mod:`repro.traffic.replayer`), and one replay call
-shares one name per distinct route and one tuple per distinct route sum,
-so what a replay keeps grows with distinct values rather than packets;
-the graph-wide ``max_pcvs`` folds each distinct binding once.
+shares one name per distinct route, so what a replay keeps grows with
+distinct values rather than packets.  Each node files its hop outcomes
+through its own :class:`~repro.traffic.replayer.Filing`, which folds each
+distinct binding once into that node's PCV maxima; graph validation
+keeps instance names disjoint, so the graph-wide ``max_pcvs`` is their
+union.
 
 Churn (:mod:`repro.net.churn`) interleaves with the stream: events fire
 between packets, injected control frames are scored at their node like
@@ -39,19 +44,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.composition import route_class_name
-from repro.core.contract import Metric, PerformanceContract
-from repro.core.report import format_table
+from repro.core.contract import PerformanceContract
 from repro.hw.model import CycleModel
 from repro.net.churn import ChurnSchedule
 from repro.net.graph import Graph
-from repro.traffic.replayer import ClassSummary, Maxima, PacketOutcome, Replayer, Scored
+from repro.traffic.replayer import ClassSummary, Filing, PacketOutcome, Replayer, Scored, row_table
 
-__all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer", "RouteSummary"]
+__all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer"]
 
 
 #: The ``scalars`` of a frame built without any: read-only, so all share it.
@@ -74,10 +77,11 @@ class GraphFrame:
 class GraphPacketOutcome(Scored):
     """One packet's full journey: its hop outcomes and their sums.
 
-    ``measured_values`` and ``predicted_values`` sum the hops' values (see
-    :class:`~repro.traffic.replayer.Scored`), cycles at the graph-wide
-    ``cycle_scale``; :attr:`cycles` converts them to ``Fraction`` on demand.
-    Outcomes of one replay with an equal sum or route share one object.
+    ``measured_values`` and ``predicted_values`` sum the hops' values when
+    read (see :class:`~repro.traffic.replayer.Scored`), each hop's cycles
+    brought to the graph-wide ``cycle_scale``; :attr:`cycles` converts
+    them to ``Fraction`` on demand.  Outcomes of one replay on the same
+    route share its name.
     """
 
     index: int
@@ -87,8 +91,6 @@ class GraphPacketOutcome(Scored):
     #: Composed-entry name of the traversed route (None when a hop failed
     #: to classify, so the packet took no route).
     route_name: Optional[str]
-    measured_values: Tuple[int, ...]
-    predicted_values: Tuple[int, ...]
     models: Tuple[str, ...]
     #: Every per-hop violation of this packet, prefixed with the node name.
     violations: Tuple[str, ...]
@@ -98,17 +100,23 @@ class GraphPacketOutcome(Scored):
     def hop_count(self) -> int:
         return len(self.hops)
 
+    @property
+    def measured_values(self) -> Tuple[int, ...]:
+        return self._route_sum(predicted=False)
 
-class RouteSummary(Maxima):
-    """Aggregate over every packet that traversed one route.
+    @property
+    def predicted_values(self) -> Tuple[int, ...]:
+        return self._route_sum(predicted=True)
 
-    Cycle maxima stay scaled integers (units of ``1/cycle_scale``) until a
-    report converts them through :attr:`max_cycles`.
-    """
-
-    def __init__(self, route_name: str) -> None:
-        super().__init__()
-        self.route_name = route_name
+    def _route_sum(self, *, predicted: bool) -> Tuple[int, ...]:
+        """The hops' measured or predicted values, summed column by column."""
+        sums = [0] * (2 + len(self.models))
+        for _, hop in self.hops:
+            factor = self.cycle_scale // hop.cycle_scale
+            values = hop.predicted_values if predicted else hop.measured_values
+            for k, value in enumerate(values):
+                sums[k] += value if k < 2 else value * factor
+        return tuple(sums)
 
 
 @dataclass
@@ -123,8 +131,8 @@ class GraphReplayResult:
     #: node name -> input class -> per-hop aggregate (includes injected
     #: control executions at their node).
     hop_summaries: Dict[str, Dict[str, ClassSummary]]
-    #: composed route name -> aggregate of the summed hop outcomes.
-    route_summaries: Dict[str, RouteSummary]
+    #: composed route name -> aggregate of the packets that took it.
+    route_summaries: Dict[str, ClassSummary]
     #: Human-readable record of every churn event, in firing order.
     churn_log: List[str]
     #: Largest observation of each instance-qualified PCV, graph-wide.
@@ -159,39 +167,19 @@ class GraphReplayResult:
 
     def table(self) -> str:
         """Render the per-route summary table."""
-        models = sorted(
-            {model for s in self.route_summaries.values() for model in s.max_cycles}
-        )
-        headers = ["route", "packets", "instr max meas≤pred", "mem max meas≤pred"]
-        headers += [f"{model} cycles" for model in models]
-        rows: List[List[str]] = []
-        for name in sorted(self.route_summaries):
-            summary = self.route_summaries[name]
-            row = [name, str(summary.packets)]
-            for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
-                row.append(
-                    f"{summary.max_measured.get(metric, 0)} ≤ "
-                    f"{summary.max_predicted.get(metric, 0)}"
-                )
-            for model in models:
-                measured, predicted = summary.max_cycles.get(
-                    model, (Fraction(0), Fraction(0))
-                )
-                row.append(f"{float(measured):.0f} ≤ {float(predicted):.0f}")
-            rows.append(row)
         title = (
             f"{self.graph_name} / {self.workload}: {self.packets} packets, "
             f"{self.hop_executions} hop executions, "
             f"{len(self.churn_log)} churn events, "
         )
         title += "no violations" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        lines = [title, format_table(headers, rows)]
         coverage = "; ".join(
             f"{node}: {', '.join(classes)}"
             for node, classes in sorted(self.hop_classes_seen().items())
         )
-        lines.append(f"per-hop coverage — {coverage}")
-        return "\n".join(lines)
+        return "\n".join(
+            [title, row_table("route", self.route_summaries), f"per-hop coverage — {coverage}"]
+        )
 
     def to_json(self) -> Dict[str, object]:
         """Serialise for the ``BENCH_*.json`` report."""
@@ -227,21 +215,9 @@ class GraphReplayer:
             name: Replayer(node.harness, node.contract, models=models)
             for name, node in graph.nodes.items()
         }
-        #: Every PCV the hops' contracts use, at zero: where a replay's
-        #: maxima start.  These are :attr:`composed`'s PCVs too (each
-        #: composed entry sums node entries), read without composing.
-        self._zero_pcvs = {
-            name: 0 for node in graph.nodes.values() for name in node.contract.variables()
-        }
         #: The scale hop cycles are summed at: the LCM of the hop replayers'
         #: scales, so each hop's scaled cycles convert by an integer factor.
         self.cycle_scale = math.lcm(1, *(r.cycle_scale for r in self.replayers.values()))
-        #: node name -> what each of a hop's ``(instructions, memory
-        #: accesses, *cycles)`` is multiplied by before it joins the sums.
-        self._hop_factors = {
-            name: (1, 1, *[self.cycle_scale // replayer.cycle_scale] * len(self.models))
-            for name, replayer in self.replayers.items()
-        }
 
     @functools.cached_property
     def composed(self) -> PerformanceContract:
@@ -270,35 +246,12 @@ class GraphReplayer:
         schedule = schedule if schedule is not None else ChurnSchedule()
         outcomes: List[GraphPacketOutcome] = []
         control_outcomes: List[Tuple[str, PacketOutcome]] = []
-        hop_summaries: Dict[str, Dict[str, ClassSummary]] = {}
-        route_summaries: Dict[str, RouteSummary] = {}
+        filings = {name: Filing(replayer) for name, replayer in self.replayers.items()}
+        route_summaries: Dict[str, ClassSummary] = {}
         churn_log: List[str] = []
-        max_pcvs: Dict[str, int] = dict(self._zero_pcvs)
-        folded: Set[int] = set()
-        # Each distinct route's name, and each distinct route sum, built once.
+        # Each distinct route's name, built once.
         route_names: Dict[Tuple[Tuple[str, Optional[str]], ...], str] = {}
-        sums: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-
-        hop_factors = self._hop_factors
         model_names = tuple(model.name for model in self.models)
-        width = 2 + len(model_names)
-
-        def absorb_hop(node: str, outcome: PacketOutcome) -> None:
-            key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
-            classes = hop_summaries.get(node)
-            if classes is None:
-                classes = hop_summaries[node] = {}
-            summary = classes.get(key)
-            if summary is None:
-                summary = classes[key] = ClassSummary(key)
-            summary.absorb(outcome)
-            pcvs = outcome.pcvs
-            if id(pcvs) not in folded:
-                # Hop outcomes share one mapping per binding: fold it once.
-                folded.add(id(pcvs))
-                for name, value in pcvs.items():
-                    if value > max_pcvs.get(name, 0):
-                        max_pcvs[name] = value
 
         clock_offset = 0
         for index, frame in enumerate(stream):
@@ -311,7 +264,7 @@ class GraphReplayer:
                     stimulus = event.inject(frame.time + clock_offset)
                     outcome = self.replayers[event.node].score(stimulus, index)
                     control_outcomes.append((event.node, outcome))
-                    absorb_hop(event.node, outcome)
+                    filings[event.node].file(outcome)
                 churn_log.append(f"@{index}: {event.describe}")
 
             # copy(), not dict(): dict() of the shared empty mappingproxy is several times slower.
@@ -327,22 +280,13 @@ class GraphReplayer:
                 stimulus = node.make_stimulus(packet, meta)
                 outcome = self.replayers[node_name].score(stimulus, index)
                 hops.append((node_name, outcome))
-                absorb_hop(node_name, outcome)
+                filings[node_name].file(outcome)
                 violations.extend(f"{node_name}: {m}" for m in outcome.violations)
                 if outcome.class_name is None:
                     classified = False
                     break
                 packet = node.harness.last_packet
                 node_name = self.graph.next_hop(node_name, outcome.class_name)
-
-            measured = [0] * width
-            predicted = [0] * width
-            for node_name, hop_outcome in hops:
-                factors = hop_factors[node_name]
-                for k, value in enumerate(hop_outcome.measured_values):
-                    measured[k] += value * factors[k]
-                for k, value in enumerate(hop_outcome.predicted_values):
-                    predicted[k] += value * factors[k]
 
             route_name: Optional[str] = None
             if classified:
@@ -351,34 +295,34 @@ class GraphReplayer:
                 if route_name is None:
                     route_name = route_class_name(route)  # type: ignore[arg-type]
                     route_names[route] = route_name
-            measured_sum = tuple(measured)
-            predicted_sum = tuple(predicted)
 
             graph_outcome = GraphPacketOutcome(
                 index,
                 frame.note,
                 tuple(hops),
                 route_name,
-                sums.setdefault(measured_sum, measured_sum),
-                sums.setdefault(predicted_sum, predicted_sum),
                 model_names,
                 tuple(violations),
                 self.cycle_scale,
             )
             outcomes.append(graph_outcome)
             if route_name is not None:
-                summary = route_summaries.get(route_name)
-                if summary is None:
-                    summary = route_summaries[route_name] = RouteSummary(route_name)
-                summary.absorb(graph_outcome)
+                row = route_summaries.get(route_name)
+                if row is None:
+                    row = route_summaries[route_name] = ClassSummary(route_name)
+                row.absorb(graph_outcome)
 
         return GraphReplayResult(
             graph_name=self.graph.name,
             workload=workload,
             outcomes=outcomes,
             control_outcomes=control_outcomes,
-            hop_summaries=hop_summaries,
+            hop_summaries={node: filing.rows for node, filing in filings.items() if filing.rows},
             route_summaries=route_summaries,
             churn_log=churn_log,
-            max_pcvs=max_pcvs,
+            max_pcvs={
+                name: value
+                for filing in filings.values()
+                for name, value in filing.max_pcvs.items()
+            },
         )

@@ -290,11 +290,12 @@ class Structure(ExternHandler):
         touch order, usually built with :meth:`slot_addr`) for the cache
         simulator: a sequence, never ``None``, which handlers build only
         while :attr:`record_accesses` is on.  Then the reported tuple is
-        normalised to exactly the formula's access count: extra entries
-        are dropped, and the remainder is padded with :attr:`heap_base`
-        (the instance's header word — a realistic stand-in for the
-        bookkeeping accesses the cost formula charges but the handler
-        does not enumerate).  While it is off, ``accesses`` is ``()``:
+        exactly the formula's access count: the remainder past ``touched``
+        is padded with :attr:`heap_base` (the instance's header word — a
+        realistic stand-in for the bookkeeping accesses the cost formula
+        charges but the handler does not enumerate), and more addresses
+        than the count raise ``ValueError``, since the formula would then
+        undercharge the call.  While it is off, ``accesses`` is ``()``:
         counts only.
         """
         compiled = self._charges.get(method)
@@ -309,12 +310,13 @@ class Structure(ExternHandler):
         """``(PCV symbols, program(value, discount, touched, pcvs, record))`` of one op.
 
         The program evaluates the formulas' ceilings, checks the discount,
-        normalises ``touched`` when ``record`` is on, and builds the result
+        checks and pads ``touched`` when ``record`` is on, and builds the result
         with the qualified PCV mapping written as a literal.
         """
         op = self.op(method)
         local = {symbol: f"p{k}" for k, symbol in enumerate(op.pcvs)}
         binding = ", ".join(f"{self.pcv_name(symbol)!r}: {name}" for symbol, name in local.items())
+        where = f"{self.name}.charge({method!r}) recorded "
         lines = [
             "def program(value, discount, touched, pcvs, record):",
             *(f"    {name} = pcvs[{symbol!r}]" for symbol, name in local.items()),
@@ -324,7 +326,10 @@ class Structure(ExternHandler):
             f"    count = {op.cost[Metric.MEMORY_ACCESSES].ceil_source(local.__getitem__)}",
             "    accesses = ()",
             "    if record:",
-            "        accesses = tuple(touched[:count])",
+            "        accesses = tuple(touched)",
+            "        if len(accesses) > count:",
+            f"            raise ValueError({where!r} f'{{len(accesses)}} addresses "
+            "but its formula charges {count}')",
             "        if len(accesses) < count:",
             f"            accesses += ({self.heap_base},) * (count - len(accesses))",
             "    return new(ExternResult, (value, instructions - discount, count, "

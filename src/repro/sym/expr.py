@@ -39,8 +39,6 @@ __all__ = [
     "bool_or",
     "bor",
     "bxor",
-    "compile_conjunction",
-    "compile_evaluator",
     "compile_first_match",
     "concat",
     "const",
@@ -291,10 +289,11 @@ def binop(op: str, a: BV, b: BV) -> BV:
                 return a
         if op == "udiv" and bval == 1:
             return a
-    if op == "sub" and a is b:
-        return Const(0, width)
-    if op == "xor" and a is b:
-        return Const(0, width)
+    if a is b:
+        if op in ("sub", "xor"):
+            return Const(0, width)
+        if op in ("and", "or"):
+            return a
     return BinOp(op, a, b, width)
 
 
@@ -594,27 +593,21 @@ def free_symbols(expr: BV) -> Dict[str, int]:
 # --------------------------------------------------------------------------- #
 # ``evaluate`` re-walks the expression tree per call; replaying 10^4+
 # packets against the same contract makes that the dominant cost.  The
-# compilers below translate a tree once into straight-line Python (one
-# local per distinct node, so shared subtrees are computed once) and hand
-# back a closure whose semantics match ``evaluate`` bit for bit —
-# including truncation at every node, division-by-zero results, and
-# missing symbols defaulting to 0.
-
-
-def _read_env(name: str) -> str:
-    return f"env.get({name!r}, 0)"
+# compiler below translates the trees once into straight-line Python (one
+# local per distinct node, so shared subtrees are computed once) whose
+# semantics match ``evaluate`` bit for bit — including truncation at every
+# node, division-by-zero results, and missing symbols defaulting to 0.
 
 
 class _Codegen:
-    """Shared code emitter for :func:`compile_evaluator` and friends.
+    """Code emitter for :func:`compile_first_match`.
 
     Each symbol is read once, masked to its width as :func:`evaluate`
     does, by a line of :attr:`reads` that runs before any other:
-    ``read(name)`` gives the source of its value, ``env.get(name, 0)`` by
-    default.
+    ``read(name)`` gives the source of its value.
     """
 
-    def __init__(self, read: Callable[[str], str] = _read_env) -> None:
+    def __init__(self, read: Callable[[str], str]) -> None:
         self.lines: list[str] = []
         self.names: Dict[int, str] = {}
         self.read = read
@@ -681,39 +674,12 @@ class _Codegen:
         for constraint in constraints:
             self.lines.append(f"if {self.walk(constraint)} != 1: {fail}")
 
-    def build(
-        self, body: Sequence[str], name: str, params: str = "env", prologue: Sequence[str] = ()
-    ):
+    def build(self, body: Sequence[str], name: str, params: str, prologue: Sequence[str]):
         lines = [f"def {name}({params}):"]
         lines += [f"    {line}" for line in (*prologue, *self.reads, *self.lines, *body)]
         namespace: Dict[str, object] = {}
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
         return namespace[name]
-
-
-def compile_evaluator(expr: BV):
-    """Compile ``expr`` into ``f(env) -> int`` equivalent to :func:`evaluate`.
-
-    The returned closure accepts any mapping from symbol name to int
-    (missing symbols read as 0, exactly like :func:`evaluate`) and is an
-    order of magnitude faster on repeated calls, which is what the
-    traffic replayer needs.
-    """
-    gen = _Codegen()
-    result = gen.walk(expr)
-    return gen.build([f"return {result}"], "_compiled_evaluator")
-
-
-def compile_conjunction(constraints: Sequence[BV]):
-    """Compile constraints into ``f(env) -> bool``: all evaluate to 1.
-
-    Equivalent to ``all(evaluate(c, env) == 1 for c in constraints)`` (the
-    :meth:`repro.sym.paths.Path.covers` loop), with shared subtrees
-    computed once and later constraints skipped after the first failure.
-    """
-    gen = _Codegen()
-    gen.conjunction(constraints, "return False")
-    return gen.build(["return True"], "_compiled_conjunction")
 
 
 def compile_first_match(
@@ -726,11 +692,11 @@ def compile_first_match(
     """Compile ``f(params) -> int | None``: the first conjunction that holds.
 
     The function returns the index of the first conjunction whose
-    constraints all evaluate to 1 — what :func:`compile_conjunction` would
-    find trying each in order — in one call: each conjunction is a block
-    that exits at its first failing constraint, with its shared subtrees
-    computed once.  ``read(name)`` gives the source of symbol ``name``'s
-    value over ``params``; the ``prologue`` lines run before the reads.
+    constraints all :func:`evaluate` to 1 (an empty one always holds), in
+    one call: each conjunction is a block that exits at its first failing
+    constraint, with its shared subtrees computed once.  ``read(name)``
+    gives the source of symbol ``name``'s value over ``params``; the
+    ``prologue`` lines run before the reads.
     """
     gen = _Codegen(read)
     for index, constraints in enumerate(conjunctions):

@@ -182,15 +182,47 @@ class Solver:
     def _intervals(
         self, constraints: Sequence[BV], symbols: Mapping[str, int]
     ) -> Optional[Dict[str, _Interval]]:
-        """Derive per-symbol intervals from comparisons against constants."""
+        """Derive per-symbol intervals from comparisons against constants.
+
+        None when they leave a symbol no value, or when a term is compared
+        with a constant it can never reach (see :meth:`_out_of_reach`).
+        """
         intervals = {name: _Interval(0, E.mask(width)) for name, width in symbols.items()}
         for constraint in constraints:
             if isinstance(constraint, Cmp):
+                if self._out_of_reach(constraint):
+                    return None
                 self._narrow(intervals, constraint)
         for interval in intervals.values():
             if interval.is_empty():
                 return None
         return intervals
+
+    @staticmethod
+    def _upper_bound(term: BV) -> int:
+        """The largest unsigned value ``term`` can take, as far as ``and`` shows it.
+
+        ``t and C`` is at most ``C``, also through nested ``and``; any
+        other term is bounded by its width.
+        """
+        if isinstance(term, Const):
+            return term.value
+        if isinstance(term, BinOp) and term.op == "and":
+            return min(Solver._upper_bound(term.a), Solver._upper_bound(term.b))
+        return E.mask(term.width)
+
+    @staticmethod
+    def _out_of_reach(constraint: Cmp) -> bool:
+        """Whether ``constraint`` asks a term to reach a constant above its upper bound."""
+        term, bound, op = constraint.a, constraint.b, constraint.op
+        if isinstance(term, Const):
+            term, bound, op = bound, term, CMP_OPS[op].swapped
+        if isinstance(term, Const) or not isinstance(bound, Const):
+            return False
+        most = Solver._upper_bound(term)
+        return (op == "ugt" and most <= bound.value) or (
+            op in ("uge", "eq") and most < bound.value
+        )
 
     @staticmethod
     def _narrow(intervals: Dict[str, _Interval], constraint: Cmp) -> None:

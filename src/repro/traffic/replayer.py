@@ -84,14 +84,16 @@ from repro.traffic.generators import Stimulus
 
 __all__ = [
     "ClassSummary",
+    "Filing",
     "NFTarget",
     "PacketOutcome",
     "Replayer",
     "ReplayResult",
     "TAIL_PERCENTILES",
+    "row_table",
 ]
 
-#: The percentiles of the measured per-class cycle tails in the report.
+#: The percentiles of each report row's measured cycle tails.
 TAIL_PERCENTILES = (50, 95, 99)
 
 
@@ -197,19 +199,29 @@ class PacketOutcome(Scored):
     cycle_scale: int
 
 
-class Maxima:
-    """The largest measured and predicted values of the outcomes absorbed.
+class ClassSummary:
+    """One report row: every outcome filed under one class.
 
-    Absorbing an outcome keeps it; the maxima are taken column by column,
-    starting from 0, when first asked for after it.  Every outcome one
-    aggregate absorbs comes from one replayer — all classified or all
-    not — so all share its models, scale and value layout.  Maxima stay
-    scaled integers until :attr:`max_cycles` converts them for a report.
+    The class is an NF input class, a graph hop's input class, or a
+    route, which is a class of the composed contract.  Absorbing an
+    outcome keeps it; the column maxima (from 0) and each model's measured
+    cycle tails are derived together on the first read after an absorb.
+    Every outcome one row absorbs comes from one replayer — all classified
+    or all not — so all share its models, scale and value layout.  Values
+    stay scaled integers until :attr:`max_cycles` and :meth:`to_json`
+    convert them for a report.
+
+    Tails are nearest-rank percentiles over the row's complete observed
+    population, for the report only.  No envelope is checked: each packet
+    is already held to measured ≤ predicted, and pointwise dominance
+    implies dominance at every sorted rank, so a percentile check could
+    never fail on its own.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, class_name: str) -> None:
+        self.class_name = class_name
         self.outcomes: List[Scored] = []
-        self._maxima: Tuple[int, List[int], List[int]] = (0, [], [])
+        self._derived: Tuple[int, List[int], List[int], Dict[str, Dict[int, int]]] = (0, [], [], {})
 
     def absorb(self, outcome: Scored) -> None:
         self.outcomes.append(outcome)
@@ -231,45 +243,52 @@ class Maxima:
     def cycle_scale(self) -> int:
         return self.outcomes[-1].cycle_scale if self.outcomes else 1
 
-    def _columns(self) -> Tuple[List[int], List[int]]:
-        """Column maxima of the measured and the predicted values."""
+    def _derive(self) -> Tuple[int, List[int], List[int], Dict[str, Dict[int, int]]]:
+        """``(outcomes, measured maxima, predicted maxima, tails)`` over the absorbed outcomes."""
         outcomes = self.outcomes
-        if self._maxima[0] != len(outcomes):
-            self._maxima = (
+        if self._derived[0] != len(outcomes):
+            measured = list(zip(*(outcome.measured_values for outcome in outcomes)))
+            predicted = zip(*(outcome.predicted_values for outcome in outcomes))
+            tails: Dict[str, Dict[int, int]] = {}
+            for model, column in zip(self.models, measured[2:]):
+                ordered = sorted(column)
+                tails[model] = {p: _nearest_rank(ordered, p) for p in TAIL_PERCENTILES}
+            self._derived = (
                 len(outcomes),
-                [max(0, *column) for column in zip(*(o.measured_values for o in outcomes))],
-                [max(0, *column) for column in zip(*(o.predicted_values for o in outcomes))],
+                [max(0, *column) for column in measured],
+                [max(0, *column) for column in predicted],
+                tails,
             )
-        return self._maxima[1], self._maxima[2]
+        return self._derived
 
     @property
     def max_measured(self) -> Dict[Metric, int]:
-        return dict(zip(COUNT_METRICS, self._columns()[0]))
+        return dict(zip(COUNT_METRICS, self._derive()[1]))
 
     @property
     def max_predicted(self) -> Dict[Metric, int]:
-        return dict(zip(COUNT_METRICS, self._columns()[1]))
-
-    @property
-    def max_cycles_scaled(self) -> Dict[str, Tuple[int, int]]:
-        """model name -> (largest measured, largest predicted), scaled."""
-        measured, predicted = self._columns()
-        if not predicted:
-            return {}
-        return {model: (measured[k], predicted[k]) for k, model in enumerate(self.models, 2)}
+        return dict(zip(COUNT_METRICS, self._derive()[2]))
 
     @property
     def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
         """model name -> (largest measured, largest predicted) cycles."""
+        _, measured, predicted, _ = self._derive()
+        if not predicted:
+            return {}
         scale = self.cycle_scale
         return {
-            model: (Fraction(measured, scale), Fraction(predicted, scale))
-            for model, (measured, predicted) in self.max_cycles_scaled.items()
+            model: (Fraction(measured[k], scale), Fraction(predicted[k], scale))
+            for k, model in enumerate(self.models, 2)
         }
 
+    @property
+    def cycle_tails(self) -> Dict[str, Dict[int, int]]:
+        """model name -> {percentile: measured cycles} (scaled); empty without cycles."""
+        return self._derive()[3]
+
     def to_json(self) -> Dict[str, object]:
-        """The aggregate's record in the ``BENCH_*.json`` report."""
-        return {
+        """The row's record in the ``BENCH_*.json`` report."""
+        record: Dict[str, object] = {
             "packets": self.packets,
             "violations": self.violations,
             "max_measured": {str(m): v for m, v in self.max_measured.items()},
@@ -279,50 +298,6 @@ class Maxima:
                 for model, (meas, pred) in self.max_cycles.items()
             },
         }
-
-
-class ClassSummary(Maxima):
-    """Aggregate over every packet that fell into one input class.
-
-    Besides the maxima, it reports each model's measured per-packet cycle
-    tails.
-    """
-
-    def __init__(self, class_name: str) -> None:
-        super().__init__()
-        self.class_name = class_name
-        #: model name -> {percentile: measured value} (scaled), filled by
-        #: :meth:`compute_tails` once the class population is complete.
-        self.cycle_tails: Dict[str, Dict[int, int]] = {}
-
-    @property
-    def cycle_samples(self) -> Dict[str, List[int]]:
-        """model name -> measured per-packet cycle samples (scaled integers)."""
-        columns = list(zip(*(outcome.measured_values for outcome in self.outcomes)))
-        return {model: list(column) for model, column in zip(self.models, columns[2:])}
-
-    def compute_tails(self) -> None:
-        """Aggregate the measured per-packet samples into report-only tails.
-
-        Percentiles are nearest-rank over the class's complete observed
-        packet population.  No envelope is checked: each packet is already
-        held to measured ≤ predicted, and pointwise dominance implies
-        dominance at every sorted rank, so a percentile check could never
-        fail on its own.
-        """
-        for model, samples in self.cycle_samples.items():
-            ordered = sorted(samples)
-            self.cycle_tails[model] = {
-                p: _nearest_rank(ordered, p) for p in TAIL_PERCENTILES
-            }
-
-    def to_json(self) -> Dict[str, object]:
-        """The class's record in the ``BENCH_*.json`` report.
-
-        ``cycle_tails`` follows the maxima only once :meth:`compute_tails`
-        has filled them.
-        """
-        record = super().to_json()
         if self.cycle_tails:
             scale = self.cycle_scale
             record["cycle_tails"] = {
@@ -333,6 +308,24 @@ class ClassSummary(Maxima):
                 for model, tails in self.cycle_tails.items()
             }
         return record
+
+
+def row_table(label: str, rows: Mapping[str, ClassSummary]) -> str:
+    """The measured-vs-predicted table of ``rows``, in name order under ``label``."""
+    models = sorted({model for row in rows.values() for model in row.max_cycles})
+    headers = [label, "packets", "instr max meas≤pred", "mem max meas≤pred"]
+    headers += [f"{model} cycles" for model in models]
+    lines: List[List[str]] = []
+    for name in sorted(rows):
+        row = rows[name]
+        measured, predicted, cycles = row.max_measured, row.max_predicted, row.max_cycles
+        line = [name, str(row.packets)]
+        line += [f"{measured.get(m, 0)} ≤ {predicted.get(m, 0)}" for m in COUNT_METRICS]
+        for model in models:
+            meas, pred = cycles.get(model, (Fraction(0), Fraction(0)))
+            line.append(f"{float(meas):.0f} ≤ {float(pred):.0f}")
+        lines.append(line)
+    return format_table(headers, lines)
 
 
 @dataclass
@@ -365,25 +358,9 @@ class ReplayResult:
 
     def table(self) -> str:
         """Render the per-class measured-vs-predicted summary table."""
-        models = sorted({model for s in self.summaries.values() for model in s.max_cycles})
-        headers = ["input class", "packets", "instr max meas≤pred", "mem max meas≤pred"]
-        headers += [f"{model} cycles" for model in models]
-        rows: List[List[str]] = []
-        for name in sorted(self.summaries):
-            summary = self.summaries[name]
-            row = [name, str(summary.packets)]
-            for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
-                row.append(
-                    f"{summary.max_measured.get(metric, 0)} ≤ "
-                    f"{summary.max_predicted.get(metric, 0)}"
-                )
-            for model in models:
-                measured, predicted = summary.max_cycles.get(model, (Fraction(0), Fraction(0)))
-                row.append(f"{float(measured):.0f} ≤ {float(predicted):.0f}")
-            rows.append(row)
         title = f"{self.nf_name} / {self.workload}: {self.packets} packets, "
         title += "no violations" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        return title + "\n" + format_table(headers, rows)
+        return title + "\n" + row_table("input class", self.summaries)
 
     def to_json(self) -> Dict[str, object]:
         """Serialise for the ``BENCH_*.json`` report."""
@@ -648,32 +625,50 @@ class Replayer:
     def replay(self, stimuli: Iterable[Stimulus], *, workload: str = "workload") -> ReplayResult:
         """Run every stimulus; never raises on a violation — records it."""
         outcomes: List[PacketOutcome] = []
-        summaries: Dict[str, ClassSummary] = {}
-        max_pcvs: Dict[str, int] = dict(self._zero_pcvs)
-        folded: Set[int] = set()
+        filing = Filing(self)
+        file = filing.file
         score = self.score
         for index, stimulus in enumerate(stimuli):
             outcome = score(stimulus, index)
-            pcvs = outcome.pcvs
-            if id(pcvs) not in folded:
-                # Outcomes share one mapping per binding: fold it once.
-                folded.add(id(pcvs))
-                for name, value in pcvs.items():
-                    if value > max_pcvs.get(name, 0):
-                        max_pcvs[name] = value
             outcomes.append(outcome)
-            key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
-            summary = summaries.get(key)
-            if summary is None:
-                summary = summaries[key] = ClassSummary(key)
-            summary.absorb(outcome)
-        for summary in summaries.values():
-            summary.compute_tails()
+            file(outcome)
         return ReplayResult(
             nf_name=self.harness.name,
             workload=workload,
             outcomes=outcomes,
-            summaries=summaries,
-            max_pcvs=max_pcvs,
+            summaries=filing.rows,
+            max_pcvs=filing.max_pcvs,
             envelopes=dict(self._envelopes),
         )
+
+
+class Filing:
+    """Where one replay files the outcomes of one replayer.
+
+    Each outcome goes under the row of its input class (``<unclassified>``
+    when no entry covers it).  ``max_pcvs`` starts from every PCV the
+    replayer's contract uses, at zero, and folds each distinct binding
+    once: the replayer's outcomes share one mapping per binding.
+    """
+
+    __slots__ = ("rows", "max_pcvs", "_folded")
+
+    def __init__(self, replayer: Replayer) -> None:
+        self.rows: Dict[str, ClassSummary] = {}
+        self.max_pcvs: Dict[str, int] = dict(replayer._zero_pcvs)
+        self._folded: Set[int] = set()
+
+    def file(self, outcome: PacketOutcome) -> None:
+        """File ``outcome`` under its row, and fold its binding if it is new."""
+        key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = ClassSummary(key)
+        row.absorb(outcome)
+        pcvs = outcome.pcvs
+        if id(pcvs) not in self._folded:
+            self._folded.add(id(pcvs))
+            max_pcvs = self.max_pcvs
+            for name, value in pcvs.items():
+                if value > max_pcvs.get(name, 0):
+                    max_pcvs[name] = value

@@ -217,39 +217,6 @@ def test_bench_cells_record_ordered_simulated_tails(tmp_path):
     assert checked > 100  # the whole matrix reported distributions
 
 
-def test_bench_models_filter_restricts_the_matrix(tmp_path):
-    output = tmp_path / "BENCH_eval.json"
-    code = cli.main(
-        [
-            "bench",
-            "--output",
-            str(output),
-            "--packets",
-            "30",
-            "--nf",
-            "bridge",
-            "--models",
-            "simulated",
-        ]
-    )
-    assert code == 0
-    report = json.loads(output.read_text())
-    assert set(report["hw_models"]) == {"simulated"}
-    assert report["hw_models"]["simulated"]["caches"]["l1"]["sets"] == 32
-    assert report["filters"]["models"] == ["simulated"]
-    for workload in report["nfs"]["bridge"]["workloads"].values():
-        for summary in workload["classes"].values():
-            assert set(summary["max_cycles"]) == {"simulated"}
-            assert set(summary["cycle_tails"]) == {"simulated"}
-
-
-def test_bench_rejects_unknown_models(tmp_path, capsys):
-    output = tmp_path / "BENCH_eval.json"
-    assert cli.main(["bench", "--output", str(output), "--models", "quantum"]) == 2
-    assert "unknown hardware models" in capsys.readouterr().out
-    assert not output.exists()
-
-
 def test_bench_records_throughput_per_cell_and_in_aggregate(tmp_path):
     output = tmp_path / "BENCH_eval.json"
     assert cli.main(["bench", "--output", str(output), "--packets", "30", "--workers", "2"]) == 0
@@ -282,7 +249,7 @@ def test_bench_nf_filter_writes_a_partial_report(tmp_path):
     assert report["ok"] is True
     assert set(report["nfs"]) == {"bridge", "lb"}
     assert report["graphs"] == {}
-    assert report["filters"] == {"nfs": ["bridge", "lb"], "graphs": [], "models": []}
+    assert report["filters"] == {"nfs": ["bridge", "lb"], "graphs": []}
 
 
 def test_bench_graph_filter_writes_a_partial_report(tmp_path):
@@ -294,7 +261,7 @@ def test_bench_graph_filter_writes_a_partial_report(tmp_path):
     report = json.loads(output.read_text())
     assert report["nfs"] == {}
     assert set(report["graphs"]) == {"lb_nat_router"}
-    assert report["filters"] == {"nfs": [], "graphs": ["lb_nat_router"], "models": []}
+    assert report["filters"] == {"nfs": [], "graphs": ["lb_nat_router"]}
     assert report["graphs"]["lb_nat_router"]["failures"] == 0
 
 

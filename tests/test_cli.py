@@ -132,6 +132,7 @@ def test_bench_writes_a_well_formed_report(monkeypatch, tmp_path):
     assert report["packets_per_workload"] == 60
     assert set(report["nfs"]) == {spec.name for spec, _ in cli.NF_MATRIX}
     assert set(report["hw_models"]) == {"conservative", "realistic", "simulated"}
+    assert report["hw_models"]["simulated"]["caches"]["l1"]["sets"] == 32
     for spec, _ in cli.NF_MATRIX:
         record = report["nfs"][spec.name]
         assert record["failures"] == 0

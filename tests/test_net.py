@@ -1,5 +1,7 @@
 """Service graphs: validation, composition, end-to-end replay, churn."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro import cli
@@ -10,6 +12,7 @@ from repro.net import (
     ChurnSchedule,
     Graph,
     GraphError,
+    GraphPacketOutcome,
     GraphReplayer,
     Link,
     Node,
@@ -22,6 +25,7 @@ from repro.net import (
 from repro.net.workloads import lb_nat_fw_router_workloads
 from repro.nf.router import ROUTER, generate_router_contract
 from repro.nf.workloads import router_fib_routes
+from repro.traffic import PacketOutcome
 
 
 @pytest.fixture(scope="module")
@@ -250,20 +254,32 @@ def test_replay_is_deterministic_for_identical_stream_and_schedule():
     assert run() == run()
 
 
+def test_route_sums_bring_each_hop_to_the_graph_scale():
+    """Counts add as they are; each hop's cycles are scaled to the graph's scale first."""
+
+    def hop(scale, cycles):
+        return PacketOutcome(0, "", "c", {}, (1, 2, cycles), (3, 4, 2 * cycles), ("m",), (), scale)
+
+    outcome = GraphPacketOutcome(0, "", (("a", hop(2, 3)), ("b", hop(6, 5))), "r", ("m",), (), 6)
+    assert outcome.measured_values == (2, 4, 3 * 3 + 5)
+    assert outcome.predicted_values == (6, 8, 6 * 3 + 10)
+    assert outcome.cycles == {"m": (Fraction(3, 2) + Fraction(5, 6), Fraction(3) + Fraction(5, 3))}
+
+
 def test_route_rows_take_the_class_rows_json_shape():
-    """A route row is a class row without tails, its counts integers."""
+    """Hop and route rows are class rows: the same keys, tails included, counts integers."""
     workload = lb_nat_router_workloads(7, 96)[0]
     result = GraphReplayer(workload.graph, models=[ConservativeModel()]).replay(
         workload.stream, schedule=workload.schedule, workload=workload.name
     )
-    hop_class = next(iter(result.hop_summaries["lb"].values()))
-    hop_class.compute_tails()
-    class_keys = set(hop_class.to_json())
-    assert "cycle_tails" in class_keys
-    routes = result.to_json()["routes"]
-    assert routes
-    for row in routes.values():
-        assert set(row) == class_keys - {"cycle_tails"}
+    report = result.to_json()
+    class_keys = {"packets", "violations", "max_measured", "max_predicted", "max_cycles"}
+    class_keys.add("cycle_tails")
+    rows = [row for classes in report["hops"].values() for row in classes.values()]
+    assert report["routes"] and rows
+    for row in [*rows, *report["routes"].values()]:
+        assert set(row) == class_keys
+        assert set(row["cycle_tails"]) == {"conservative"}
         for counts in (row["max_measured"], row["max_predicted"]):
             assert counts and all(type(value) is int for value in counts.values())
 

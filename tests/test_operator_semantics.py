@@ -4,7 +4,8 @@ The package derives every operator from one table in
 :mod:`repro.nfil.instructions`.  This test checks each consumer of that
 table against :data:`nfil_reference.ORACLE`, which is written from the
 documented semantics alone: constant folding, ``evaluate``, replay's
-compiled evaluators and conjunctions, and, at 64 bits, the interpreter.
+compiled classifier (``compile_first_match``), and, at 64 bits, the
+interpreter.
 The predicate facts the symbolic layer reads from the table (negation,
 same-operand folding and operand swapping) are checked the same way.
 """
@@ -24,6 +25,13 @@ def _edge_values(w):
     half, top = 2 ** (w - 1), 2**w
     candidates = (0, 1, 2, w - 1, w, w + 1, half - 1, half, half + 1, top - 2, top - 1)
     return sorted({value for value in candidates if value < top})
+
+
+def _first_match(conjunctions):
+    """Replay's compiled classifier over an environment mapping."""
+    return E.compile_first_match(
+        conjunctions, params="env", read=lambda name: f"env.get({name!r}, 0)", prologue=()
+    )
 
 
 def _interpreted(op):
@@ -50,13 +58,12 @@ def test_operator_agrees_with_the_oracle(op):
     for w in WIDTHS:
         x, y = Sym("a", w), Sym("b", w)
         expr = build(op, x, y)
-        evaluator = E.compile_evaluator(expr)
         if predicate:
-            conjunction = E.compile_conjunction([expr])
+            classifier = _first_match([[expr]])
             negated = E.bnot(expr)
             swapped = E.cmp(CMP_OPS[op].swapped, y, x)
         else:
-            conjunction = E.compile_conjunction([E.eq(expr, Sym("r", w))])
+            classifier = _first_match([[E.eq(expr, Sym("r", w))]])
         interpreted = _interpreted(op) if w == WORD_BITS else None
         values = _edge_values(w)
         for a in values:
@@ -66,16 +73,15 @@ def test_operator_agrees_with_the_oracle(op):
                 got = {
                     "folding": build(op, Const(a, w), Const(b, w)).value,
                     "evaluate": E.evaluate(expr, env),
-                    "compile_evaluator": evaluator(env),
                 }
                 if predicate:
-                    got["compile_conjunction"] = int(conjunction(env))
+                    got["compile_first_match"] = int(classifier(env) == 0)
                     got["bnot"] = 1 - E.evaluate(negated, env)
                     got["swapped"] = E.evaluate(swapped, env)
                 else:
-                    # The conjunction only says whether the result equals ``r``.
-                    matched = conjunction({**env, "r": want})
-                    got["compile_conjunction"] = want if matched else "another value"
+                    # The classifier only says whether the result equals ``r``.
+                    matched = classifier({**env, "r": want}) == 0
+                    got["compile_first_match"] = want if matched else "another value"
                 if interpreted is not None:
                     got["Interpreter"] = interpreted(a, b)
                 for consumer, value in got.items():

@@ -3,7 +3,7 @@
 The performance layers must be invisible in the results: reusing each
 path's last feasibility model as its witness has to produce contracts
 identical to solving every final path condition again, the compiled
-evaluators have to agree bit-for-bit with the interpreting ``evaluate``,
+classifier has to agree bit-for-bit with the interpreting ``evaluate``,
 and the scaled-integer pricing has to agree exactly with the
 ``Fraction`` arithmetic it replaced.
 """
@@ -21,14 +21,7 @@ from repro.nf import NF_MATRIX
 from repro.nf.workloads import bridge_workloads
 from repro.sym import expr as E
 from repro.sym.engine import SymbolicEngine
-from repro.sym.expr import (
-    Const,
-    Sym,
-    compile_conjunction,
-    compile_evaluator,
-    evaluate,
-    render,
-)
+from repro.sym.expr import Const, Sym, compile_first_match, evaluate, render
 from repro.sym.state import UNCHECKED
 
 
@@ -86,7 +79,7 @@ def test_contract_builds_the_nf_module_once(spec):
 
 
 # --------------------------------------------------------------------------- #
-# compiled evaluators
+# the compiled classifier
 # --------------------------------------------------------------------------- #
 _WIDTHS = (1, 8, 16, 32, 64)
 
@@ -149,40 +142,69 @@ def _random_predicate(rng, symbols, depth):
     )
 
 
+def _first_match(conjunctions):
+    """Replay's compiled classifier over an environment mapping."""
+    return compile_first_match(
+        conjunctions, params="env", read=lambda name: f"env.get({name!r}, 0)", prologue=()
+    )
+
+
 def test_compiled_evaluators_match_evaluate_on_random_trees():
+    """A predicate tree is one constraint; an arithmetic tree one equating it with ``r``."""
     rng = random.Random(1905)
     symbols = ["a", "b", "c", "pkt[0]"]
     for _ in range(300):
         width = rng.choice(_WIDTHS)
-        tree = (
-            _random_predicate(rng, symbols, 3)
-            if rng.random() < 0.5
-            else _random_arith(rng, width, symbols, 3)
-        )
-        compiled = compile_evaluator(tree)
+        predicate = rng.random() < 0.5
+        if predicate:
+            tree = _random_predicate(rng, symbols, 3)
+            compiled = _first_match([[tree]])
+        else:
+            tree = _random_arith(rng, width, symbols, 3)
+            compiled = _first_match([[E.eq(tree, Sym("r", width))]])
         for _ in range(4):
             env = {name: rng.randrange(1 << 64) for name in symbols if rng.random() < 0.8}
-            assert compiled(env) == evaluate(tree, env), render(tree)
+            value = evaluate(tree, env)
+            if predicate:
+                assert compiled(env) == (0 if value == 1 else None), render(tree)
+            else:
+                assert compiled({**env, "r": value}) == 0, render(tree)
+                assert compiled({**env, "r": value ^ 1}) is None, render(tree)
 
 
 def test_compiled_conjunction_matches_constraintwise_evaluate():
+    """The index of the first conjunction whose constraints all evaluate to 1."""
     rng = random.Random(512)
     symbols = ["a", "b", "c"]
+    seen = set()
     for _ in range(100):
-        constraints = [_random_predicate(rng, symbols, 2) for _ in range(rng.randrange(1, 5))]
-        compiled = compile_conjunction(constraints)
+        conjunctions = [
+            [_random_predicate(rng, symbols, 2) for _ in range(rng.randrange(1, 4))]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        compiled = _first_match(conjunctions)
         for _ in range(4):
             env = {name: rng.randrange(1 << 32) for name in symbols}
-            expected = all(evaluate(constraint, env) == 1 for constraint in constraints)
-            assert compiled(env) is expected
+            expected = next(
+                (
+                    index
+                    for index, constraints in enumerate(conjunctions)
+                    if all(evaluate(constraint, env) == 1 for constraint in constraints)
+                ),
+                None,
+            )
+            assert compiled(env) == expected
+            seen.add(expected)
+    assert {None, 0, 1, 2} <= seen
 
 
 def test_compiled_conjunction_accepts_empty_and_missing_symbols():
-    always_true = compile_conjunction([])
-    assert always_true({}) is True
+    assert _first_match([])({}) is None
+    assert _first_match([[]])({}) == 0
     x = Sym("x", 8)
     # Missing symbols default to 0, exactly like ``evaluate``.
-    assert compile_conjunction([E.eq(x, Const(0, 8))])({}) is True
+    assert _first_match([[E.eq(x, Const(1, 8))], [E.eq(x, Const(0, 8))]])({}) == 1
+    assert _first_match([[E.eq(x, Const(1, 8))], []])({}) == 1
 
 
 # --------------------------------------------------------------------------- #

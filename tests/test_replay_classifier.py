@@ -6,7 +6,7 @@ to, and a contract classifies an execution as the first entry one of
 whose path conditions holds on it.  ``Replayer.classify`` reads the same
 values in place, through the source ``NFHarness.replay_reads`` renders
 next to ``NFHarness.env``; every case here compares it with
-``compile_conjunction`` over the environment.
+``Path.covers`` (``evaluate`` of each constraint) over the environment.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.nf import BRIDGE, NF_MATRIX
 from repro.nf.bridge import generate_bridge_contract
 from repro.nf.router import generate_router_contract
 from repro.nf.workloads import WORKLOAD_NAMES, bridge_workloads
-from repro.sym.expr import compile_conjunction, free_symbols
+from repro.sym.expr import free_symbols
 from repro.traffic import Replayer, Stimulus
 
 PACKETS = 300
@@ -28,16 +28,16 @@ def _reference(contract):
 
     An entry without paths always holds.
     """
-    predicates = []
-    for entry in contract.entries:
-        name = entry.input_class.name
-        if entry.paths:
-            predicates += [(compile_conjunction(path.constraints), name) for path in entry.paths]
-        else:
-            predicates.append((lambda env: True, name))
 
     def classify(env):
-        return next((name for holds, name in predicates if holds(env)), None)
+        return next(
+            (
+                entry.input_class.name
+                for entry in contract.entries
+                if not entry.paths or any(path.covers(env) for path in entry.paths)
+            ),
+            None,
+        )
 
     return classify
 

@@ -3,10 +3,10 @@
 A replayer hash-conses what its outcomes hold: one read-only PCV mapping
 per distinct binding (in observed order), one prediction per binding and
 matched entry, one measured tuple per distinct value.  A graph replay
-also shares one name per distinct route and one tuple per distinct route
-sum.  Sharing must change no value: every prediction is still its
-entry's floors at the outcome's own binding, and ``max_pcvs`` is still
-the fold of every outcome in packet order.
+also shares one name per distinct route.  Sharing must change no value:
+every prediction is still its entry's floors at the outcome's own
+binding, and ``max_pcvs`` is still the fold of every outcome in packet
+order.
 """
 
 import math
@@ -106,15 +106,12 @@ def test_equal_bindings_predictions_and_measurements_share_one_object(nf_cells, 
         assert 10 * len(pcvs) < len(executions)
 
 
-def test_graph_outcomes_share_route_names_and_route_sums(graph_run):
+def test_graph_outcomes_share_route_names(graph_run):
     _, result = graph_run
-    names, sums = defaultdict(set), defaultdict(set)
+    names = defaultdict(set)
     for outcome in result.outcomes:
         names[outcome.route_name].add(id(outcome.route_name))
-        sums[outcome.measured_values].add(id(outcome.measured_values))
-        sums[outcome.predicted_values].add(id(outcome.predicted_values))
     _assert_one_object_per_value(names)
-    _assert_one_object_per_value(sums)
     assert None not in names and 10 * len(names) < result.packets
 
 

@@ -4,6 +4,7 @@ structure), and the base-class machinery."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -359,8 +360,8 @@ def _every_structure_kind():
 
 def test_compiled_charges_equal_evaluate_int_at_every_pcv_value():
     """Whole results: counts at the formulas' ceilings, the discount, the
-    qualified PCVs in op order, and the recorded addresses — truncated or
-    padded to the count with recording on, ``()`` with it off."""
+    qualified PCVs in op order, and the recorded addresses — padded to the
+    count with recording on, an error past it, ``()`` with it off."""
     for structure in _every_structure_kind():
         bounds = {pcv.name: pcv.max_value for pcv in structure.pcvs()}
         heap = structure.heap_base
@@ -374,14 +375,20 @@ def test_compiled_charges_equal_evaluate_int_at_every_pcv_value():
                 pcvs = dict(zip(qualified, values))
                 discount = 1 if instructions > 1 else 0
                 structure.record_accesses = True
-                for touched in ((), tuple(range(8, 8 + count // 2)), tuple(range(8, 12 + count))):
-                    accesses = touched[:count] + (heap,) * (count - len(touched[:count]))
+                for touched in ((), tuple(range(8, 8 + count // 2))):
+                    accesses = touched + (heap,) * (count - len(touched))
                     result = structure.charge(
                         op.method, 7, discount_instructions=discount, touched=touched, **bindings
                     )
                     want = ExternResult(7, instructions - discount, count, pcvs, accesses)
                     assert type(result) is ExternResult and result == want, where
                     assert list(result.pcvs) == qualified, where
+                too_many = (
+                    f"{structure.name}.charge({op.method!r}) recorded {count + 4} "
+                    f"addresses but its formula charges {count}"
+                )
+                with pytest.raises(ValueError, match=re.escape(too_many)):
+                    structure.charge(op.method, touched=tuple(range(8, 12 + count)), **bindings)
                 structure.record_accesses = False
                 result = structure.charge(op.method, touched=(1, 2, 3), **bindings)
                 assert result == ExternResult(None, instructions, count, pcvs, ()), where

@@ -26,6 +26,7 @@ from repro.nf.workloads import (
 )
 from repro.structures import ChainingHashMap
 from repro.traffic import (
+    ClassSummary,
     Replayer,
     Stimulus,
     ethernet_frame,
@@ -251,6 +252,34 @@ def test_replayer_summaries_and_json():
     payload = result.to_json()
     assert payload["ok"] is True
     assert set(payload["classes"]) == set(result.classes_seen())
+
+
+def _row_reads(row):
+    return row.max_measured, row.max_predicted, row.max_cycles, row.cycle_tails, row.to_json()
+
+
+def test_a_row_read_absorbed_into_and_read_again_equals_a_fresh_row():
+    """A row derives its maxima and tails again after an absorb: reading it
+    between absorbs gives what a row built over all its outcomes gives."""
+    workload = bridge_workloads(packets=200)[1]
+    contract = generate_bridge_contract(16, 50)
+    models = [ConservativeModel(), SimulatedModel()]
+    result = Replayer(workload.harness, contract, models=models).replay(workload.stimuli)
+    grew = 0
+    for name, row in result.summaries.items():
+        outcomes = sorted(row.outcomes, key=lambda outcome: outcome.measured_values)
+        grown, fresh = ClassSummary(name), ClassSummary(name)
+        grown.absorb(outcomes[0])
+        first = _row_reads(grown)
+        for outcome in outcomes[1:]:
+            grown.absorb(outcome)
+        for outcome in outcomes:
+            fresh.absorb(outcome)
+        assert _row_reads(grown) == _row_reads(fresh), name
+        assert fresh.cycle_tails and set(fresh.cycle_tails) == {"conservative", "simulated"}
+        grew += first != _row_reads(fresh)
+    # The later outcomes moved the maxima or tails of some row.
+    assert grew
 
 
 def test_replayer_records_unclassified_executions():
