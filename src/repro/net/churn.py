@@ -98,9 +98,6 @@ class ChurnSchedule:
         """Events firing immediately before stream packet ``index``."""
         return self._by_index.get(index, ())
 
-    def merged(self, other: "ChurnSchedule") -> "ChurnSchedule":
-        return ChurnSchedule(self.events + other.events)
-
 
 # --------------------------------------------------------------------------- #
 # Event builders

@@ -29,7 +29,7 @@ properties, so they fail fast):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.composition import compose_graph_contracts
 from repro.core.contract import PerformanceContract
@@ -45,16 +45,16 @@ class GraphError(ValueError):
 
 
 #: Builds the stimulus one node consumes from the (possibly rewritten)
-#: packet bytes arriving on its ingress link plus the stream metadata
-#: (``time`` always; entry-node extras like ``in_port`` as the workload
-#: defines them).  A wire carries bytes, not scalars — this is where each
-#: NF's non-packet inputs are materialised per hop.
-IngressFn = Callable[[bytes, Mapping[str, int]], Stimulus]
+#: packet bytes arriving on its ingress link and the stream clock's
+#: ``time`` (after any churn clock jump).  A wire carries bytes, not
+#: scalars — this is where each NF's non-packet inputs are materialised
+#: per hop.
+IngressFn = Callable[[bytes, int], Stimulus]
 
 
-def _default_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
+def _default_ingress(packet: bytes, time: int) -> Stimulus:
     """Default adapter: packet bytes only (NFs whose sole scalar is len)."""
-    return Stimulus(packet=packet, note=str(meta.get("note", "")))
+    return Stimulus(packet=packet)
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,6 @@ class Node:
     harness: NFHarness
     contract: PerformanceContract
     ingress: IngressFn = _default_ingress
-
-    def make_stimulus(self, packet: bytes, meta: Mapping[str, int]) -> Stimulus:
-        return self.ingress(packet, meta)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.composition import route_class_name
 from repro.core.contract import PerformanceContract
@@ -57,20 +56,13 @@ from repro.traffic.replayer import ClassSummary, Filing, PacketOutcome, Replayer
 __all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer"]
 
 
-#: The ``scalars`` of a frame built without any: read-only, so all share it.
-_NO_SCALARS: Mapping[str, int] = MappingProxyType({})
-
-
 @dataclass(frozen=True, slots=True)
 class GraphFrame:
-    """One stream packet entering the graph: bytes plus stream metadata."""
+    """One stream packet entering the graph: its bytes, stream time and tag."""
 
     packet: bytes
     time: int
     note: str = ""
-    #: Extra entry-node scalars (e.g. the NAT's ``in_port`` when a NAT is
-    #: the entry); merged into the metadata handed to every ingress.
-    scalars: Mapping[str, int] = field(default_factory=lambda: _NO_SCALARS)
 
 
 @dataclass(slots=True)
@@ -161,9 +153,6 @@ class GraphReplayResult:
     def hop_classes_seen(self) -> Dict[str, List[str]]:
         """Input classes each node's executions actually fell into."""
         return {node: sorted(classes) for node, classes in self.hop_summaries.items()}
-
-    def routes_seen(self) -> List[str]:
-        return sorted(self.route_summaries)
 
     def table(self) -> str:
         """Render the per-route summary table."""
@@ -267,9 +256,7 @@ class GraphReplayer:
                     filings[event.node].file(outcome)
                 churn_log.append(f"@{index}: {event.describe}")
 
-            # copy(), not dict(): dict() of the shared empty mappingproxy is several times slower.
-            meta: Dict[str, int] = frame.scalars.copy()
-            meta["time"] = frame.time + clock_offset
+            time = frame.time + clock_offset
             node_name: Optional[str] = self.graph.entry
             packet = frame.packet
             hops: List[Tuple[str, PacketOutcome]] = []
@@ -277,8 +264,7 @@ class GraphReplayer:
             classified = True
             while node_name is not None:
                 node = self.graph.nodes[node_name]
-                stimulus = node.make_stimulus(packet, meta)
-                outcome = self.replayers[node_name].score(stimulus, index)
+                outcome = self.replayers[node_name].score(node.ingress(packet, time), index)
                 hops.append((node_name, outcome))
                 filings[node_name].file(outcome)
                 violations.extend(f"{node_name}: {m}" for m in outcome.violations)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, FrozenSet, List, Mapping, Tuple
+from typing import FrozenSet, List, Mapping, Tuple
 
 from repro.nf import firewall as firewall_nf
 from repro.nf import lb as lb_nf
@@ -57,7 +57,7 @@ from repro.net.churn import (
     expiry_jump,
     route_update,
 )
-from repro.net.graph import Graph, Link, Node
+from repro.net.graph import Graph, IngressFn, Link, Node
 from repro.net.replay import GraphFrame
 from repro.structures import MaglevTable
 from repro.traffic.generators import Stimulus
@@ -198,35 +198,35 @@ def load_graph_capture() -> Capture:
 # --------------------------------------------------------------------------- #
 # The graph
 # --------------------------------------------------------------------------- #
-def _lb_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
+def _lb_ingress(packet: bytes, time: int) -> Stimulus:
     """Entry hop: every stream frame is a data frame (churn injects the
     control frames), so ``cmd``/``arg`` pin to the data-plane values."""
     return Stimulus(
         packet=packet,
-        scalars={"cmd": lb_nf.CMD_DATA, "arg": 0, "time": meta["time"]},
+        scalars={"cmd": lb_nf.CMD_DATA, "arg": 0, "time": time},
         note="lb",
     )
 
 
-def _nat_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
+def _nat_ingress(packet: bytes, time: int) -> Stimulus:
     """Frames arriving from the LB are LAN-side traffic heading out."""
     return Stimulus(
         packet=packet,
-        scalars={"in_port": nat_nf.LAN_PORT, "time": meta["time"]},
+        scalars={"in_port": nat_nf.LAN_PORT, "time": time},
         note="nat",
     )
 
 
-def _router_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
+def _router_ingress(packet: bytes, time: int) -> Stimulus:
     """The router consumes packet bytes only (its one scalar is len)."""
     return Stimulus(packet=packet, note="router")
 
 
-def _fw_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
+def _fw_ingress(packet: bytes, time: int) -> Stimulus:
     """Frames arriving from the NAT are LAN-side traffic heading out."""
     return Stimulus(
         packet=packet,
-        scalars={"in_port": firewall_nf.LAN_PORT, "time": meta["time"]},
+        scalars={"in_port": firewall_nf.LAN_PORT, "time": time},
         note="fw",
     )
 
@@ -234,7 +234,7 @@ def _fw_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
 def _node(
     spec: NFSpec,
     name: str,
-    ingress: Callable[[bytes, Mapping[str, int]], Stimulus],
+    ingress: IngressFn,
     **state: object,
 ) -> Node:
     """One hop: a fresh ``spec`` at its bench geometry plus ``state``."""

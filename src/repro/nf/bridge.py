@@ -40,7 +40,6 @@ from repro.core.contract import PerformanceContract
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.validate import validate_module
 from repro.structures import NOT_FOUND, ExpiringMap
 from repro.sym.expr import Const
 from repro.sym.paths import Path
@@ -90,7 +89,7 @@ def make_bridge_table(capacity: int = 64, timeout: int = 300) -> ExpiringMap:
 # Stateless NFIL code
 # --------------------------------------------------------------------------- #
 def build_bridge_module() -> Module:
-    """Build (and validate) the bridge NFIL module."""
+    """Build the bridge NFIL module."""
     module = Module("bridge")
     table = make_bridge_table()
     table.declare(module)
@@ -131,7 +130,7 @@ def build_bridge_module() -> Module:
     b.ret(out)
 
     module.add_function(b.build())
-    return validate_module(module)
+    return module
 
 
 # --------------------------------------------------------------------------- #

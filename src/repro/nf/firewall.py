@@ -64,7 +64,6 @@ from repro.core.contract import PerformanceContract
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.validate import validate_module
 from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator
 from repro.sym.expr import Const
 from repro.sym.paths import Path
@@ -154,7 +153,7 @@ def make_firewall_state(
 # Stateless NFIL code
 # --------------------------------------------------------------------------- #
 def build_firewall_module() -> Module:
-    """Build (and validate) the firewall NFIL module."""
+    """Build the firewall NFIL module."""
     module = Module("firewall")
     conn, slots = make_firewall_state()
     for structure in (conn, slots):
@@ -255,7 +254,7 @@ def build_firewall_module() -> Module:
     b.ret(owner)
 
     module.add_function(b.build())
-    return validate_module(module)
+    return module
 
 
 # --------------------------------------------------------------------------- #

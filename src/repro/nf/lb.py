@@ -57,7 +57,6 @@ from repro.core.contract import PerformanceContract
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.validate import validate_module
 from repro.structures import NOT_FOUND, ExpiringMap, MaglevTable
 from repro.sym.expr import Const
 from repro.sym.paths import Path
@@ -141,7 +140,7 @@ def make_lb_state(
 # Stateless NFIL code
 # --------------------------------------------------------------------------- #
 def build_lb_module() -> Module:
-    """Build (and validate) the load balancer NFIL module."""
+    """Build the load balancer NFIL module."""
     module = Module("lb")
     tbl, conn = make_lb_state()
     for structure in (tbl, conn):
@@ -237,7 +236,7 @@ def build_lb_module() -> Module:
     b.ret(DROP_NO_BACKENDS)
 
     module.add_function(b.build())
-    return validate_module(module)
+    return module
 
 
 # --------------------------------------------------------------------------- #

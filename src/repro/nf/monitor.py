@@ -39,7 +39,6 @@ from repro.core.contract import PerformanceContract
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.validate import validate_module
 from repro.structures import CountMinSketch
 from repro.sym.expr import Const
 from repro.sym.paths import Path
@@ -110,7 +109,7 @@ def make_sketch(
 # Stateless NFIL code
 # --------------------------------------------------------------------------- #
 def build_monitor_module() -> Module:
-    """Build (and validate) the monitor NFIL module."""
+    """Build the monitor NFIL module."""
     module = Module("monitor")
     sketch = make_sketch()
     sketch.declare(module)
@@ -159,7 +158,7 @@ def build_monitor_module() -> Module:
     b.ret(FLAG_HOT)
 
     module.add_function(b.build())
-    return validate_module(module)
+    return module
 
 
 # --------------------------------------------------------------------------- #

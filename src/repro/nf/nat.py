@@ -63,7 +63,6 @@ from repro.core.contract import PerformanceContract
 from repro.nf.replay import NFSpec
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.validate import validate_module
 from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator
 from repro.sym.expr import Const
 from repro.sym.paths import Path
@@ -153,7 +152,7 @@ def make_nat_tables(
 # Stateless NFIL code
 # --------------------------------------------------------------------------- #
 def build_nat_module() -> Module:
-    """Build (and validate) the NAT NFIL module."""
+    """Build the NAT NFIL module."""
     module = Module("nat")
     fwd, rev, ports = make_nat_tables()
     for structure in (fwd, rev, ports):
@@ -241,7 +240,7 @@ def build_nat_module() -> Module:
     b.ret(owner)
 
     module.add_function(b.build())
-    return validate_module(module)
+    return module
 
 
 # --------------------------------------------------------------------------- #

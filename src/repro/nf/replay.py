@@ -84,7 +84,7 @@ class NFHarness:
 
     Args:
         name: NF name used in replay results and bench reports.
-        module: the NF's (validated) NFIL module.
+        module: the NF's NFIL module, which the interpreter validates.
         function: entry function to invoke per stimulus.
         handler: the extern handler backing the NF's state (usually a
             :class:`~repro.structures.base.Structure` or a merge of them).
@@ -250,7 +250,8 @@ class NFSpec:
         title: section title the smoke and bench runs print.
         function: the NFIL entry function; its params are ``pkt`` followed
             by the NF's scalar inputs, in call order.
-        build_module: builds (and validates) the NF's NFIL module.
+        build_module: builds the NF's NFIL module; the harness's interpreter
+            and the contract's symbolic engine each validate it.
         make_state: builds the NF's structure instances — one structure
             or a tuple of them — from keyword geometry (``capacity``,
             ``timeout``, ...); keywords it does not take are errors.

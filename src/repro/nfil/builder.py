@@ -1,8 +1,10 @@
 """Fluent construction of NFIL functions.
 
 :class:`FunctionBuilder` removes the boilerplate of writing NFIL by hand:
-it auto-names temporary registers, coerces Python ints to immediates, and
-validates the finished function.  The bridge NF reads like pseudo-code::
+it auto-names temporary registers and coerces Python ints to immediates.
+It does not validate: the interpreter and the symbolic engine validate the
+whole module when they are built (:mod:`repro.nfil.validate`).  The bridge
+NF reads like pseudo-code::
 
     b = FunctionBuilder("process", params=("pkt", "len", "in_port"))
     short = b.ult(b.param("len"), 14)
@@ -35,7 +37,6 @@ from repro.nfil.instructions import (
     as_operand,
 )
 from repro.nfil.program import BasicBlock, Function, Param
-from repro.nfil.validate import validate_function
 
 __all__ = ["BuilderError", "FunctionBuilder"]
 
@@ -214,13 +215,6 @@ class FunctionBuilder:
     # ------------------------------------------------------------------ #
     # Finishing
     # ------------------------------------------------------------------ #
-    def build(self, *, validate: bool = True) -> Function:
-        """Return the finished function, validating by default.
-
-        Validation here is module-free (call arities are checked by
-        :func:`repro.nfil.validate.validate_module` once the function is
-        registered in its module).
-        """
-        if validate:
-            validate_function(self._function)
+    def build(self) -> Function:
+        """Return the finished function, unvalidated."""
         return self._function

@@ -6,7 +6,13 @@ reports every executed instruction, memory access and extern call to an
 reproduction's stand-in for the paper's measurement (§3.2), where the NF
 runs as compiled code and Intel Pin only counts what it executes.  Here
 too each function runs compiled: on its first run, the interpreter emits
-one Python ``def`` for it and compiles that.
+one Python ``def`` for it and compiles that.  Like the symbolic engine,
+the interpreter takes only modules
+:func:`repro.nfil.validate.validate_module` accepts, and checks that when
+it is built, so the generated code assumes every invariant the validator
+enforces: each block ends in its one terminator, each target and callee
+exists and is called with its arity, and each register read is defined on
+every path to it.
 
 * Registers become locals; blocks become integer labels dispatched in one
   loop; internal calls become Python calls.
@@ -22,9 +28,9 @@ one Python ``def`` for it and compiles that.
 The trace is the one executing one instruction at a time records, and the
 success path pays nothing for keeping it so:
 
-* When an instruction raises, the traceback line of the generated code
-  names it.  The counts of the rest of its segment are taken back, and an
-  undefined register is named from the frame's locals.
+* When an instruction raises (a handler's error, a missing handler, a
+  void value written to a register), the traceback line of the generated
+  code names it, and the counts of the rest of its segment are taken back.
 * A segment that would cross the step limit runs a *budgeted copy* of
   itself instead, emitted from the same per-instruction templates, which
   checks and counts each instruction before running it.
@@ -67,6 +73,7 @@ from repro.nfil.instructions import (
 )
 from repro.nfil.program import Function, Module
 from repro.nfil.tracer import ExecutionTrace
+from repro.nfil.validate import validate_module
 
 __all__ = [
     "ExternHandler",
@@ -80,7 +87,7 @@ __all__ = [
 
 
 class InterpreterError(RuntimeError):
-    """An ill-formed program reached the interpreter."""
+    """A run of a validated module failed, or a caller asked for a bad run."""
 
 
 class StepLimitExceeded(InterpreterError):
@@ -225,14 +232,6 @@ class ExternHandler:
 # --------------------------------------------------------------------------- #
 # Code generation
 # --------------------------------------------------------------------------- #
-class _Site(NamedTuple):
-    """The instruction a line of generated code belongs to."""
-
-    instruction: Instruction
-    #: Categories of the instructions its segment counted ahead of it.
-    rest: Tuple[str, ...]
-
-
 #: Globals of the generated code.
 _GLOBALS: Dict[str, object] = {
     "InterpreterError": InterpreterError,
@@ -257,25 +256,20 @@ class _Emitter:
         self.module = module
         self.function = function
         self.lines: List[str] = []
-        #: Line number -> the instruction the line runs.
-        self.sites: Dict[int, _Site] = {}
+        #: Line number -> the categories its segment counted ahead of the
+        #: instruction the line runs, where there are any.
+        self.sites: Dict[int, Tuple[str, ...]] = {}
         #: Register -> its local.
         self.names: Dict[str, str] = {}
-        targets = [function.entry]
         #: Sizes of the function's loads and stores, which the prologue binds.
-        self.sizes = set()
-        for block in function.blocks.values():
-            for instruction in block.instructions:
-                if isinstance(instruction, Br):
-                    targets += (instruction.then_label, instruction.else_label)
-                elif isinstance(instruction, Jmp):
-                    targets.append(instruction.label)
-                elif isinstance(instruction, (Load, Store)):
-                    self.sizes.add(instruction.size)
-        #: Label -> its number; a label with no block runs as its error.
-        self.labels: Dict[str, int] = {}
-        for label in (*function.blocks, *targets):
-            self.labels.setdefault(label, len(self.labels))
+        self.sizes = {
+            instruction.size
+            for block in function.blocks.values()
+            for instruction in block.instructions
+            if isinstance(instruction, (Load, Store))
+        }
+        #: Label -> its number.
+        self.labels = {label: number for number, label in enumerate(function.blocks)}
 
     def source(self) -> str:
         params = "".join(f", {self.local(param.name)}" for param in self.function.params)
@@ -292,9 +286,9 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
     # -- helpers --------------------------------------------------------- #
-    def emit(self, line: str, indent: int, site: Optional[_Site] = None) -> None:
+    def emit(self, line: str, indent: int, site: Tuple[str, ...] = ()) -> None:
         self.lines.append("    " * indent + line)
-        if site is not None:
+        if site:
             self.sites[len(self.lines)] = site
 
     def local(self, register: str) -> str:
@@ -306,7 +300,7 @@ class _Emitter:
     def operand(self, operand: Operand) -> str:
         return self.local(operand.name) if isinstance(operand, Reg) else str(operand.value)
 
-    def fail(self, message: str, indent: int, site: Optional[_Site] = None) -> None:
+    def fail(self, message: str, indent: int, site: Tuple[str, ...] = ()) -> None:
         self.emit(f"raise InterpreterError({message!r})", indent, site)
 
     # -- control --------------------------------------------------------- #
@@ -322,38 +316,23 @@ class _Emitter:
         self.dispatch(labels[middle:], indent + 1)
 
     def block(self, label: str, indent: int) -> None:
-        name = self.function.name
-        block = self.function.blocks.get(label)
+        """One segment per internal call, and one ending in the block's terminator."""
         self.emit(f"# {label}", indent)
-        if block is None:
-            # The reference spends a step on finding no block.
-            self.emit(f"if steps >= limit: {_LIMIT}", indent)
-            self.fail(f"{name}: unknown block {label!r}", indent)
-            return
         segment: List[Instruction] = []
-        for instruction in block.instructions:
+        for instruction in self.function.blocks[label].instructions:
             segment.append(instruction)
-            if isinstance(instruction, (Br, Jmp, Ret)):
-                self.segment(segment, indent, body=segment[:-1])
-                return
-            if isinstance(instruction, Call) and not self.module.is_extern(instruction.callee):
-                self.segment(segment, indent, body=segment[:-1])
+            if instruction.is_terminator() or (
+                isinstance(instruction, Call) and not self.module.is_extern(instruction.callee)
+            ):
+                self.segment(segment, indent)
                 segment = []
-        self.segment(segment, indent, body=segment)
-        # ... and one on finding no next instruction.
-        self.emit(f"if steps >= limit: {_LIMIT}", indent)
-        self.fail(f"{name}:{label} fell through without terminator", indent)
 
-    def segment(
-        self, instructions: List[Instruction], indent: int, body: List[Instruction]
-    ) -> None:
-        """Count and run ``instructions``; ``body`` is what runs before the limit can hit."""
-        if not instructions:
-            return
+    def segment(self, instructions: List[Instruction], indent: int) -> None:
+        """Count and run ``instructions``; all but the last run before the limit can hit."""
         self.emit(f"steps += {len(instructions)}", indent)
         self.emit("if steps > limit:", indent)
         self.emit(f"steps -= {len(instructions)}", indent + 1)
-        for instruction in body:
+        for instruction in instructions[:-1]:
             self.emit(f"if steps >= limit: {_LIMIT}", indent + 1)
             self.emit("steps += 1", indent + 1)
             self.count(instruction.category, 1, indent + 1)
@@ -369,9 +348,7 @@ class _Emitter:
         self.emit(f"counts[{category!r}] = get({category!r}, 0) + {count}", indent)
 
     # -- instructions ---------------------------------------------------- #
-    def instruction(self, instruction: Instruction, indent: int, rest: Tuple[str, ...]) -> None:
-        site = _Site(instruction, rest)
-
+    def instruction(self, instruction: Instruction, indent: int, site: Tuple[str, ...]) -> None:
         def emit(line: str, extra: int = 0) -> None:
             self.emit(line, indent + extra, site)
 
@@ -421,7 +398,7 @@ class _Emitter:
         else:
             self.fail(f"cannot execute {type(instruction).__name__}", indent, site)
 
-    def call(self, instruction: Call, emit: Callable, site: _Site, indent: int) -> None:
+    def call(self, instruction: Call, emit: Callable, site: Tuple[str, ...], indent: int) -> None:
         args = "".join(f"{self.operand(arg)}, " for arg in instruction.args)
         dest = instruction.dest
         emit(f"args = ({args})")
@@ -434,10 +411,6 @@ class _Emitter:
                 emit(f"{self.local(dest)} = value")
             return
         decl = self.module.externs[instruction.callee]
-        if len(instruction.args) != decl.arity:
-            message = f"extern {decl.name} expects {decl.arity} args, got {len(instruction.args)}"
-            self.fail(message, indent, site)
-            return
         # ``handle`` is looked up per call: a traced run wraps it on the
         # handler instance after the function was compiled.
         emit(f"res = interp.handler.handle({decl.name!r}, args, memory)")
@@ -449,44 +422,32 @@ class _Emitter:
 
 
 def function_source(module: Module, name: str) -> str:
-    """The Python source the interpreter compiles for function ``name``."""
-    return _Emitter(module, module.get_function(name)).source()
+    """The Python source the interpreter compiles for function ``name``.
+
+    Raises:
+        ValidationError: ``module`` is not well-formed.
+    """
+    return _Emitter(validate_module(module), module.get_function(name)).source()
 
 
 class _Compiled(NamedTuple):
-    function: Function
+    name: str
     run: Callable[..., Tuple[Optional[int], int]]
-    sites: Dict[int, _Site]
-    names: Dict[str, str]
-
-
-def _unbound(
-    site: _Site, names: Mapping[str, str], values: Mapping[str, object]
-) -> Optional[str]:
-    """The register ``site``'s instruction read without a value, if any."""
-    instruction = site.instruction
-    operands = instruction.operands()
-    if isinstance(instruction, Select):
-        cond = instruction.cond
-        if not isinstance(cond, Reg):
-            operands = (instruction.a if cond.value else instruction.b,)
-        elif names[cond.name] in values:
-            operands = (instruction.a if values[names[cond.name]] else instruction.b,)
-    for operand in operands:
-        if isinstance(operand, Reg) and names[operand.name] not in values:
-            return operand.name
-    return None
+    sites: Dict[int, Tuple[str, ...]]
 
 
 class Interpreter:
     """Concrete executor for NFIL modules, doubling as the tracer driver.
 
-    Each function is compiled to Python source on its first run (see the
-    module docstring); a function replaced in the module afterwards is
-    compiled again.  Trace counters, the address stream, extern calls,
+    The module is validated when the interpreter is built, and each of its
+    functions is compiled to Python source once, on its first run (see the
+    module docstring).  Trace counters, the address stream, extern calls,
     results and error messages are those of executing one instruction at a
     time — including the counts recorded before an error or the step
     limit interrupts a segment.
+
+    Raises:
+        ValidationError: ``module`` is not well-formed.
     """
 
     def __init__(
@@ -496,7 +457,7 @@ class Interpreter:
         handler: Optional[ExternHandler] = None,
         max_steps: int = 1_000_000,
     ) -> None:
-        self.module = module
+        self.module = validate_module(module)
         self.handler = handler or ExternHandler()
         self.max_steps = max_steps
         self._compiled: Dict[str, _Compiled] = {}
@@ -523,90 +484,66 @@ class Interpreter:
             )
         memory = memory if memory is not None else Memory()
         trace = trace if trace is not None else ExecutionTrace()
-        run = self._compile(function).run
+        run = self._compile(function_name).run
         registers = [int(value) & WORD_MASK for value in args]
         counts = trace.category_counts
         loads, stores = counts.get("load", 0), counts.get("store", 0)
         try:
             value, steps = run(self, memory, trace, 0, self.max_steps, *registers)
         except BaseException as error:
-            failed, steps, replacement = self._unwind(error, counts)
-            self._count(trace, steps, loads, stores, failed)
+            steps, replacement = self._unwind(error, counts)
+            self._count(trace, steps, loads, stores)
             if replacement is None:
                 raise
             raise replacement from None
-        self._count(trace, steps, loads, stores, None)
+        self._count(trace, steps, loads, stores)
         return value, trace
 
     @staticmethod
-    def _count(
-        trace: ExecutionTrace, steps: int, loads: int, stores: int, failed: Optional[Instruction]
-    ) -> None:
-        """Add the run's instructions and stateless accesses to ``trace``.
-
-        Each executed load or store made one access, except a failed one:
-        it raised reading its operands, before its access.
-        """
+    def _count(trace: ExecutionTrace, steps: int, loads: int, stores: int) -> None:
+        """Add the run's instructions and its loads' and stores' accesses to ``trace``."""
         counts = trace.category_counts
         trace.instructions += steps
-        trace.mem_reads += counts.get("load", 0) - loads - isinstance(failed, Load)
-        trace.mem_writes += counts.get("store", 0) - stores - isinstance(failed, Store)
+        trace.mem_reads += counts.get("load", 0) - loads
+        trace.mem_writes += counts.get("store", 0) - stores
 
     def _unwind(
         self, error: BaseException, counts: Dict[str, int]
-    ) -> Tuple[Optional[Instruction], int, Optional[InterpreterError]]:
+    ) -> Tuple[int, Optional[InterpreterError]]:
         """Find where ``error`` left the generated code; take back what did not run.
 
-        Returns the instruction that raised (None if no instruction did),
-        the run's steps, and the error to raise in place of ``error``.
+        Returns the run's steps and the error to raise in place of ``error``.
         """
         compiled = {entry.run.__code__: entry for entry in self._compiled.values()}
         where = None
         for frame, line in traceback.walk_tb(error.__traceback__):
             if frame.f_code in compiled:
-                where = (compiled[frame.f_code], frame.f_locals, line)
+                where = (compiled[frame.f_code], frame.f_locals["steps"], line)
         if where is None:
-            return None, 0, None
-        entry, values, line = where
-        steps = values["steps"]
-        site = entry.sites.get(line)
-        if site is not None:
-            for category in site.rest:
-                counts[category] -= 1
-                if not counts[category]:
-                    del counts[category]
-            steps -= len(site.rest)
-        name = entry.function.name
+            return 0, None
+        entry, steps, line = where
+        rest = entry.sites.get(line, ())
+        for category in rest:
+            counts[category] -= 1
+            if not counts[category]:
+                del counts[category]
+        steps -= len(rest)
         if isinstance(error, RecursionError):
-            message = f"{name}: internal calls nest deeper than the Python recursion limit"
-            return None if site is None else site.instruction, steps, InterpreterError(message)
-        if site is None:
-            return None, steps, None
-        missing = _unbound(site, entry.names, values) if isinstance(error, NameError) else None
-        if missing is None:
-            return site.instruction, steps, None
-        message = f"{name}: read of undefined register %{missing}"
-        return site.instruction, steps, InterpreterError(message)
+            message = f"{entry.name}: internal calls nest deeper than the Python recursion limit"
+            return steps, InterpreterError(message)
+        return steps, None
 
     def _call(
         self, name: str, memory: Memory, trace: ExecutionTrace, steps: int, limit: int, args: tuple
     ) -> Tuple[Optional[int], int]:
         """Run internal function ``name`` for a compiled caller."""
-        callee = self.module.functions.get(name)
-        if callee is None:
-            raise InterpreterError(f"call to unknown symbol {name!r}")
-        if len(args) != len(callee.params):
-            raise InterpreterError(
-                f"{callee.name} expects {len(callee.params)} args, got {len(args)}"
-            )
-        return self._compile(callee).run(self, memory, trace, steps, limit, *args)
+        return self._compile(name).run(self, memory, trace, steps, limit, *args)
 
-    def _compile(self, function: Function) -> _Compiled:
-        compiled = self._compiled.get(function.name)
-        if compiled is None or compiled.function is not function:
-            emitter = _Emitter(self.module, function)
+    def _compile(self, name: str) -> _Compiled:
+        compiled = self._compiled.get(name)
+        if compiled is None:
+            emitter = _Emitter(self.module, self.module.functions[name])
             namespace = dict(_GLOBALS)
-            exec(compile(emitter.source(), f"<nfil {function.name}>", "exec"), namespace)
-            compiled = _Compiled(function, namespace["run"], emitter.sites, emitter.names)
-            self._compiled[function.name] = compiled
+            exec(compile(emitter.source(), f"<nfil {name}>", "exec"), namespace)
+            compiled = self._compiled[name] = _Compiled(name, namespace["run"], emitter.sites)
         return compiled

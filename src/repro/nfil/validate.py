@@ -1,16 +1,21 @@
 """Static checks for NFIL programs.
 
 The verifier enforces the structural invariants the interpreter and the
-symbolic engine rely on:
+symbolic engine rely on.  It is their one well-formedness check: both
+call :func:`validate_module` when they are built and check none of these
+invariants again while they run.
 
+* parameter names are distinct;
 * the entry block exists, every block is non-empty, ends with exactly one
   terminator, and has no terminator in the middle;
 * every branch/jump target names an existing block;
 * every register read is *must-defined*: on every CFG path from entry to
   the use, the register was written first (computed by a forward
-  intersection dataflow over the CFG);
+  intersection dataflow over the CFG).  A ``select`` reads all three of
+  its operands, the arm it does not pick included;
 * calls name a known function or extern, with matching arity, and only
-  value-returning callees may write a destination register.
+  value-returning externs may write a destination register (a void
+  internal function called into a register fails when it returns).
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ def _successors(block: BasicBlock) -> Tuple[str, ...]:
 
 
 def _check_structure(function: Function) -> None:
+    params = function.param_names()
+    for index, name in enumerate(params):
+        if name in params[:index]:
+            raise ValidationError(f"{function.name}: parameter %{name} is declared twice")
     if not function.blocks:
         raise ValidationError(f"{function.name}: function has no blocks")
     if function.entry not in function.blocks:

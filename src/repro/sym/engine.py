@@ -1,7 +1,10 @@
 """Symbolic path exploration over NFIL programs.
 
 :class:`SymbolicEngine` enumerates the execution paths of the stateless NF
-code (§3.1 of the paper).  At every symbolic branch it forks, asks the
+code (§3.1 of the paper).  Like the concrete interpreter, it takes only
+modules :func:`repro.nfil.validate.validate_module` accepts and checks that
+when it is built, so exploration never meets a missing block, terminator,
+callee or register.  At every symbolic branch it forks, asks the
 :class:`repro.sym.solver.Solver` whether each side is feasible, and — being
 conservative — keeps any side the solver cannot *prove* infeasible
 (UNKNOWN counts as feasible, so contracts never silently drop a path).
@@ -35,13 +38,13 @@ from repro.nfil.instructions import (
     Jmp,
     Load,
     Operand,
-    Reg,
     Ret,
     Select,
     Store,
     WORD_BITS,
 )
 from repro.nfil.program import ExternDecl, Module
+from repro.nfil.validate import validate_module
 from repro.sym import expr as E
 from repro.sym.expr import BV, Const, Sym
 from repro.sym.paths import CallRecord, Path
@@ -59,7 +62,7 @@ __all__ = [
 
 
 class EngineError(RuntimeError):
-    """The engine met an ill-formed program or an unsupported construct."""
+    """Exploration failed, or a caller asked for a bad exploration."""
 
 
 class ExplorationLimit(EngineError):
@@ -113,14 +116,19 @@ class SymbolicModel:
 
 
 class SymbolicEngine:
-    """Path explorer for NFIL functions."""
+    """Path explorer for NFIL functions.
+
+    Raises:
+        ValidationError: the module handed to the constructor is not
+            well-formed.
+    """
 
     #: Exploration budgets: completed plus pending paths, and steps per path.
     MAX_PATHS = 256
     MAX_STEPS = 10_000
 
     def __init__(self, module: Module, *, model: Optional[SymbolicModel] = None) -> None:
-        self.module = module
+        self.module = validate_module(module)
         self.model = model or SymbolicModel()
         self.solver = Solver()
 
@@ -198,9 +206,7 @@ class SymbolicEngine:
     def _operand(self, operand: Operand, state: SymbolicState) -> BV:
         if isinstance(operand, Imm):
             return Const(operand.value, WORD_BITS)
-        if isinstance(operand, Reg):
-            return state.get_reg(operand.name)
-        raise EngineError(f"bad operand {operand!r}")  # pragma: no cover
+        return state.get_reg(operand.name)
 
     @staticmethod
     def _as_bool(value: BV) -> BV:
@@ -220,14 +226,7 @@ class SymbolicEngine:
 
     def _fetch(self, state: SymbolicState) -> Instruction:
         frame = state.frame
-        block = frame.function.blocks.get(frame.block)
-        if block is None:
-            raise EngineError(f"{frame.function.name}: unknown block {frame.block!r}")
-        if frame.index >= len(block.instructions):
-            raise EngineError(
-                f"{frame.function.name}:{frame.block} fell through without terminator"
-            )
-        instruction = block.instructions[frame.index]
+        instruction = frame.function.blocks[frame.block].instructions[frame.index]
         frame.index += 1
         return instruction
 
@@ -328,8 +327,6 @@ class SymbolicEngine:
         args = tuple(self._operand(arg, state) for arg in instruction.args)
         if self.module.is_extern(instruction.callee):
             decl = self.module.externs[instruction.callee]
-            if len(args) != decl.arity:
-                raise EngineError(f"extern {decl.name} expects {decl.arity} args, got {len(args)}")
             index = len(state.calls)
             outcome = self.model.apply(decl, args, state, index)
             state.calls.append(
@@ -353,11 +350,7 @@ class SymbolicEngine:
                     )
                 state.set_reg(instruction.dest, outcome.value)
             return
-        callee = self.module.functions.get(instruction.callee)
-        if callee is None:
-            raise EngineError(f"call to unknown symbol {instruction.callee!r}")
-        if len(args) != len(callee.params):
-            raise EngineError(f"{callee.name} expects {len(callee.params)} args, got {len(args)}")
+        callee = self.module.functions[instruction.callee]
         state.frame.ret_dest = instruction.dest
         registers = {param.name: value for param, value in zip(callee.params, args)}
         state.frames.append(Frame(callee, callee.entry, 0, registers))

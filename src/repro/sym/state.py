@@ -129,12 +129,7 @@ class SymbolicState:
         return self.frames[-1]
 
     def get_reg(self, name: str) -> BV:
-        try:
-            return self.frame.registers[name]
-        except KeyError:
-            raise KeyError(
-                f"{self.frame.function.name}: read of undefined register %{name}",
-            ) from None
+        return self.frame.registers[name]
 
     def set_reg(self, name: str, value: BV) -> None:
         self.frame.registers[name] = value

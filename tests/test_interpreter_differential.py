@@ -2,10 +2,12 @@
 
 Every NF workload runs through both executors from identically seeded
 state; results, trace counters, address streams, extern calls and egress
-bytes must match execution by execution.  Hand-built ill-formed programs
-must fail with the same error, after recording the same trace.  The NFs
-use 7 of the 20 operators and no ``Select``, ``Jmp`` or ``Const``, so a
-seeded corpus of random programs covers every instruction kind as well.
+bytes must match execution by execution.  Hand-built programs that fail at
+run time must fail with the same error, after recording the same trace;
+ill-formed ones are rejected with the validator's error before they run.
+The NFs use 7 of the 20 operators and no ``Select``, ``Jmp`` or ``Const``,
+so a seeded corpus of random programs covers every instruction kind as
+well.
 """
 
 import functools
@@ -50,6 +52,8 @@ from repro.nfil.interpreter import (
 )
 from repro.nfil.program import BasicBlock, Function, Module, Param
 from repro.nfil.tracer import ExecutionTrace
+from repro.nfil.validate import ValidationError, validate_module
+from repro.sym.engine import SymbolicEngine
 
 SEED = 2019
 PACKETS = 300
@@ -108,7 +112,7 @@ def test_every_workload_traces_identically_under_both_interpreters(nf):
 
 
 # --------------------------------------------------------------------------- #
-# Ill-formed programs: same error, same partial trace
+# Errors: ill-formed programs never run; run-time errors match the reference
 # --------------------------------------------------------------------------- #
 def _module(blocks, *, functions=(), externs=()):
     """A module whose ``main`` has ``blocks`` (label -> instructions), unvalidated."""
@@ -143,35 +147,62 @@ _PRELUDE = (
 _VOID_HELPER = ("helper", ("a",), {"entry": [BinOp("mul", "b", Reg("a"), Imm(3)), Ret()]})
 _STEP = ("step", ("x",), {"entry": [BinOp("add", "y", Reg("x"), Imm(1)), Ret(Reg("y"))]})
 
-ERROR_CASES = {
+#: Modules the validator rejects, with its message.
+ILL_FORMED = {
     "undefined register": (
         _module({"entry": [*_PRELUDE, BinOp("add", "x", Reg("v"), Reg("nope")), Ret(Reg("x"))]}),
-        ExternHandler(),
-        "main: read of undefined register %nope",
+        "main:entry: register %nope used before definition in %x = add %v, %nope",
     ),
-    "undefined register in an unpicked select arm is never read": (
-        _module(
-            {
-                "entry": [
-                    *_PRELUDE,
-                    Select("s", Reg("c"), Reg("v"), Reg("nope")),
-                    Select("t", Imm(0), Reg("v"), Reg("gone")),
-                ]
-            }
-        ),
-        ExternHandler(),
-        "main: read of undefined register %gone",
+    # ``c`` is 1, so a run never reads ``nope``; a select reads all three
+    # operands all the same.
+    "undefined register in an unpicked select arm": (
+        _module({"entry": [*_PRELUDE, Select("s", Reg("c"), Reg("v"), Reg("nope")), Ret()]}),
+        "main:entry: register %nope used before definition in %s = select %c, %v, %nope",
     ),
     "unknown block": (
         _module({"entry": [*_PRELUDE, Br(Reg("c"), "missing", "entry")]}),
-        ExternHandler(),
-        "main: unknown block 'missing'",
+        "main:entry: branch to unknown block 'missing'",
     ),
     "fall-through without a terminator": (
         _module({"entry": [*_PRELUDE, Jmp("body")], "body": [ConstInstr("z", 1)]}),
-        ExternHandler(),
-        "main:body fell through without terminator",
+        "main:body: block does not end with a terminator",
     ),
+    "wrong extern arity": (
+        _module(
+            {"entry": [*_PRELUDE, Call("r", "ext", (Reg("v"), Imm(1))), Ret(Reg("r"))]},
+            externs=[("ext", 1)],
+        ),
+        "main:entry: extern ext expects 1 args, got 2",
+    ),
+    "call to an unknown symbol": (
+        _module({"entry": [*_PRELUDE, Call("r", "nowhere", ()), Ret(Reg("r"))]}),
+        "main:entry: call to unknown symbol 'nowhere'",
+    ),
+    "wrong internal call arity": (
+        _module(
+            {"entry": [*_PRELUDE, Call("r", "helper", ()), Ret(Reg("r"))]},
+            functions=[("helper", ("a",), {"entry": [Ret(Reg("a"))]})],
+        ),
+        "main:entry: helper expects 1 args, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_FORMED))
+def test_ill_formed_programs_fail_identically(case):
+    """Each executor, and the compiled listing, refuse the module as the validator does."""
+    module, message = ILL_FORMED[case]
+    with pytest.raises(ValidationError) as rejected:
+        validate_module(module)
+    assert str(rejected.value) == message
+    for build in (Interpreter, SymbolicEngine, lambda module: function_source(module, "main")):
+        with pytest.raises(ValidationError) as rejected:
+            build(module)
+        assert str(rejected.value) == message
+
+
+#: Valid modules whose runs fail, with the handler they run under and the error.
+RUN_TIME_ERRORS = {
     "missing extern handler": (
         _module(
             {"entry": [*_PRELUDE, Call("r", "ext", (Reg("v"),)), Ret(Reg("r"))]},
@@ -180,15 +211,7 @@ ERROR_CASES = {
         ExternHandler(),
         "no handler registered for extern 'ext'",
     ),
-    "wrong extern arity": (
-        _module(
-            {"entry": [*_PRELUDE, Call("r", "ext", (Reg("v"), Imm(1))), Ret(Reg("r"))]},
-            externs=[("ext", 1)],
-        ),
-        _handler(ext=_ext),
-        "extern ext expects 1 args, got 2",
-    ),
-    "void extern result into a register": (
+    "void extern result": (
         _module(
             {"entry": [*_PRELUDE, Call(None, "ext", (Reg("v"),)), Call("r", "void", ()), Ret()]},
             externs=[("ext", 1), ("void", 0)],
@@ -196,26 +219,13 @@ ERROR_CASES = {
         _handler(ext=_ext, void=lambda args, memory: None),
         "extern void returned no value into %r",
     ),
-    "void function result into a register": (
+    "void function result": (
         _module(
             {"entry": [*_PRELUDE, Call("r", "helper", (Reg("v"),)), Ret(Reg("r"))]},
             functions=[_VOID_HELPER],
         ),
         ExternHandler(),
         "helper returned void into %r",
-    ),
-    "call to an unknown symbol": (
-        _module({"entry": [*_PRELUDE, Call("r", "nowhere", ()), Ret(Reg("r"))]}),
-        ExternHandler(),
-        "call to unknown symbol 'nowhere'",
-    ),
-    "wrong internal call arity": (
-        _module(
-            {"entry": [*_PRELUDE, Call("r", "helper", ()), Ret(Reg("r"))]},
-            functions=[("helper", ("a",), {"entry": [Ret(Reg("a"))]})],
-        ),
-        ExternHandler(),
-        "helper expects 1 args, got 0",
     ),
 }
 
@@ -229,16 +239,16 @@ def _outcome(interpreter_type, module, handler, **kwargs):
     return ("returned", value), _observed(trace)
 
 
-@pytest.mark.parametrize("case", sorted(ERROR_CASES))
-def test_ill_formed_programs_fail_identically(case):
-    module, handler, message = ERROR_CASES[case]
+@pytest.mark.parametrize("case", sorted(RUN_TIME_ERRORS))
+def test_run_time_errors_fail_identically(case):
+    module, handler, message = RUN_TIME_ERRORS[case]
     got = _outcome(Interpreter, module, handler)
     assert got == _outcome(ReferenceInterpreter, module, handler)
     assert got[0] == (InterpreterError, message)
 
 
 def _calls_and_loops():
-    """A caller/callee pair with a loop, a fall-through and an extern call."""
+    """A caller/callee pair with a loop and an extern call."""
     return _module(
         {
             "entry": [ConstInstr("i", 0), Jmp("loop")],
@@ -249,7 +259,7 @@ def _calls_and_loops():
                 Cmp("ult", "c", Reg("i"), Imm(4)),
                 Br(Reg("c"), "loop", "tail"),
             ],
-            "tail": [Store(Imm(0x80), Reg("i"), 8), Call("k", "step", (Reg("i"),))],
+            "tail": [Store(Imm(0x80), Reg("i"), 8), Call("k", "step", (Reg("i"),)), Ret(Reg("k"))],
         },
         functions=[_STEP],
         externs=[("ext", 1)],
@@ -260,14 +270,16 @@ def test_step_limit_stops_both_interpreters_at_the_same_instruction():
     module = _calls_and_loops()
     handler = _handler(ext=_ext)
     unlimited = _outcome(Interpreter, module, handler)
-    assert unlimited[0] == (InterpreterError, "main:tail fell through without terminator")
+    assert unlimited[0] == ("returned", 5)
     total = unlimited[1][0]
     for max_steps in range(total + 3):
         got = _outcome(Interpreter, module, handler, max_steps=max_steps)
         assert got == _outcome(ReferenceInterpreter, module, handler, max_steps=max_steps)
-        if max_steps <= total:
+        if max_steps < total:
             assert got[0] == (StepLimitExceeded, f"exceeded {max_steps} steps"), max_steps
             assert got[1][0] == max_steps
+        else:
+            assert got == unlimited, max_steps
 
 
 def test_step_limit_raises_on_an_endless_loop():
@@ -303,14 +315,15 @@ def _mix(args, memory):
 
 
 class _RandomProgram:
-    """A seeded generator of small, unvalidated NFIL modules.
+    """A seeded generator of small, valid NFIL modules.
 
     ``main`` runs forward branches and jumps, one bounded loop, loads and
     stores of every size, extern calls (one void) and internal calls to
-    ``helper`` (a value) and ``vhelper`` (void).  Most operands are
-    registers defined on every path to them, but some are defined only on
-    another path, and a few blocks branch nowhere or fall through, so runs
-    also end in the errors the reference raises.
+    ``helper`` (a value) and ``vhelper`` (void).  Every operand is an
+    immediate or a register defined on every path to it: a parameter, or
+    defined earlier in its block or in the entry block.  A few of
+    ``helper``'s returns are void, so some runs end in the error the
+    reference raises for that.
     """
 
     def __init__(self, rng: random.Random) -> None:
@@ -331,7 +344,6 @@ class _RandomProgram:
         labels = [f"b{n}" for n in range(rng.randrange(1, 5))] + ["loop"] * loop + ["exit"]
         function = Function(name, params=[Param(p) for p in params], entry="b0")
         always = [*params, "i", "a0", "a1"]
-        maybe = []
         for index, label in enumerate(labels):
             body = []
             if index == 0:
@@ -341,7 +353,7 @@ class _RandomProgram:
                 body.append(BinOp("add", "i", Reg("i"), Imm(1)))
             scope = list(always)
             for _ in range(rng.randrange(1, 6)):
-                instruction = self.straight(scope, maybe, callees)
+                instruction = self.straight(scope, callees)
                 body.append(instruction)
                 if instruction.defines() is not None:
                     scope.append(instruction.defines())
@@ -350,33 +362,28 @@ class _RandomProgram:
                 body.append(Cmp("ult", "more", Reg("i"), Imm(rng.randrange(1, 4))))
                 body.append(Br(Reg("more"), "loop", "exit"))
             elif label == "exit" or rng.random() < 0.1:
-                value = None if void or rng.random() < 0.03 else self.operand(scope, maybe)
+                value = None if void or rng.random() < 0.03 else self.operand(scope)
                 body.append(Ret(value))
-            elif rng.random() < 0.03:
-                pass  # falls through
             elif rng.random() < 0.6:
-                targets = [*later, "nowhere"] if rng.random() < 0.03 else later
-                cond = self.operand(scope, maybe)
-                body.append(Br(cond, rng.choice(targets), rng.choice(targets)))
+                body.append(Br(self.operand(scope), rng.choice(later), rng.choice(later)))
             else:
                 body.append(Jmp(rng.choice(later)))
             function.blocks[label] = BasicBlock(label, body)
-            (always if index == 0 else maybe).extend(scope[len(always) :])
+            if index == 0:
+                always = scope
         return function
 
-    def operand(self, scope, maybe, *, unsure=0.06):
+    def operand(self, scope):
         rng = self.rng
         if rng.random() < 0.2:
             return Imm(rng.choice(EDGES) if rng.random() < 0.7 else rng.getrandbits(64))
-        if maybe and rng.random() < unsure:
-            return Reg(rng.choice(maybe))
         return Reg(rng.choice(scope))
 
-    def straight(self, scope, maybe, callees):
+    def straight(self, scope, callees):
         rng = self.rng
         self.registers += 1
         dest = f"v{self.registers}"
-        operand = functools.partial(self.operand, scope, maybe)
+        operand = functools.partial(self.operand, scope)
         kinds = ["const", "binop", "cmp", "select", "load", "store", "extern", "call"]
         kind = rng.choices(kinds, weights=(1, 4, 3, 2, 3, 2, 1, 1 if callees else 0))[0]
         if kind == "const":
@@ -386,9 +393,7 @@ class _RandomProgram:
         if kind == "cmp":
             return Cmp(rng.choice(list(CMP_OPS)), dest, operand(), operand())
         if kind == "select":
-            arm = self.operand(scope, maybe, unsure=0.3)
-            arms = (arm, operand()) if rng.random() < 0.5 else (operand(), arm)
-            return Select(dest, operand(), *arms)
+            return Select(dest, operand(), operand(), operand())
         if rng.random() < 0.3:
             address = Reg(rng.choice(("a0", "a1")))
         else:

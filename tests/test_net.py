@@ -12,6 +12,7 @@ from repro.net import (
     ChurnSchedule,
     Graph,
     GraphError,
+    GraphFrame,
     GraphPacketOutcome,
     GraphReplayer,
     Link,
@@ -165,12 +166,14 @@ def test_graph_replayer_composes_the_graph_contract_only_when_read(spec, monkeyp
 # Churn schedules
 # --------------------------------------------------------------------------- #
 def test_churn_schedule_orders_and_merges_events():
-    schedule = ChurnSchedule([backend_add(5, "lb", 1), backend_add(2, "lb", 2)])
-    assert [event.at for event in schedule.events] == [2, 5]
-    merged = schedule.merged(ChurnSchedule([expiry_jump(3, "lb", 10)]))
-    assert [event.at for event in merged.events] == [2, 3, 5]
-    assert len(merged.at(2)) == 1
-    assert merged.at(99) == ()
+    """Events sort by stream index; those at one index fire together, in given order."""
+    schedule = ChurnSchedule(
+        [backend_add(5, "lb", 1), expiry_jump(2, "lb", 10), backend_add(2, "lb", 2)]
+    )
+    assert [event.at for event in schedule.events] == [2, 2, 5]
+    assert [event.kind for event in schedule.at(2)] == ["expiry_jump", "backend_add"]
+    assert len(schedule.at(5)) == 1
+    assert schedule.at(99) == ()
 
 
 def test_route_update_requires_an_lpm_trie(router_contract):
@@ -232,7 +235,7 @@ def test_end_to_end_replay_holds_at_both_levels():
     # classified (reconfig), and flow E flipped from no_route to routed
     # when the mid-stream route install landed.
     assert "reconfig" in seen["lb"]
-    routes = result.routes_seen()
+    routes = sorted(result.route_summaries)
     # Every journey's route is an entry of the composed contract.
     assert set(routes) <= set(replayer.composed.class_names())
     assert f"lb:new_flow{HOP_SEPARATOR}nat:internal_new{HOP_SEPARATOR}router:no_route" in routes
@@ -287,7 +290,6 @@ def test_route_rows_take_the_class_rows_json_shape():
 def test_unclassified_hops_terminate_the_route(router_contract):
     """A frame no contract class covers stops the walk without a route."""
     from repro.core.contract import PerformanceContract
-    from repro.net import GraphFrame
 
     # Drop the "short" entry so a truncated frame classifies nowhere.
     doctored = PerformanceContract(
@@ -351,14 +353,10 @@ def test_the_hop_bounds_sum_to_the_composed_route_bound():
     assert looser > 0
 
 
-def test_graph_frames_share_one_read_only_scalars_mapping():
-    """A frame is slotted and its scalars are the one shared, read-only empty mapping."""
+def test_graph_frames_are_slotted_and_carry_only_bytes_time_and_note():
+    """Each hop's ingress builds its stimulus from the bytes and the stream clock."""
     (workload,) = lb_nat_fw_router_workloads(seed=2019, packets=500)
     frames = workload.stream
     assert len(frames) == 500
-    assert len({id(frame.scalars) for frame in frames}) == 1
-    first = frames[0]
-    assert not hasattr(first, "__dict__")
-    assert dict(first.scalars) == {}
-    with pytest.raises(TypeError):
-        first.scalars["in_port"] = 1
+    assert not hasattr(frames[0], "__dict__")
+    assert GraphFrame.__slots__ == ("packet", "time", "note")

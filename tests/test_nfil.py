@@ -52,7 +52,7 @@ def test_validator_rejects_missing_terminator():
     b = FunctionBuilder("f")
     b.const(1)
     with pytest.raises(ValidationError):
-        b.build()
+        validate_function(b.build())
 
 
 def test_validator_rejects_use_before_def_across_branches():
@@ -66,7 +66,7 @@ def test_validator_rejects_use_before_def_across_branches():
     b.jmp("join")
     b.block("join")
     b.ret(b.binop("add", b.param("c"), b.param("c")))
-    fn = b.build(validate=False)
+    fn = b.build()
     fn.blocks["join"].instructions.insert(0, BinOp("add", "w", Reg("v"), Reg("c")))
     with pytest.raises(ValidationError, match="used before definition"):
         validate_function(fn)
@@ -76,7 +76,7 @@ def test_validator_rejects_unknown_branch_target():
     b = FunctionBuilder("f")
     b.jmp("nowhere")
     with pytest.raises(ValidationError, match="unknown block"):
-        b.build()
+        validate_function(b.build())
 
 
 def test_validator_checks_extern_arity_and_void():

@@ -2,14 +2,20 @@
 
 The bridge/router tests exercise the verifier only on well-formed modules;
 these tests hit every structural invariant it enforces, in both the
-accepting and the rejecting direction.
+accepting and the rejecting direction, and check that the executors run
+it once, when they are built, and the NF module builders do not.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.nf import BRIDGE, NF_MATRIX
 from repro.nfil.instructions import Br, Call, Cmp, ConstInstr, Imm, Jmp, Reg, Ret
+from repro.nfil.interpreter import Interpreter
 from repro.nfil.program import Function, Module, Param
 from repro.nfil.validate import ValidationError, validate_function, validate_module
+from repro.sym.engine import SymbolicEngine
 
 
 def _fn(name="f", params=(), entry="entry"):
@@ -65,6 +71,18 @@ def test_branch_to_unknown_block_is_rejected():
     block.append(Br(Imm(1), "nowhere", "entry"))
     with pytest.raises(ValidationError, match="unknown block 'nowhere'"):
         validate_function(fn)
+
+
+def test_duplicate_parameter_names_are_rejected_before_any_executor_runs():
+    # Unchecked, the compiled interpreter's ``def`` would not compile and
+    # the engine would bind the last argument to both names.
+    fn = _fn(params=("x", "y", "x"))
+    fn.block("entry").append(Ret(Reg("x")))
+    module = _module_with(fn)
+    for check, arg in ((validate_function, fn), (Interpreter, module), (SymbolicEngine, module)):
+        with pytest.raises(ValidationError) as rejected:
+            check(arg)
+        assert str(rejected.value) == "f: parameter %x is declared twice"
 
 
 def test_mislabelled_block_registration_is_rejected():
@@ -197,3 +215,42 @@ def test_valid_module_roundtrips():
     module.add_function(callee)
     module.add_function(caller)
     assert validate_module(module) is module
+
+
+# --------------------------------------------------------------------------- #
+# The executors' precondition
+# --------------------------------------------------------------------------- #
+def _unterminated_bridge():
+    """The bridge module with its entry block's terminator dropped."""
+    module = BRIDGE.build_module()
+    function = module.get_function(BRIDGE.function)
+    function.blocks[function.entry].instructions.pop()
+    return module
+
+
+def test_an_ill_formed_nf_module_builds_no_harness_and_no_contract():
+    spec = replace(BRIDGE, build_module=_unterminated_bridge)
+    with pytest.raises(ValidationError) as rejected:
+        validate_module(_unterminated_bridge())
+    for build in (spec.harness, spec.contract):
+        with pytest.raises(ValidationError) as failure:
+            build(**spec.bench)
+        assert str(failure.value) == str(rejected.value)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in NF_MATRIX], ids=lambda spec: spec.name)
+def test_a_harness_and_a_contract_each_validate_every_function_once(spec, monkeypatch):
+    checked = []
+
+    def counted(function, module=None):
+        checked.append(function.name)
+        return validate_function(function, module)
+
+    monkeypatch.setattr("repro.nfil.validate.validate_function", counted)
+    # Where a function builder would call it.
+    monkeypatch.setattr("repro.nfil.builder.validate_function", counted, raising=False)
+    functions = list(spec.harness(**spec.bench).module.functions)
+    assert checked == functions
+    checked.clear()
+    spec.contract(**spec.bench)
+    assert checked == functions

@@ -178,7 +178,7 @@ def test_max_paths_budget_enforced(monkeypatch):
         b.block(f"join{i}")
     b.ret(total)
     module = Module("m")
-    module.add_function(b.build(validate=False))
+    module.add_function(b.build())
     monkeypatch.setattr(SymbolicEngine, "MAX_PATHS", 8)
     engine = SymbolicEngine(module)
     with pytest.raises(ExplorationLimit):
